@@ -32,16 +32,14 @@ let sparse256 =
     (Gen.random_connected (Csap_graph.Rng.create 9) 256 ~extra_edges:512
        ~wmax:32)
 
-(* Instances for the PR-2 before/after pairs: the CSR relaxation scan
-   (flat rows vs boxed tuples) at n = 256, the pool-sharded all-sources
-   extrema at n = 512 over >= 4 domains, and the engine reset-vs-recreate
-   multi-seed trial loop. *)
+(* Instances for the later before/after pairs: the CSR relaxation scan
+   (flat rows vs boxed tuples) at n = 256, the extrema at n = 512
+   (all-sources sweep vs eccentricity-bound sweep), and the engine
+   reset-vs-recreate multi-seed trial loop. *)
 let sparse512 =
   lazy
     (Gen.random_connected (Csap_graph.Rng.create 13) 512 ~extra_edges:1024
        ~wmax:32)
-
-let extrema_pool = lazy (Csap_pool.create ~domains:4 ())
 
 type msg = Wave
 
@@ -185,12 +183,15 @@ let tests =
     Test.make ~name:"engine: send-path soa"
       (Staged.stage (fun () ->
            flood_with E.Indexed E.Packed (Lazy.force dense96)));
-    (* Before/after: the diameter sweep's Dijkstra core. *)
+    (* Before/after: the diameter sweep's Dijkstra core. Both sides run
+       all n sources, so the pair measures the heap, not the sweep. *)
     Test.make ~name:"spt: diameter n256 lazy"
       (Staged.stage (fun () -> ignore (diameter_lazy (Lazy.force sparse256))));
     Test.make ~name:"spt: diameter n256 indexed"
       (Staged.stage (fun () ->
-           ignore (Csap_graph.Paths.diameter (Lazy.force sparse256))));
+           ignore
+             (Csap_graph.Paths.extrema_seq (Lazy.force sparse256))
+               .Csap_graph.Paths.diameter));
     (* Before/after: the relaxation scan — boxed tuple rows vs flat CSR. *)
     Test.make ~name:"csr: dijkstra n256 tuple"
       (Staged.stage (fun () ->
@@ -198,17 +199,14 @@ let tests =
     Test.make ~name:"csr: dijkstra n256 flat"
       (Staged.stage (fun () ->
            ignore (Csap_graph.Paths.dijkstra (Lazy.force sparse256) ~src:0)));
-    (* Before/after: the n-source extrema sweep, sequential vs sharded
-       over the 4-domain pool. *)
-    Test.make ~name:"extrema: n512 seq"
+    (* Before/after: the extrema, n source Dijkstras vs the
+       eccentricity-bound sweep. *)
+    Test.make ~name:"extrema: n512 all-sources"
       (Staged.stage (fun () ->
            ignore (Csap_graph.Paths.extrema_seq (Lazy.force sparse512))));
-    Test.make ~name:"extrema: n512 par4"
+    Test.make ~name:"extrema: n512 bounded"
       (Staged.stage (fun () ->
-           ignore
-             (Csap_graph.Paths.extrema
-                ~pool:(Lazy.force extrema_pool)
-                (Lazy.force sparse512))));
+           ignore (Csap_graph.Paths.extrema (Lazy.force sparse512))));
     (* Before/after: multi-seed trial loops — fresh engine per trial vs
        one engine rewound by Engine.reset. *)
     Test.make ~name:"engine: trial-loop recreate"
@@ -265,8 +263,9 @@ let run () =
       ( "speedup: dijkstra n256 (tuple/csr)",
         find_ns rows "dijkstra n256 tuple" /. find_ns rows "dijkstra n256 flat"
       );
-      ( "speedup: extrema n512 (seq/parallel)",
-        find_ns rows "extrema: n512 seq" /. find_ns rows "extrema: n512 par4" );
+      ( "speedup: extrema n512 (all-sources/bounded)",
+        find_ns rows "extrema: n512 all-sources"
+        /. find_ns rows "extrema: n512 bounded" );
       ( "speedup: engine trial-loop (recreate/reset)",
         find_ns rows "trial-loop recreate" /. find_ns rows "trial-loop reset" );
       ( "speedup: engine send-path (boxed/soa)",

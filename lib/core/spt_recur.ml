@@ -23,8 +23,9 @@ type result = {
 }
 
 let default_strip g =
-  let d = Csap_graph.Paths.diameter g in
-  let dn = Csap_graph.Paths.max_neighbor_distance g in
+  let { Csap_graph.Paths.diameter = d; max_neighbor = dn; _ } =
+    Csap_graph.Paths.extrema g
+  in
   max 1 (int_of_float (sqrt (float_of_int (d * dn))))
 
 let try_run ?delay ?faults ?reliable ?(comm_budget = max_int) g ~source

@@ -8,12 +8,14 @@ type t = {
   w_max : int;
 }
 
-(* Computing the parameters costs n Dijkstras plus an MST; the benchmark
-   harness asks for them once per table row on the same instance. Memoize
-   per graph identity ({!Graph.id}), behind a mutex so the parallel bench
-   harness's domains can share the cache. The compute itself runs outside
-   the lock: two domains racing on the same graph both compute the same
-   pure value, and one insert wins.
+(* Computing the parameters costs an MST plus [Paths.extrema]'s
+   eccentricity-bound sweep — a handful of Dijkstras on most families,
+   but up to n when every eccentricity is equal (cycles, complete
+   graphs); the benchmark harness asks for them once per table row on
+   the same instance. Memoize per graph identity ({!Graph.id}), behind a
+   mutex so the parallel bench harness's domains can share the cache.
+   The compute itself runs outside the lock: two domains racing on the
+   same graph both compute the same pure value, and one insert wins.
 
    The cache is bounded: graph ids never repeat, so long bench runs over
    thousands of generated graphs would otherwise grow it without limit.

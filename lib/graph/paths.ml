@@ -181,8 +181,8 @@ type extrema = {
   max_neighbor : int;
 }
 
-(* Per-source summaries of one Dijkstra, shared by the sequential and the
-   pool-sharded sweeps so both reduce the very same numbers. *)
+(* The summaries of one full Dijkstra from [src]: its eccentricity and
+   its largest distance to a neighbour. *)
 let source_summaries g ~src ~dist =
   let ecc = Array.fold_left max 0 dist in
   let local_max = ref 0 in
@@ -190,22 +190,29 @@ let source_summaries g ~src ~dist =
       if dist.(u) > !local_max then local_max := dist.(u));
   (ecc, !local_max)
 
-(* The deterministic reduction over per-source summaries, in source
-   order — shared by both sweeps, so the parallel result is bit-identical
-   to the sequential one (the centre is the smallest vertex attaining the
-   radius either way). *)
-let reduce_extrema ~ecc ~local_max =
-  let n = Array.length ecc in
+(* One sweep of n Dijkstras, reusing the distance/parent buffers and the
+   heap, yields every all-sources distance parameter at once. Kept as
+   the oracle the bound sweep [extrema] is tested against: the centre is
+   the smallest vertex attaining the radius. *)
+let extrema_seq g =
+  if not (Graph.is_connected g) then
+    invalid_arg "Paths.extrema: graph is disconnected";
+  let n = Graph.n g in
+  let dist = Array.make n max_int in
+  let parent = Array.make n (-1) in
+  let heap = Indexed_heap.create n in
   let diameter = ref 0 in
   let radius = ref max_int and center = ref 0 in
   let max_neighbor = ref 0 in
   for v = 0 to n - 1 do
-    if ecc.(v) > !diameter then diameter := ecc.(v);
-    if ecc.(v) < !radius then begin
-      radius := ecc.(v);
+    dijkstra_into g ~src:v ~dist ~parent heap;
+    let e, lm = source_summaries g ~src:v ~dist in
+    if e > !diameter then diameter := e;
+    if e < !radius then begin
+      radius := e;
       center := v
     end;
-    if local_max.(v) > !max_neighbor then max_neighbor := local_max.(v)
+    if lm > !max_neighbor then max_neighbor := lm
   done;
   {
     diameter = !diameter;
@@ -214,58 +221,184 @@ let reduce_extrema ~ecc ~local_max =
     max_neighbor = !max_neighbor;
   }
 
-(* One sweep of n Dijkstras, reusing the distance/parent buffers and the
-   heap, yields every all-sources distance parameter at once. Kept as
-   the sequential oracle for the pool-sharded [extrema]. *)
-let extrema_seq g =
+(* Whether edge (src, u) of weight w can still raise d above [best]:
+   dist(src, u) <= w, so it must be heavier than [best]; its smaller
+   endpoint covers it; and a [swept] endpoint's full Dijkstra already
+   counted it. *)
+let[@inline] open_edge ~swept ~best ~src u w =
+  w > best && u > src && not (Array.unsafe_get swept u)
+
+(* The largest dist(src, u) over [src]'s open edges (0 if it has none),
+   from a Dijkstra cut off at the heaviest of them, r: each such u is
+   within r, and every vertex within r of [src] gets its exact distance,
+   since each prefix of its shortest path is within r too. [dist] holds
+   max_int everywhere on entry and again on return: the run records the
+   vertices it reaches in [touched] and resets only those, so it costs
+   the size of the ball, not n. *)
+let local_max_within g ~swept ~best ~src ~dist ~touched heap =
+  let off = Graph.csr_offsets g in
+  let nbr = Graph.csr_neighbors g in
+  let wt = Graph.csr_weights g in
+  let r = ref 0 in
+  for i = off.(src) to off.(src + 1) - 1 do
+    if open_edge ~swept ~best ~src nbr.(i) wt.(i) && wt.(i) > !r then
+      r := wt.(i)
+  done;
+  let r = !r in
+  if r = 0 then 0
+  else begin
+    dist.(src) <- 0;
+    touched.(0) <- src;
+    let reached = ref 1 in
+    Indexed_heap.insert heap src 0;
+    let rec loop () =
+      let u = Indexed_heap.pop_min heap in
+      if u >= 0 then begin
+        let du = dist.(u) in
+        (* Same CSR shape invariant as [dijkstra_into]. *)
+        for i = Array.unsafe_get off u to Array.unsafe_get off (u + 1) - 1 do
+          let dv = du + Array.unsafe_get wt i in
+          if dv <= r then begin
+            let v = Array.unsafe_get nbr i in
+            let dcur = Array.unsafe_get dist v in
+            if dv < dcur then begin
+              if dcur = max_int then begin
+                touched.(!reached) <- v;
+                incr reached
+              end;
+              Array.unsafe_set dist v dv;
+              Indexed_heap.push heap v dv
+            end
+          end
+        done;
+        loop ()
+      end
+    in
+    loop ();
+    let local_max = ref 0 in
+    for i = off.(src) to off.(src + 1) - 1 do
+      let u = nbr.(i) in
+      if open_edge ~swept ~best ~src u wt.(i) && dist.(u) > !local_max then
+        local_max := dist.(u)
+    done;
+    for i = 0 to !reached - 1 do
+      dist.(touched.(i)) <- max_int
+    done;
+    !local_max
+  end
+
+(* The paper's d, given [best]: the largest local maximum over the
+   [swept] vertices, read off the full Dijkstras already run from them.
+   Every other vertex runs a truncated Dijkstra over its open edges.
+   [dist] holds max_int everywhere. *)
+let max_local_within g ~swept ~best ~dist heap =
+  let touched = Array.make (Graph.n g) 0 in
+  let best = ref best in
+  for v = 0 to Graph.n g - 1 do
+    if not swept.(v) then begin
+      let lm =
+        local_max_within g ~swept ~best:!best ~src:v ~dist ~touched heap
+      in
+      if lm > !best then best := lm
+    end
+  done;
+  !best
+
+(* The exact eccentricity-bound sweep (Takes & Kosters, CIKM 2011, with
+   the radius alongside the diameter). A full Dijkstra from v bounds
+   every w by max(ecc(v) - d(v,w), d(v,w)) <= ecc(w) <= ecc(v) + d(v,w);
+   a vertex whose bounds meet has a known eccentricity without a
+   Dijkstra of its own. [live] holds, in increasing index order, the
+   unresolved vertices that could still raise the diameter (hi >
+   diameter) or attain the radius (lo < radius, or lo = radius below the
+   current centre, which keeps the smallest-index tie-break of
+   [extrema_seq]). Neither condition can become true again once false —
+   diameter only grows, radius only shrinks, lo/hi only tighten — so
+   [live] only shrinks, and the sweep ends when it is empty.
+
+   One pass over [live] per source tightens the bounds, settles the
+   vertices whose bounds meet, drops the non-candidates and picks the
+   next source: alternately the largest hi among diameter candidates
+   and the smallest lo among radius candidates, the smaller index on
+   ties. A vertex kept against thresholds that a later vertex of the
+   same pass tightens is dropped by the next pass. *)
+let extrema g =
   if not (Graph.is_connected g) then
     invalid_arg "Paths.extrema: graph is disconnected";
   let n = Graph.n g in
   let dist = Array.make n max_int in
   let parent = Array.make n (-1) in
   let heap = Indexed_heap.create n in
-  let ecc = Array.make n 0 in
-  let local_max = Array.make n 0 in
-  for v = 0 to n - 1 do
+  let lo = Array.make n 0 and hi = Array.make n max_int in
+  let swept = Array.make n false in
+  let live = Array.init n Fun.id in
+  let nlive = ref n in
+  let diameter = ref 0 in
+  let radius = ref max_int and center = ref 0 in
+  let settle w ecc =
+    if ecc > !diameter then diameter := ecc;
+    if ecc < !radius || (ecc = !radius && w < !center) then begin
+      radius := ecc;
+      center := w
+    end
+  in
+  let max_neighbor = ref 0 in
+  let src = ref 0 and by_hi = ref true in
+  while !nlive > 0 do
+    let v = !src in
     dijkstra_into g ~src:v ~dist ~parent heap;
     let e, lm = source_summaries g ~src:v ~dist in
-    ecc.(v) <- e;
-    local_max.(v) <- lm
+    swept.(v) <- true;
+    if lm > !max_neighbor then max_neighbor := lm;
+    settle v e;
+    let kept = ref 0 in
+    let best_hi = ref (-1) and top_hi = ref min_int in
+    let best_lo = ref (-1) and top_lo = ref max_int in
+    (* [live] holds distinct vertices < n, so the unchecked reads and
+       the compaction write (at [kept] <= i) stay in range. *)
+    for i = 0 to !nlive - 1 do
+      let w = Array.unsafe_get live i in
+      let d = Array.unsafe_get dist w in
+      let l = Array.unsafe_get lo w and h = Array.unsafe_get hi w in
+      let l = if d > l then d else l in
+      let l = if e - d > l then e - d else l in
+      let h = if e + d < h then e + d else h in
+      Array.unsafe_set lo w l;
+      Array.unsafe_set hi w h;
+      if l = h then settle w l
+      else begin
+        let for_diameter = h > !diameter in
+        let for_radius = l < !radius || (l = !radius && w < !center) in
+        if for_diameter || for_radius then begin
+          Array.unsafe_set live !kept w;
+          incr kept;
+          if for_diameter && h > !top_hi then begin
+            best_hi := w;
+            top_hi := h
+          end;
+          if for_radius && l < !top_lo then begin
+            best_lo := w;
+            top_lo := l
+          end
+        end
+      end
+    done;
+    nlive := !kept;
+    by_hi := not !by_hi;
+    src :=
+      if (!by_hi && !best_hi >= 0) || !best_lo < 0 then !best_hi
+      else !best_lo
   done;
-  reduce_extrema ~ecc ~local_max
+  Array.fill dist 0 n max_int;
+  {
+    diameter = !diameter;
+    radius = !radius;
+    center = !center;
+    max_neighbor = max_local_within g ~swept ~best:!max_neighbor ~dist heap;
+  }
 
-(* Sources sharded over the domain pool: each worker owns one scratch
-   (dist, parent, heap) triple, every source writes only its own summary
-   slots, and the reduction runs sequentially in source order after the
-   join — so the result is bit-identical whatever the pool's schedule
-   (checked against [extrema_seq] by the qcheck suite). Small sweeps stay
-   on the calling domain: below ~64 sources the Dijkstras are cheaper
-   than spawning. *)
+(* Below ~64 sources the Dijkstras are cheaper than spawning. *)
 let parallel_cutoff = 64
-
-let extrema ?pool g =
-  if not (Graph.is_connected g) then
-    invalid_arg "Paths.extrema: graph is disconnected";
-  let n = Graph.n g in
-  let pool =
-    match pool with Some p -> p | None -> Csap_pool.default ()
-  in
-  if n < parallel_cutoff || Csap_pool.domains pool <= 1 then extrema_seq g
-  else begin
-    let ecc = Array.make n 0 in
-    let local_max = Array.make n 0 in
-    let scratch =
-      Array.init (Csap_pool.domains pool) (fun _ ->
-          (Array.make n max_int, Array.make n (-1), Indexed_heap.create n))
-    in
-    Csap_pool.run pool ~tasks:n (fun ~worker v ->
-        let dist, parent, heap = scratch.(worker) in
-        dijkstra_into g ~src:v ~dist ~parent heap;
-        let e, lm = source_summaries g ~src:v ~dist in
-        ecc.(v) <- e;
-        local_max.(v) <- lm);
-    reduce_extrema ~ecc ~local_max
-  end
 
 let all_pairs ?pool g =
   let n = Graph.n g in
@@ -294,26 +427,13 @@ let all_pairs ?pool g =
   end;
   rows
 
-let diameter g =
-  if not (Graph.is_connected g) then
-    invalid_arg "Paths.diameter: graph is disconnected";
-  (extrema g).diameter
+let diameter g = (extrema g).diameter
 
 let radius_and_center g =
-  if not (Graph.is_connected g) then
-    invalid_arg "Paths.radius_and_center: graph is disconnected";
   let e = extrema g in
   (e.radius, e.center)
 
 let max_neighbor_distance g =
   let n = Graph.n g in
-  let dist = Array.make n max_int in
-  let parent = Array.make n (-1) in
-  let heap = Indexed_heap.create n in
-  let best = ref 0 in
-  for v = 0 to n - 1 do
-    dijkstra_into g ~src:v ~dist ~parent heap;
-    Graph.iter_neighbors g v (fun u _ _ ->
-        if dist.(u) > !best then best := dist.(u))
-  done;
-  !best
+  max_local_within g ~swept:(Array.make n false) ~best:0
+    ~dist:(Array.make n max_int) (Indexed_heap.create n)

@@ -12,7 +12,7 @@
     Determinism: tasks are claimed in an arbitrary order, so tasks must
     be independent; callers wanting deterministic results should have
     task [i] write only slot [i] of a preallocated result array and
-    reduce sequentially after [run] returns (see [Paths.extrema]).
+    reduce sequentially after [run] returns (see [Paths.all_pairs]).
 
     Nesting: [run] only spawns from the main domain. Called from a
     worker domain (e.g. a parallel analysis inside a pooled benchmark

@@ -1,8 +1,9 @@
-(* The CSR adjacency layout and the pool-sharded all-sources sweeps,
-   checked against naive oracles: the flat rows must list exactly the
-   incident edges of [Graph.edges] in per-vertex edge-id order, and the
-   parallel [Paths.extrema] / [all_pairs] must be bit-identical to their
-   sequential counterparts whatever the pool's schedule. *)
+(* The CSR adjacency layout and the all-sources sweeps, checked against
+   naive oracles: the flat rows must list exactly the incident edges of
+   [Graph.edges] in per-vertex edge-id order, the pool-sharded
+   [Paths.all_pairs] must be bit-identical to per-source Dijkstras
+   whatever the pool's schedule, and the bound sweep [Paths.extrema] to
+   the all-sources [extrema_seq]. *)
 
 module G = Csap_graph.Graph
 module P = Csap_graph.Paths
@@ -113,21 +114,21 @@ let prop_dijkstra_matches_tuple =
       a.P.dist = b.P.dist && a.P.parent = b.P.parent)
 
 (* Seeded instances above [Paths]'s sequential cutoff, so the parallel
-   sharding genuinely runs; a pool wider than the sweep's task count
-   never exists, but 3 domains on >= 64 sources exercises stealing. *)
+   [all_pairs] sharding genuinely runs; a pool wider than the sweep's
+   task count never exists, but 3 domains on >= 64 sources exercises
+   stealing. *)
 let big_graph seed =
   Gen.random_connected (Csap_graph.Rng.create seed) 96 ~extra_edges:160
     ~wmax:24
 
-let test_parallel_extrema_matches_seq () =
-  let pool = Csap_pool.create ~domains:3 () in
+let test_bounded_extrema_matches_seq () =
   List.iter
     (fun seed ->
       let g = big_graph seed in
-      let seq = P.extrema_seq g and par = P.extrema ~pool g in
       Alcotest.(check bool)
         (Printf.sprintf "seed %d" seed)
-        true (seq = par))
+        true
+        (P.extrema g = P.extrema_seq g))
     [ 1; 2; 3; 4; 5 ]
 
 let test_parallel_all_pairs_matches_dijkstra () =
@@ -143,11 +144,9 @@ let test_parallel_all_pairs_matches_dijkstra () =
         (rows.(src) = (P.dijkstra g ~src).P.dist))
     [ 0; 1; G.n g / 2; G.n g - 1 ]
 
-let prop_parallel_extrema_matches_seq =
-  (* Small instances fall under the cutoff (sequential path) — still a
-     valid equality; the seeded family above covers the sharded path. *)
-  QCheck.Test.make ~count:60 ~name:"extrema = extrema_seq"
-    (Gen_qcheck.connected_graph_gen ())
+let prop_bounded_extrema_matches_seq =
+  QCheck.Test.make ~count:300 ~name:"extrema = extrema_seq"
+    (Gen_qcheck.family_graph_gen ())
     (fun g -> P.extrema g = P.extrema_seq g)
 
 let suite =
@@ -156,9 +155,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_rows_match_oracle;
     QCheck_alcotest.to_alcotest prop_edge_id_matches_oracle;
     QCheck_alcotest.to_alcotest prop_dijkstra_matches_tuple;
-    Alcotest.test_case "parallel extrema = sequential (3 domains)" `Quick
-      test_parallel_extrema_matches_seq;
+    Alcotest.test_case "bounded extrema = all-sources (seeded)" `Quick
+      test_bounded_extrema_matches_seq;
     Alcotest.test_case "parallel all_pairs rows = dijkstra" `Quick
       test_parallel_all_pairs_matches_dijkstra;
-    QCheck_alcotest.to_alcotest prop_parallel_extrema_matches_seq;
+    QCheck_alcotest.to_alcotest prop_bounded_extrema_matches_seq;
   ]

@@ -50,6 +50,27 @@ let test_max_neighbor_distance () =
   let chord = Gen.chorded_cycle 12 ~chord_w:50 in
   Alcotest.(check int) "chorded cycle d" 2 (P.max_neighbor_distance chord)
 
+(* The truncated sweep behind [max_neighbor_distance] against the
+   all-sources sweep, on a random graph plus one heavy edge to the vertex
+   farthest from 0: the light paths bypass it (d < W), so the cut-off
+   radius at its endpoints exceeds their local maxima. *)
+let test_truncated_d_matches_all_sources () =
+  let base =
+    Gen.random_connected (Csap_graph.Rng.create 5) 500 ~extra_edges:1000
+      ~wmax:30
+  in
+  let from0 = (P.dijkstra base ~src:0).P.dist in
+  let far = ref 0 in
+  Array.iteri (fun v d -> if d > from0.(!far) then far := v) from0;
+  let edges =
+    List.map (fun e -> (e.G.u, e.G.v, e.G.w)) (Array.to_list (G.edges base))
+  in
+  let g = G.create ~n:500 ((0, !far, 10 * from0.(!far)) :: edges) in
+  let d = (P.extrema_seq g).P.max_neighbor in
+  Alcotest.(check bool) "d < W" true (d < G.max_weight g);
+  Alcotest.(check int) "max_neighbor_distance" d (P.max_neighbor_distance g);
+  Alcotest.(check int) "extrema" d (P.extrema g).P.max_neighbor
+
 let test_dist () =
   Alcotest.(check int) "dist" 3 (P.dist (square ()) 0 3);
   Alcotest.(check int) "dist sym" 3 (P.dist (square ()) 3 0)
@@ -134,17 +155,20 @@ let prop_dijkstra_matches_lazy =
     (fun (g, src) -> check_dijkstra_matches_lazy g ~src)
 
 let prop_extrema_consistent =
-  QCheck.Test.make ~count:80
+  QCheck.Test.make ~count:150
     ~name:"extrema agrees with per-vertex eccentricities"
-    (Gen_qcheck.connected_graph_gen ())
+    (Gen_qcheck.family_graph_gen ())
     (fun g ->
       let e = P.extrema g in
       let ecc = Array.init (G.n g) (P.eccentricity g) in
       let diameter = Array.fold_left max 0 ecc in
       let radius = Array.fold_left min max_int ecc in
+      let rec first_center v =
+        if ecc.(v) = radius then v else first_center (v + 1)
+      in
       e.P.diameter = diameter
       && e.P.radius = radius
-      && ecc.(e.P.center) = radius
+      && e.P.center = first_center 0
       && e.P.max_neighbor = P.max_neighbor_distance g)
 
 let suite =
@@ -159,6 +183,8 @@ let suite =
     Alcotest.test_case "radius and center" `Quick test_radius_center;
     Alcotest.test_case "max neighbour distance d" `Quick
       test_max_neighbor_distance;
+    Alcotest.test_case "truncated d = all-sources d (n=500, d < W)" `Quick
+      test_truncated_d_matches_all_sources;
     Alcotest.test_case "pairwise dist" `Quick test_dist;
     QCheck_alcotest.to_alcotest prop_dijkstra_matches_lazy;
     QCheck_alcotest.to_alcotest prop_extrema_consistent;
