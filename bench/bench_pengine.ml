@@ -105,14 +105,14 @@ let identity_row (fname, build, dname, delay, k) =
   let g = build () in
   let n = G.n g in
   let fs = F.run ~delay g ~source:0 in
-  let fp = F.run_partitioned ~delay ~domains:k g ~source:0 in
+  let fp = F.run ~delay ~domains:k g ~source:0 in
   let flood_ok =
     fs.F.measures = fp.F.measures
     && fs.F.arrival = fp.F.arrival
     && same_tree n fs.F.tree fp.F.tree
   in
   let ss = S.run ~delay g ~source:0 in
-  let sp = S.run_partitioned ~delay ~domains:k g ~source:0 in
+  let sp = S.run ~delay ~domains:k g ~source:0 in
   let spt_ok =
     ss.S.measures = sp.S.measures
     && ss.S.dist = sp.S.dist
@@ -160,13 +160,13 @@ let sweep_row { fname; build } n () =
     wall_gc (fun () -> F.run g ~source:0)
   in
   let flood_par, par_f =
-    wall (fun () -> F.run_partitioned ~domains g ~source:0)
+    wall (fun () -> F.run ~domains g ~source:0)
   in
   let spt_seq, seq_s, seq_s_mw, seq_s_gc =
     wall_gc (fun () -> S.run g ~source:0)
   in
   let spt_par, par_s =
-    wall (fun () -> S.run_partitioned ~domains g ~source:0)
+    wall (fun () -> S.run ~domains g ~source:0)
   in
   let ident =
     if

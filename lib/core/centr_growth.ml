@@ -204,7 +204,7 @@ let handle t ~me ~src msg =
     else send t ~src:me ~dst:t.parent.(me) Joined
 
 let start t =
-  t.net.Net.schedule ~delay:0.0 (fun () ->
+  t.net.Net.schedule t.root (fun () ->
       let n = G.n (t.net.Net.graph) in
       t.in_tree.(t.root) <- true;
       t.members.(t.root) <- Array.make n false;

@@ -62,7 +62,7 @@ let run_alpha ?delay ?faults ?reliable g ~pulses =
     if p <= pulses then
       if p = 0 || Array.for_all (fun h -> h >= p - 1) heard.(v) then begin
         current.(v) <- p;
-        pulse_times.(v).(p) <- net.Net.now ();
+        pulse_times.(v).(p) <- net.Net.now v;
         if p < pulses then
           G.iter_neighbors g v (fun u _ _ ->
               net.Net.send ~src:v ~dst:u (Pulse p));
@@ -75,7 +75,7 @@ let run_alpha ?delay ?faults ?reliable g ~pulses =
         heard.(v).(i) <- max heard.(v).(i) p;
         try_pulse v)
   done;
-  net.Net.schedule ~delay:0.0 (fun () ->
+  net.Net.schedule 0 (fun () ->
       for v = 0 to n - 1 do
         try_pulse v
       done);
@@ -124,7 +124,7 @@ let run_beta ?delay ?faults ?reliable ?tree g ~pulses =
       | None -> assert false
 
   and do_pulse v p =
-    pulse_times.(v).(p) <- net.Net.now ();
+    pulse_times.(v).(p) <- net.Net.now v;
     (* A pure clock pulse completes instantly; leaves are ready at once. *)
     if ready_count.(v) = n_children.(v) then ready_up v p
   in
@@ -144,7 +144,7 @@ let run_beta ?delay ?faults ?reliable ?tree g ~pulses =
             (Csap_graph.Tree.children tree v);
           do_pulse v p)
   done;
-  net.Net.schedule ~delay:0.0 (fun () ->
+  net.Net.schedule 0 (fun () ->
       for v = 0 to n - 1 do
         do_pulse v 0
       done);
@@ -221,7 +221,7 @@ let run_gamma ?delay ?faults ?reliable ?cover ?(neighbor_phase = true) g
     if p <= pulses then
       if List.for_all (fun tid -> go.(v).(tid) >= p) member_trees.(v) then begin
         current.(v) <- p;
-        pulse_times.(v).(p) <- net.Net.now ();
+        pulse_times.(v).(p) <- net.Net.now v;
         List.iter (fun tid -> node_ready tid p v) member_trees.(v);
         node_try_pulse v
       end
@@ -305,7 +305,7 @@ let run_gamma ?delay ?faults ?reliable ?cover ?(neighbor_phase = true) g
           forward_ndone ~src_tree ~dst_tree ~pulse v
         | TGo { tree; pulse } -> broadcast_go tree pulse v)
   done;
-  net.Net.schedule ~delay:0.0 (fun () ->
+  net.Net.schedule 0 (fun () ->
       for v = 0 to n - 1 do
         node_try_pulse v
       done);

@@ -155,7 +155,7 @@ let handle t ~me ~src msg =
     else send t ~src:me ~dst:t.return_child.(me) From_root
 
 let start t =
-  t.sh.net.Net.schedule ~delay:0.0 (fun () ->
+  t.sh.net.Net.schedule t.sh.root (fun () ->
       t.visited.(t.sh.root) <- true;
       continue_at t t.sh.root)
 

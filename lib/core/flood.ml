@@ -6,6 +6,7 @@ type result = {
   tree : Csap_graph.Tree.t;
   arrival : float array;
   measures : Measures.t;
+  transport : Net.stats;
 }
 
 type msg = Wave
@@ -14,30 +15,41 @@ type engine = msg Engine.t
 
 let make_engine ?delay g = Engine.create ?delay g
 
-let run ?delay ?faults ?engine g ~source =
+let net_of ?delay ?faults ?reliable ?domains ?engine g =
+  match engine with
+  | None -> Net.make ?reliable ?delay ?faults ?domains g
+  | Some eng ->
+    if G.id (Engine.graph eng) <> G.id g then
+      invalid_arg "Flood.run: engine built over a different graph";
+    if reliable = Some true || Option.value domains ~default:1 > 1 then
+      invalid_arg "Flood.run: a reused engine is sequential and shimless";
+    Engine.reset ?delay ?faults eng;
+    Net.of_engine eng
+
+(* The wave state lives in stable storage: a crashed vertex keeps what it
+   learned, and a restart only rebuilds transport state. Resetting
+   [reached] instead would be unsound: copies delivered before the crash
+   are never redelivered, and re-parenting on a late copy could close a
+   cycle. On the partitioned backend the per-vertex arrays are safe to
+   share unlocked — vertex [v]'s slots are written only inside [v]'s
+   handler, on [v]'s owning domain, and read here only after the run. *)
+let run ?delay ?faults ?reliable ?domains ?engine g ~source =
   let n = G.n g in
-  let eng =
-    match engine with
-    | None -> Engine.create ?delay ?faults g
-    | Some eng ->
-      if G.id (Engine.graph eng) <> G.id g then
-        invalid_arg "Flood.run: engine built over a different graph";
-      Engine.reset ?delay ?faults eng;
-      eng
-  in
+  let net = net_of ?delay ?faults ?reliable ?domains ?engine g in
+  let stats = Net.monitor net in
+  let send = net.Net.send in
   let parent = Array.make n (-1) in
   let parent_w = Array.make n 0 in
   let reached = Array.make n false in
   let arrival = Array.make n infinity in
   let forward v ~except =
-    G.iter_neighbors g v (fun u _ _ ->
-        if u <> except then Engine.send eng ~src:v ~dst:u Wave)
+    G.iter_neighbors g v (fun u _ _ -> if u <> except then send ~src:v ~dst:u Wave)
   in
   for v = 0 to n - 1 do
-    Engine.set_handler eng v (fun ~src Wave ->
+    net.Net.set_handler v (fun ~src Wave ->
         if not reached.(v) then begin
           reached.(v) <- true;
-          arrival.(v) <- Engine.now eng;
+          arrival.(v) <- net.Net.now v;
           parent.(v) <- src;
           (match G.edge_between g v src with
           | Some (w, _) -> parent_w.(v) <- w
@@ -45,13 +57,13 @@ let run ?delay ?faults ?engine g ~source =
           forward v ~except:src
         end)
   done;
-  Engine.schedule eng ~delay:0.0 (fun () ->
+  net.Net.schedule source (fun () ->
       reached.(source) <- true;
       arrival.(source) <- 0.0;
       forward source ~except:(-1));
-  ignore (Engine.run eng);
+  ignore (net.Net.run ());
   if not (Array.for_all Fun.id reached) then
-    invalid_arg "Flood.run: graph is disconnected";
+    invalid_arg "Flood.run: the wave did not cover the graph";
   let tree =
     Csap_graph.Tree.of_parents ~root:source ~parents:parent ~weights:parent_w
   in
@@ -59,115 +71,9 @@ let run ?delay ?faults ?engine g ~source =
      copies still in flight afterwards cost communication but not time. *)
   let completion = Array.fold_left Float.max 0.0 arrival in
   let measures =
-    { (Measures.of_metrics (Engine.metrics eng)) with Measures.time = completion }
-  in
-  { tree; arrival; measures }
-
-(* The same wave on the partitioned engine: identical handler logic, so
-   bit-identity with [run] follows from Pengine's order guarantee. The
-   per-vertex arrays are safe to share unlocked — vertex [v]'s slots are
-   written only inside [v]'s handler, which runs on [v]'s owning domain,
-   and read by the caller only after [Pengine.run] joins. *)
-let run_partitioned ?delay ?partition ~domains g ~source =
-  let module P = Csap_dsim.Pengine in
-  let n = G.n g in
-  let eng = P.create ?delay ?partition ~domains g in
-  let parent = Array.make n (-1) in
-  let parent_w = Array.make n 0 in
-  let reached = Array.make n false in
-  let arrival = Array.make n infinity in
-  let forward ctx v ~except =
-    G.iter_neighbors g v (fun u _ _ ->
-        if u <> except then P.send ctx ~src:v ~dst:u Wave)
-  in
-  for v = 0 to n - 1 do
-    P.set_handler eng v (fun ctx ~src Wave ->
-        if not reached.(v) then begin
-          reached.(v) <- true;
-          arrival.(v) <- P.now ctx;
-          parent.(v) <- src;
-          (match G.edge_between g v src with
-          | Some (w, _) -> parent_w.(v) <- w
-          | None -> assert false);
-          forward ctx v ~except:src
-        end)
-  done;
-  P.schedule eng ~vertex:source ~delay:0.0 (fun ctx ->
-      reached.(source) <- true;
-      arrival.(source) <- 0.0;
-      forward ctx source ~except:(-1));
-  ignore (P.run eng);
-  if not (Array.for_all Fun.id reached) then
-    invalid_arg "Flood.run_partitioned: graph is disconnected";
-  let tree =
-    Csap_graph.Tree.of_parents ~root:source ~parents:parent ~weights:parent_w
-  in
-  let completion = Array.fold_left Float.max 0.0 arrival in
-  let measures =
-    { (Measures.of_metrics (P.metrics eng)) with Measures.time = completion }
-  in
-  { tree; arrival; measures }
-
-type reliable_result = {
-  result : result;
-  retransmissions : int;
-  restarts : int;
-}
-
-(* The same wave, through the reliable-delivery shim: correct under any
-   survivable fault plan (loss < 1, finite outages/crashes) because the
-   shim restores the exactly-once FIFO links the plain run assumes. The
-   wave state lives in stable storage — a crashed vertex keeps what it
-   learned, and [on_restart] (here: a restart counter plus an optional
-   caller hook) only rebuilds volatile state. Resetting [reached] instead
-   would be unsound: copies delivered before the crash are never
-   redelivered, and re-parenting on a late copy could close a cycle. *)
-let run_reliable ?delay ?faults ?rto ?max_rto ?on_restart g ~source =
-  let n = G.n g in
-  let net = Net.reliable ?delay ?faults ?rto ?max_rto g in
-  let parent = Array.make n (-1) in
-  let parent_w = Array.make n 0 in
-  let reached = Array.make n false in
-  let arrival = Array.make n infinity in
-  let restarts = ref 0 in
-  let forward v ~except =
-    G.iter_neighbors g v (fun u _ _ ->
-        if u <> except then net.Net.send ~src:v ~dst:u Wave)
-  in
-  for v = 0 to n - 1 do
-    net.Net.set_handler v (fun ~src Wave ->
-        if not reached.(v) then begin
-          reached.(v) <- true;
-          arrival.(v) <- net.Net.now ();
-          parent.(v) <- src;
-          (match G.edge_between g v src with
-          | Some (w, _) -> parent_w.(v) <- w
-          | None -> assert false);
-          forward v ~except:src
-        end);
-    net.Net.set_on_restart v (fun () ->
-        incr restarts;
-        match on_restart with Some f -> f v | None -> ())
-  done;
-  net.Net.schedule ~delay:0.0 (fun () ->
-      reached.(source) <- true;
-      arrival.(source) <- 0.0;
-      forward source ~except:(-1));
-  ignore (net.Net.run ());
-  if not (Array.for_all Fun.id reached) then
-    invalid_arg "Flood.run_reliable: wave did not cover the graph";
-  let tree =
-    Csap_graph.Tree.of_parents ~root:source ~parents:parent ~weights:parent_w
-  in
-  let completion = Array.fold_left Float.max 0.0 arrival in
-  let measures =
     {
       (Measures.of_metrics (net.Net.metrics ())) with
       Measures.time = completion;
     }
   in
-  {
-    result = { tree; arrival; measures };
-    retransmissions = net.Net.retransmissions ();
-    restarts = !restarts;
-  }
+  { tree; arrival; measures; transport = stats () }

@@ -11,6 +11,8 @@ type result = {
   tree : Csap_graph.Tree.t;  (** the spanning tree of first contacts *)
   arrival : float array;  (** time the wave reached each vertex *)
   measures : Measures.t;
+  transport : Csap_dsim.Net.stats;
+      (** shim retransmissions and crash-restart events *)
 }
 
 (** A reusable engine for multi-trial flood loops; see {!make_engine}. *)
@@ -21,59 +23,35 @@ type engine
     per-edge state per (instance) point instead of one per trial. *)
 val make_engine : ?delay:Csap_dsim.Delay.t -> Csap_graph.Graph.t -> engine
 
-(** [run ?delay ?faults ?engine g ~source] floods from [source];
-    requires a connected graph. When [engine] is given it must have been
-    built over [g] (checked by graph identity; raises [Invalid_argument]
-    otherwise); it is {!Csap_dsim.Engine.reset} — installing [delay] and
-    [faults] if provided (and clearing any previous plan otherwise) —
-    and reused instead of creating a fresh engine, which multi-seed
-    trial loops exploit to skip per-trial reconstruction.
+(** [run ?delay ?faults ?reliable ?domains ?engine g ~source] floods
+    from [source] over [Net.make ?reliable ?domains ?delay ?faults g]
+    ({!Csap_dsim.Net.make}); requires a connected graph.
 
-    With [faults], messages run over the raw (unreliable) engine: a plan
-    that drops a first-contact copy can leave the wave short of some
-    vertices, in which case [run] raises [Invalid_argument] like it does
-    on a disconnected graph. Use {!run_reliable} for correctness under
-    faults. *)
+    - With [faults] and no shim, messages run over the raw engine: a
+      plan that drops a first-contact copy can leave the wave short of
+      some vertices, and [run] raises [Invalid_argument] as it does on a
+      disconnected graph.
+    - With [~reliable:true], under any survivable fault plan (loss < 1,
+      finite outages and crashes) the wave covers the graph and the
+      first-contact tree is a valid spanning tree.
+    - With [domains > 1] the wave runs on the partitioned engine, with a
+      result bit-identical to the sequential run's: same tree, arrival
+      times and measures. The delay model must be order-independent
+      ({!Csap_dsim.Delay.order_independent}).
+
+    When [engine] is given it must have been built over [g] (checked by
+    graph identity) and the run must be sequential and shimless
+    ([Invalid_argument] otherwise); it is {!Csap_dsim.Engine.reset} —
+    installing [delay] and [faults] if provided, clearing any previous
+    plan otherwise — and reused instead of creating a fresh engine,
+    which multi-seed trial loops exploit to skip per-trial
+    reconstruction. *)
 val run :
   ?delay:Csap_dsim.Delay.t ->
   ?faults:Csap_dsim.Fault.plan ->
+  ?reliable:bool ->
+  ?domains:int ->
   ?engine:engine ->
   Csap_graph.Graph.t ->
   source:int ->
   result
-
-(** [run_partitioned ?delay ?partition ~domains g ~source] floods on the
-    partitioned engine ({!Csap_dsim.Pengine}) across [domains] OCaml
-    domains and returns a result {b bit-identical} to [run]'s: same
-    tree, same arrival times, same measures. The delay model must be
-    order-independent ({!Csap_dsim.Delay.order_independent}); no fault
-    support. *)
-val run_partitioned :
-  ?delay:Csap_dsim.Delay.t ->
-  ?partition:Csap_graph.Partition.t ->
-  domains:int ->
-  Csap_graph.Graph.t ->
-  source:int ->
-  result
-
-type reliable_result = {
-  result : result;
-  retransmissions : int;  (** timeout-driven data retransmissions *)
-  restarts : int;  (** crash-restart events observed *)
-}
-
-(** [run_reliable ?delay ?faults ?rto ?max_rto ?on_restart g ~source]
-    floods through the {!Csap_dsim.Reliable} shim: under any survivable
-    fault plan (loss < 1, finite outages and crashes) the wave covers
-    the graph and the first-contact tree is a valid spanning tree.
-    [on_restart v] is called each time vertex [v] restarts after a
-    crash, after the shim has re-armed its timers. *)
-val run_reliable :
-  ?delay:Csap_dsim.Delay.t ->
-  ?faults:Csap_dsim.Fault.plan ->
-  ?rto:float ->
-  ?max_rto:float ->
-  ?on_restart:(int -> unit) ->
-  Csap_graph.Graph.t ->
-  source:int ->
-  reliable_result

@@ -62,7 +62,7 @@ let run ?delay ?faults ?reliable g ~tree ~values spec =
             (fun c -> net.Net.send ~src:v ~dst:c (Down x))
             (Tree.children tree v))
   done;
-  net.Net.schedule ~delay:0.0 (fun () ->
+  net.Net.schedule 0 (fun () ->
       for v = 0 to n - 1 do
         if pending.(v) = 0 then send_up v
       done);

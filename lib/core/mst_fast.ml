@@ -350,7 +350,7 @@ let run ?delay ?faults ?reliable g =
   for v = 0 to n - 1 do
     net.Net.set_handler v (fun ~src m -> handle v ~src m)
   done;
-  net.Net.schedule ~delay:0.0 (fun () -> broadcast_barrier (Phase_start 0));
+  net.Net.schedule 0 (fun () -> broadcast_barrier (Phase_start 0));
   ignore (net.Net.run ());
   if not !finished then failwith "Mst_fast.run: did not terminate";
   (* The fragment tree is now the MST (single fragment). *)

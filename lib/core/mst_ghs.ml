@@ -3,7 +3,7 @@
    and indexes them randomly, which wants the shim's arrays. *)
 [@@@alert "-deprecated"]
 
-module Engine = Csap_dsim.Engine
+module Net = Csap_dsim.Net
 module G = Csap_graph.Graph
 
 (* Canonical distinct edge identities: the (w, u, v) triple. *)
@@ -34,6 +34,7 @@ type result = {
   mst : Csap_graph.Tree.t;
   measures : Measures.t;
   max_level : int;
+  transport : Net.stats;
 }
 
 (* The protocol core is engine-agnostic: transmissions go through an
@@ -271,67 +272,27 @@ let create g ~send:send_fn ~on_done =
     max_level_ = (fun () -> !max_level);
   }
 
-let run ?delay ?faults g =
-  let eng = Engine.create ?delay ?faults g in
-  let t =
-    create g
-      ~send:(fun ~src ~dst m -> Engine.send eng ~src ~dst m)
-      ~on_done:(fun () -> ())
-  in
+(* The state machine above assumes exactly-once FIFO links — what the
+   shim restores over a faulty engine — and all its state is stable
+   storage under the crash model, so no crash-specific protocol logic is
+   needed. Waking every vertex from one bootstrap is sequential-only,
+   hence no [?domains]. *)
+let run ?delay ?faults ?reliable g =
+  let net = Net.make ?reliable ?delay ?faults g in
+  let stats = Net.monitor net in
+  let t = create g ~send:net.Net.send ~on_done:(fun () -> ()) in
   for v = 0 to G.n g - 1 do
-    Engine.set_handler eng v (fun ~src m -> handle t ~me:v ~src m)
+    net.Net.set_handler v (fun ~src m -> handle t ~me:v ~src m)
   done;
-  Engine.schedule eng ~delay:0.0 (fun () ->
-      for v = 0 to G.n g - 1 do
-        wake t v
-      done);
-  ignore (Engine.run eng);
-  if not (finished t) then failwith "Mst_ghs.run: did not terminate";
-  {
-    mst = mst t;
-    measures = Measures.of_metrics (Engine.metrics eng);
-    max_level = max_level t;
-  }
-
-type reliable_result = {
-  result : result;
-  retransmissions : int;
-  restarts : int;
-}
-
-(* GHS through the reliable shim. The state machine above assumes
-   exactly-once FIFO links — exactly what the shim restores over a
-   faulty engine — and all its state is stable storage under the crash
-   model, so no crash-specific protocol logic is needed. *)
-let run_reliable ?delay ?faults ?rto ?max_rto ?on_restart g =
-  let module Net = Csap_dsim.Net in
-  let net = Net.reliable ?delay ?faults ?rto ?max_rto g in
-  let t =
-    create g
-      ~send:(fun ~src ~dst m -> net.Net.send ~src ~dst m)
-      ~on_done:(fun () -> ())
-  in
-  let restarts = ref 0 in
-  for v = 0 to G.n g - 1 do
-    net.Net.set_handler v (fun ~src m -> handle t ~me:v ~src m);
-    net.Net.set_on_restart v (fun () ->
-        incr restarts;
-        match on_restart with Some f -> f v | None -> ())
-  done;
-  net.Net.schedule ~delay:0.0 (fun () ->
+  net.Net.schedule 0 (fun () ->
       for v = 0 to G.n g - 1 do
         wake t v
       done);
   ignore (net.Net.run ());
-  if not (finished t) then
-    failwith "Mst_ghs.run_reliable: did not terminate";
+  if not (finished t) then failwith "Mst_ghs.run: did not terminate";
   {
-    result =
-      {
-        mst = mst t;
-        measures = Measures.of_metrics (net.Net.metrics ());
-        max_level = max_level t;
-      };
-    retransmissions = net.Net.retransmissions ();
-    restarts = !restarts;
+    mst = mst t;
+    measures = Measures.of_metrics (net.Net.metrics ());
+    max_level = max_level t;
+    transport = stats ();
   }

@@ -15,10 +15,6 @@
 
 (** Run configuration shared by every protocol. *)
 module Run : sig
-  (** Extensible reusable-engine handle; protocols with per-graph
-      reusable state (currently only [flood]) add a constructor. *)
-  type handle = ..
-
   type cfg = {
     graph : Csap_graph.Graph.t;
     root : int;  (** source / root vertex; ignored when not needed *)
@@ -31,7 +27,6 @@ module Run : sig
     reliable : bool;  (** route through the {!Csap_dsim.Reliable} shim *)
     trace : string option;
         (** dump engine traces as [<prefix>--<name>--<i>.jsonl] *)
-    engine : handle option;  (** reusable engine from [make_engine] *)
     pulses : int option;  (** clock / synchronizer protocols *)
     strip : int option;  (** SPT_recur strip depth *)
     k : int option;  (** gamma_w cluster parameter *)
@@ -51,7 +46,6 @@ module Run : sig
     ?faults:Csap_dsim.Fault.plan ->
     ?reliable:bool ->
     ?trace:string ->
-    ?engine:handle ->
     ?pulses:int ->
     ?strip:int ->
     ?k:int ->
@@ -117,10 +111,10 @@ type caps = {
   supports_reliable : bool;  (** accepts [reliable = true] *)
   synchronous_only : bool;
       (** a synchronizer driving a synchronous protocol *)
-  reuses_engine : bool;  (** [make_engine] returns a handle *)
   fixed_family : bool;  (** builds its own graph from size parameters *)
   supports_domains : bool;
-      (** runs on the partitioned engine when [cfg.domains > 1] *)
+      (** passes [cfg.domains] to {!Csap_dsim.Net.make}, running on the
+          partitioned engine when [> 1] *)
   supports_adaptive : bool;
       (** accepts an adaptive {!Csap_dsim.Adversary.t} (true for every
           protocol that actually consults its delay model; the
@@ -173,11 +167,6 @@ module type S = sig
       a time claim unless the protocol reports no meaningful time. *)
   val claimed : Claim.t list
 
-  (** Build a reusable engine handle for multi-trial loops on the same
-      graph; [None] when the protocol has no reusable state. *)
-  val make_engine : ?delay:Csap_dsim.Delay.t -> Csap_graph.Graph.t
-    -> Run.handle option
-
   (** Raw runner; called by {!execute} after uniform validation. *)
   val run : Run.cfg -> Outcome.t
 
@@ -186,9 +175,6 @@ module type S = sig
 end
 
 type entry = (module S)
-
-(** The reusable-engine handle of the [flood] entry. *)
-type Run.handle += Flood_engine of Flood.engine
 
 (** Every protocol in the library, in paper order. *)
 val registry : entry list
@@ -204,7 +190,8 @@ val find_exn : string -> entry
     adversary support against {!caps}. Capability rejections involving a
     knob name it uniformly — ["<name>: <knob>: <reason>"] for the
     [domains] and [adversary] knobs. [domains > 1] additionally excludes
-    faults, the reliable shim, traces, order-dependent delay models and
+    faults, the reliable shim, traces, order-dependent delay models —
+    the effective one, so an oblivious adversary's delay counts — and
     adaptive adversaries (order-dependent by construction); [adversary]
     conflicts with an explicit [delay]. *)
 val validate : entry -> Run.cfg -> unit
@@ -226,7 +213,6 @@ val run :
   ?faults:Csap_dsim.Fault.plan ->
   ?reliable:bool ->
   ?trace:string ->
-  ?engine:Run.handle ->
   ?pulses:int ->
   ?strip:int ->
   ?k:int ->

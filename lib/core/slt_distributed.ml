@@ -57,7 +57,7 @@ let token_walk ?delay ?faults ?reliable g ~mst ~spt ~q =
     net.Net.set_handler v (fun ~src:_ (Step { index; mileage = _; last_bp }) ->
         advance v index last_bp)
   done;
-  net.Net.schedule ~delay:0.0 (fun () -> advance line.(0) 0 0);
+  net.Net.schedule line.(0) (fun () -> advance line.(0) 0 0);
   ignore (net.Net.run ());
   assert !finished;
   ( List.rev !breakpoints,

@@ -1,5 +1,4 @@
-module Engine = Csap_dsim.Engine
-module Pengine = Csap_dsim.Pengine
+module Net = Csap_dsim.Net
 module G = Csap_graph.Graph
 
 type result = {
@@ -12,81 +11,48 @@ type result = {
    distance plus the edge weight), so the handler needs no edge lookup to
    evaluate an improvement. *)
 
-let finish ~source ~dist ~parent ~parent_w ~metrics ~completion =
+let run ?delay ?domains g ~source =
+  let n = G.n g in
+  if source < 0 || source >= n then
+    invalid_arg "Spt_async.run: source out of range";
+  let net = Net.make ?delay ?domains g in
+  let send = net.Net.send in
+  let dist = Array.make n max_int in
+  let parent = Array.make n (-1) in
+  let parent_w = Array.make n 0 in
+  (* Each vertex's last improvement time; their max is the run's. Kept
+     per vertex so the partitioned backend writes only owned slots. *)
+  let improved = Array.make n 0.0 in
+  let announce v ~except ~d =
+    G.iter_neighbors g v (fun u w _ ->
+        if u <> except then send ~src:v ~dst:u (d + w))
+  in
+  for v = 0 to n - 1 do
+    net.Net.set_handler v (fun ~src d ->
+        if d < dist.(v) then begin
+          dist.(v) <- d;
+          parent.(v) <- src;
+          (match G.edge_between g v src with
+          | Some (w, _) -> parent_w.(v) <- w
+          | None -> assert false);
+          improved.(v) <- net.Net.now v;
+          announce v ~except:src ~d
+        end)
+  done;
+  net.Net.schedule source (fun () ->
+      dist.(source) <- 0;
+      announce source ~except:(-1) ~d:0);
+  ignore (net.Net.run ());
   if Array.exists (fun d -> d = max_int) dist then
     invalid_arg "Spt_async: graph is disconnected";
   let tree =
     Csap_graph.Tree.of_parents ~root:source ~parents:parent ~weights:parent_w
   in
+  let completion = Array.fold_left Float.max 0.0 improved in
   let measures =
-    { (Measures.of_metrics metrics) with Measures.time = completion }
+    {
+      (Measures.of_metrics (net.Net.metrics ())) with
+      Measures.time = completion;
+    }
   in
   { tree; dist; measures }
-
-let run ?delay g ~source =
-  let n = G.n g in
-  if source < 0 || source >= n then
-    invalid_arg "Spt_async.run: source out of range";
-  let eng = Engine.create ?delay g in
-  let dist = Array.make n max_int in
-  let parent = Array.make n (-1) in
-  let parent_w = Array.make n 0 in
-  let completion = ref 0.0 in
-  let announce v ~except ~d =
-    G.iter_neighbors g v (fun u w _ ->
-        if u <> except then Engine.send eng ~src:v ~dst:u (d + w))
-  in
-  for v = 0 to n - 1 do
-    Engine.set_handler eng v (fun ~src d ->
-        if d < dist.(v) then begin
-          dist.(v) <- d;
-          parent.(v) <- src;
-          (match G.edge_between g v src with
-          | Some (w, _) -> parent_w.(v) <- w
-          | None -> assert false);
-          completion := Engine.now eng;
-          announce v ~except:src ~d
-        end)
-  done;
-  Engine.schedule eng ~delay:0.0 (fun () ->
-      dist.(source) <- 0;
-      announce source ~except:(-1) ~d:0);
-  ignore (Engine.run eng);
-  finish ~source ~dist ~parent ~parent_w ~metrics:(Engine.metrics eng)
-    ~completion:!completion
-
-(* Identical protocol logic on the partitioned engine; [completion] is
-   the only cross-vertex aggregate, so it is tracked per partition and
-   reduced with max after the join. *)
-let run_partitioned ?delay ?partition ~domains g ~source =
-  let n = G.n g in
-  if source < 0 || source >= n then
-    invalid_arg "Spt_async.run_partitioned: source out of range";
-  let eng = Pengine.create ?delay ?partition ~domains g in
-  let dist = Array.make n max_int in
-  let parent = Array.make n (-1) in
-  let parent_w = Array.make n 0 in
-  let completion = Array.make domains 0.0 in
-  let announce ctx v ~except ~d =
-    G.iter_neighbors g v (fun u w _ ->
-        if u <> except then Pengine.send ctx ~src:v ~dst:u (d + w))
-  in
-  for v = 0 to n - 1 do
-    Pengine.set_handler eng v (fun ctx ~src d ->
-        if d < dist.(v) then begin
-          dist.(v) <- d;
-          parent.(v) <- src;
-          (match G.edge_between g v src with
-          | Some (w, _) -> parent_w.(v) <- w
-          | None -> assert false);
-          let p = Pengine.ctx_partition ctx in
-          completion.(p) <- Float.max completion.(p) (Pengine.now ctx);
-          announce ctx v ~except:src ~d
-        end)
-  done;
-  Pengine.schedule eng ~vertex:source ~delay:0.0 (fun ctx ->
-      dist.(source) <- 0;
-      announce ctx source ~except:(-1) ~d:0);
-  ignore (Pengine.run eng);
-  finish ~source ~dist ~parent ~parent_w ~metrics:(Pengine.metrics eng)
-    ~completion:(Array.fold_left Float.max 0.0 completion)

@@ -23,17 +23,14 @@ type result = {
   measures : Measures.t;
 }
 
-(** [run ?delay g ~source] runs on the sequential engine; requires a
-    connected graph. *)
-val run : ?delay:Csap_dsim.Delay.t -> Csap_graph.Graph.t -> source:int -> result
-
-(** [run_partitioned ?delay ?partition ~domains g ~source] runs on the
-    partitioned engine ({!Csap_dsim.Pengine}); bit-identical to [run]
-    under any order-independent delay model. *)
-val run_partitioned :
+(** [run ?delay ?domains g ~source] runs over
+    [Net.make ?domains ?delay g] ({!Csap_dsim.Net.make}); requires a
+    connected graph. With [domains > 1] it runs on the partitioned
+    engine, bit-identical to the sequential run under any
+    order-independent delay model. *)
+val run :
   ?delay:Csap_dsim.Delay.t ->
-  ?partition:Csap_graph.Partition.t ->
-  domains:int ->
+  ?domains:int ->
   Csap_graph.Graph.t ->
   source:int ->
   result

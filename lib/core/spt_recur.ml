@@ -169,7 +169,7 @@ let try_run ?delay ?faults ?reliable ?(comm_budget = max_int) g ~source
           broadcast_strip v)
   done;
   dist.(source) <- 0;
-  net.Net.schedule ~delay:0.0 (fun () -> start_strip ());
+  net.Net.schedule source (fun () -> start_strip ());
   ignore (net.Net.run ~comm_budget ());
   if (net.Net.metrics ()).Csap_dsim.Metrics.weighted_comm >= comm_budget
   then None

@@ -246,7 +246,7 @@ let core_handle_ack c ~me ~src ~sent_at =
   if left_lvl = 0 then c.on_safe_level me ~pulse:sent_at ~level
 
 let finish ?comm_budget c start_all =
-  c.net.Net.schedule ~delay:0.0 (fun () ->
+  c.net.Net.schedule 0 (fun () ->
       for v = 0 to G.n c.g - 1 do
         start_all v
       done);

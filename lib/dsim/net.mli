@@ -1,26 +1,31 @@
-(** A network endpoint abstraction over {!Engine} and {!Reliable}.
+(** A network endpoint abstraction over {!Engine}, {!Reliable} and
+    {!Pengine}.
 
-    Protocol entry points build their engines internally, so giving each
-    of them a faults/reliable code path would mean duplicating every
-    entry point per transport — the two transports have different wire
-    types ([{!Engine.t}] over raw messages vs over {!Reliable.packet}s),
-    which rules out a shared engine value. A [Net.t] closes over
-    whichever transport it was built with and exposes the protocol-facing
-    surface (send, handlers, timers, run, metrics), so one protocol body
-    runs unchanged over a clean engine, a faulty engine, or a faulty
-    engine behind the reliable shim. *)
+    The three transports have different wire and handler types
+    ([{!Engine.t}] over raw messages, over {!Reliable.packet}s, or
+    {!Pengine.t} with per-partition contexts), which rules out a shared
+    engine value. A [Net.t] closes over whichever transport it was built
+    with and exposes the protocol-facing surface (send, handlers,
+    bootstrap, clock, run, metrics), so one protocol body runs unchanged
+    over a clean engine, a faulty engine, a faulty engine behind the
+    reliable shim, or the partitioned engine across several domains. *)
 
 type 'm t = {
   graph : Csap_graph.Graph.t;
   send : src:int -> dst:int -> 'm -> unit;
   set_handler : int -> (src:int -> 'm -> unit) -> unit;
   set_on_restart : int -> (unit -> unit) -> unit;
-  schedule : delay:float -> (unit -> unit) -> unit;
-  now : unit -> float;
+  schedule : int -> (unit -> unit) -> unit;
+      (** [schedule v f] runs [f] at time 0 acting for vertex [v] — the
+          bootstrap. The partitioned backend runs it on [v]'s domain;
+          the sequential ones ignore [v]. *)
+  now : int -> float;
+      (** [now v] is the simulated time, read by a handler running on
+          [v] (the partitioned backend has one clock per domain; the
+          sequential ones ignore [v]). *)
   run : ?until:float -> ?max_events:int -> ?comm_budget:int -> unit -> int;
-  quiescent : unit -> bool;
   metrics : unit -> Metrics.t;
-  retransmissions : unit -> int;  (** [0] on a plain transport *)
+  retransmissions : unit -> int;  (** [0] without the shim *)
 }
 
 (** Transport-level bookkeeping of one run: retransmissions performed by
@@ -35,34 +40,28 @@ val no_stats : stats
 
 (** [of_engine eng] wraps an existing engine as a plain (shimless)
     endpoint — for protocols that share one engine with engine-bound
-    machinery (e.g. the {!Controller}) but whose components speak
-    [Net.t]. *)
+    machinery (e.g. the {!Controller}) or reuse it across trials. *)
 val of_engine : 'm Engine.t -> 'm t
 
-(** [plain ?delay ?faults g] is a bare engine endpoint — the historical
-    semantics (unreliable when a plan drops messages; nothing
-    retransmits). *)
-val plain : ?delay:Delay.t -> ?faults:Fault.plan -> Csap_graph.Graph.t -> 'm t
+(** [make ?reliable ?domains ?delay ?faults g] picks the transport:
+    - [domains > 1]: the partitioned engine ({!Pengine}) across that
+      many domains. The delay model must be order-independent; the
+      reliable shim and fault plans are rejected, and so is [run] with
+      [until], [max_events] or [comm_budget] (all [Invalid_argument]).
+      Protocol state must be per-vertex: a handler running on [v] may
+      send only with [~src:v] and read only [now v].
+    - otherwise a sequential {!Engine}, behind the {!Reliable} shim when
+      [reliable] (default [false]): exactly-once FIFO application-layer
+      delivery under any survivable fault plan, at the retransmission
+      overhead. Without the shim a plan that drops messages is visible
+      to the protocol.
 
-(** [reliable ?delay ?faults ?rto ?max_rto g] is an engine wrapped in the
-    {!Reliable} shim: exactly-once FIFO application-layer delivery under
-    any survivable fault plan, at the retransmission overhead. *)
-val reliable :
-  ?delay:Delay.t ->
-  ?faults:Fault.plan ->
-  ?rto:float ->
-  ?max_rto:float ->
-  Csap_graph.Graph.t ->
-  'm t
-
-(** [make ?reliable ?delay ?faults ?rto ?max_rto g] picks the transport
-    by flag ([reliable] defaults to [false]). *)
+    [domains] defaults to [1]; [domains < 1] raises [Invalid_argument]. *)
 val make :
   ?reliable:bool ->
+  ?domains:int ->
   ?delay:Delay.t ->
   ?faults:Fault.plan ->
-  ?rto:float ->
-  ?max_rto:float ->
   Csap_graph.Graph.t ->
   'm t
 

@@ -445,7 +445,7 @@ let schedule t ~vertex ~delay f =
   t.init_count <- t.init_count + 1
 
 let now ctx = ctx.clock
-let ctx_partition ctx = ctx.p
+let ctx_of t v = t.ctxs.(Partition.part_of t.part v)
 
 (* The next push from the event being processed: (parent time, parent
    key, birth rank) — the structural (time, seq). *)

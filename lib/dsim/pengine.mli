@@ -27,7 +27,8 @@
     and there is no fault-plan or trace support. Handlers receive a
     {!ctx} naming the executing partition instead of the engine itself;
     protocol state must be partitioned so each vertex's data is written
-    only by its owning domain. *)
+    only by its owning domain. Protocols reach this engine through
+    [Net.make ~domains] ({!Net.make}). *)
 
 type 'msg t
 (** A partitioned engine carrying ['msg]-typed payloads. *)
@@ -74,8 +75,9 @@ val schedule_ctx :
 val now : 'msg ctx -> float
 (** Simulated time of the event being processed. *)
 
-val ctx_partition : 'msg ctx -> int
-(** Index of the executing partition. *)
+val ctx_of : 'msg t -> int -> 'msg ctx
+(** [ctx_of t v] is the context of [v]'s owning partition: inside a
+    handler running on [v], the executing context. *)
 
 val run : 'msg t -> int
 (** [run t] spawns [domains - 1] additional domains, executes every

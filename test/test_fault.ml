@@ -238,22 +238,22 @@ let test_faulty_replay () =
   let delay () = Csap_dsim.Delay.Uniform (Csap_graph.Rng.create 13) in
   let r, traces =
     T.with_collector (fun () ->
-        Csap.Flood.run_reliable ~delay:(delay ()) ~faults:(plan ()) g
+        Csap.Flood.run ~delay:(delay ()) ~faults:(plan ()) ~reliable:true g
           ~source:0)
   in
   let tr = List.hd traces in
   let r', traces' =
     T.with_collector (fun () ->
-        Csap.Flood.run_reliable ~delay:(T.recorded tr) ~faults:(plan ()) g
-          ~source:0)
+        Csap.Flood.run ~delay:(T.recorded tr) ~faults:(plan ()) ~reliable:true
+          g ~source:0)
   in
   Alcotest.(check bool) "identical trace" true
     (T.equal tr (List.hd traces'));
   Alcotest.(check bool) "identical measures" true
-    (r.Csap.Flood.result.Csap.Flood.measures
-    = r'.Csap.Flood.result.Csap.Flood.measures);
+    (r.Csap.Flood.measures = r'.Csap.Flood.measures);
   Alcotest.(check int) "identical retransmissions"
-    r.Csap.Flood.retransmissions r'.Csap.Flood.retransmissions
+    r.Csap.Flood.transport.Csap_dsim.Net.retransmissions
+    r'.Csap.Flood.transport.Csap_dsim.Net.retransmissions
 
 (* ---- exactly-once FIFO through the shim (qcheck) --------------------- *)
 
@@ -277,7 +277,7 @@ let prop_exactly_once_fifo =
           seed
       in
       let net =
-        Csap_dsim.Net.reliable ~delay:(Csap_dsim.Delay.seeded seed)
+        Csap_dsim.Net.make ~reliable:true ~delay:(Csap_dsim.Delay.seeded seed)
           ~faults:plan g
       in
       let got = Hashtbl.create 64 in
@@ -288,7 +288,7 @@ let prop_exactly_once_fifo =
             in
             Hashtbl.replace got (src, v) (k :: prev))
       done;
-      net.Csap_dsim.Net.schedule ~delay:0.0 (fun () ->
+      net.Csap_dsim.Net.schedule 0 (fun () ->
           for v = 0 to n - 1 do
             G.iter_neighbors g v (fun u _ _ ->
                 for k = 0 to per_link - 1 do
@@ -311,10 +311,10 @@ let prop_clean_shim_never_retransmits =
     (Gen_qcheck.graph_and_vertex ~max_n:14 ())
     (fun (g, source) ->
       let r =
-        Csap.Flood.run_reliable ~delay:(Csap_dsim.Delay.seeded source) g
+        Csap.Flood.run ~delay:(Csap_dsim.Delay.seeded source) ~reliable:true g
           ~source
       in
-      r.Csap.Flood.retransmissions = 0 && r.Csap.Flood.restarts = 0)
+      r.Csap.Flood.transport = Csap_dsim.Net.no_stats)
 
 let suite =
   [

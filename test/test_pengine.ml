@@ -42,7 +42,7 @@ let prop_flood_identical =
             (fun k ->
               let k = min k (G.n g) in
               let par =
-                flood_fingerprint (F.run_partitioned ~delay ~domains:k g ~source)
+                flood_fingerprint (F.run ~delay ~domains:k g ~source)
               in
               if par <> seq then
                 QCheck.Test.fail_reportf "flood diverged: %s k=%d" dname k
@@ -62,7 +62,7 @@ let prop_spt_async_identical =
             (fun k ->
               let k = min k (G.n g) in
               let par =
-                spt_fingerprint (S.run_partitioned ~delay ~domains:k g ~source)
+                spt_fingerprint (S.run ~delay ~domains:k g ~source)
               in
               if par <> seq then
                 QCheck.Test.fail_reportf "spt-async diverged: %s k=%d" dname k
@@ -70,37 +70,47 @@ let prop_spt_async_identical =
             [ 1; 2; 4 ])
         (delays seed))
 
-(* The BFS partitioner must give the same answers as the striped one:
-   identity cannot depend on where the cut falls. *)
-let prop_bfs_partition_identical =
-  QCheck.Test.make ~count:30 ~name:"flood: identical under a BFS partition"
-    (Gen_qcheck.graph_and_vertex ())
-    (fun (g, source) ->
-      let delay = Delay.seeded 23 in
-      let seq = flood_fingerprint (F.run ~delay g ~source) in
-      let k = min 3 (G.n g) in
-      let part = Partition.bfs g ~k in
-      flood_fingerprint
-        (F.run_partitioned ~delay ~partition:part ~domains:k g ~source)
-      = seq)
-
 (* ---- direct engine use: reset semantics, exceptions, rejections ------- *)
 
-(* A two-round echo on a path: enough traffic to cross partitions in
-   both directions and to exercise schedule_ctx. *)
+(* A four-hop echo from vertex 0: enough traffic to cross partitions in
+   both directions. Returns the event count, the metrics and each
+   vertex's last receipt time (written only by its owning domain). *)
 let echo_run eng g =
   let n = G.n g in
+  let last = Array.make n 0.0 in
   for v = 0 to n - 1 do
     Pengine.set_handler eng v (fun ctx ~src hops ->
+        last.(v) <- Pengine.now ctx;
         if hops > 0 then
           G.iter_neighbors g v (fun u _ _ ->
               if u <> src then Pengine.send ctx ~src:v ~dst:u (hops - 1)))
   done;
   Pengine.schedule eng ~vertex:0 ~delay:0.0 (fun ctx ->
-      Pengine.send ctx ~src:0 ~dst:1 3);
+      G.iter_neighbors g 0 (fun u _ _ -> Pengine.send ctx ~src:0 ~dst:u 3));
   let events = Pengine.run eng in
   let m = Pengine.metrics eng in
-  (events, m.Csap_dsim.Metrics.messages, m.Csap_dsim.Metrics.completion_time)
+  ( events,
+    m.Csap_dsim.Metrics.messages,
+    m.Csap_dsim.Metrics.weighted_comm,
+    m.Csap_dsim.Metrics.completion_time,
+    Array.to_list last )
+
+(* The BFS partitioner must give the same answers as the striped one and
+   as a single domain: identity cannot depend on where the cut falls. *)
+let prop_bfs_partition_identical =
+  QCheck.Test.make ~count:30 ~name:"echo: identical under a BFS partition"
+    (Gen_qcheck.graph_and_vertex ())
+    (fun (g, _) ->
+      let delay = Delay.seeded 23 in
+      let k = min 3 (G.n g) in
+      let one = echo_run (Pengine.create ~delay ~domains:1 g) g in
+      let striped = echo_run (Pengine.create ~delay ~domains:k g) g in
+      let bfs =
+        echo_run
+          (Pengine.create ~delay ~partition:(Partition.bfs g ~k) ~domains:k g)
+          g
+      in
+      striped = one && bfs = one)
 
 let test_reset_reproduces () =
   let g = Gen.path 8 ~w:2 in
@@ -197,15 +207,26 @@ let test_protocol_domains_knob () =
   let module P = Csap.Protocol in
   let g = Gen.grid 4 4 ~w:2 in
   let entry = P.find_exn "flood" in
-  let seq = P.run entry g in
-  let par = P.run ~domains:3 entry g in
-  Alcotest.(check bool)
-    "registry routes domains to the partitioned engine" true
-    (seq.P.Outcome.measures = par.P.Outcome.measures);
-  Alcotest.(check (list (pair string string)))
-    "domains recorded in info"
-    [ ("domains", "3") ]
-    par.P.Outcome.info;
+  List.iter
+    (fun name ->
+      let entry = P.find_exn name in
+      let seq = P.run entry g in
+      let par = P.run ~domains:3 entry g in
+      Alcotest.(check bool)
+        (name ^ ": registry routes domains to the partitioned engine") true
+        (seq.P.Outcome.measures = par.P.Outcome.measures);
+      Alcotest.(check bool) (name ^ ": same tree") true
+        (match (P.Outcome.tree seq, P.Outcome.tree par) with
+        | Some a, Some b ->
+          List.for_all
+            (fun v -> Tree.parent a v = Tree.parent b v)
+            (List.init (G.n g) Fun.id)
+        | _ -> false);
+      Alcotest.(check (list (pair string string)))
+        (name ^ ": domains recorded in info")
+        [ ("domains", "3") ]
+        par.P.Outcome.info)
+    [ "flood"; "spt-async" ];
   (* Unsupported combinations are rejected by uniform validation. *)
   List.iter
     (fun bad ->
@@ -224,7 +245,43 @@ let test_protocol_domains_knob () =
           ~faults:(Csap_dsim.Fault.seeded ~loss:0.1 ~dup:0.0 1)
           entry g);
       (fun () -> P.run ~domains:0 entry g);
-    ]
+    ];
+  (* An oblivious adversary is a delay model: an order-dependent one is
+     rejected by validation, with the delay-model message, not later
+     inside the partitioned engine. *)
+  let expected =
+    "flood: domains: partitioned execution requires an order-independent \
+     delay model"
+  in
+  match
+    P.run ~domains:2
+      ~adversary:
+        (Csap_dsim.Adversary.Oblivious
+           (Delay.Uniform (Csap_graph.Rng.create 1)))
+      entry g
+  with
+  | exception Invalid_argument msg ->
+    Alcotest.(check string) "oblivious adversary's delay checked" expected
+      (String.sub msg 0 (min (String.length msg) (String.length expected)))
+  | _ -> Alcotest.fail "oblivious Uniform adversary accepted with domains"
+
+(* The partitioned Net backend refuses what it cannot reproduce. *)
+let test_net_partitioned_rejections () =
+  let module Net = Csap_dsim.Net in
+  let g = Gen.path 4 ~w:1 in
+  let rejected f =
+    match f () with exception Invalid_argument _ -> true | _ -> false
+  in
+  Alcotest.(check bool) "reliable shim rejected" true
+    (rejected (fun () -> ignore (Net.make ~domains:2 ~reliable:true g)));
+  Alcotest.(check bool) "fault plan rejected" true
+    (rejected (fun () ->
+         ignore (Net.make ~domains:2 ~faults:Csap_dsim.Fault.none g)));
+  Alcotest.(check bool) "domains < 1 rejected" true
+    (rejected (fun () -> ignore (Net.make ~domains:0 g)));
+  let net = Net.make ~domains:2 g in
+  Alcotest.(check bool) "run limits rejected" true
+    (rejected (fun () -> ignore (net.Net.run ~max_events:10 ())))
 
 let suite =
   [
@@ -242,4 +299,6 @@ let suite =
     Alcotest.test_case "foreign src rejected" `Quick test_foreign_src_rejected;
     Alcotest.test_case "registry domains knob" `Quick
       test_protocol_domains_knob;
+    Alcotest.test_case "partitioned Net rejects shim, faults, limits" `Quick
+      test_net_partitioned_rejections;
   ]

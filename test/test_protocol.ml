@@ -181,25 +181,27 @@ let test_reliable_under_loss () =
         Alcotest.failf "%s: invariant failed under loss: %s" M.name e)
     covered
 
-(* The flood entry's reusable engine handle is accepted and changes
-   nothing about the result. *)
-let test_engine_reuse () =
-  let g = Gen.grid 3 3 ~w:4 in
-  let entry = P.find_exn "flood" in
-  let (module M : P.S) = entry in
-  Alcotest.(check bool) "flood advertises engine reuse" true
-    M.caps.P.reuses_engine;
-  let engine =
-    match M.make_engine g with
-    | Some h -> h
-    | None -> Alcotest.fail "flood returned no engine"
+(* Restarts are transport bookkeeping: every entry counts them the same
+   way, shim or not. Two crash windows that end before the wave reaches
+   the crashed vertices, so the unshimmed runs still complete. *)
+let test_plain_restarts_counted () =
+  let g = Gen.grid 4 4 ~w:4 in
+  let faults =
+    Csap_dsim.Fault.seeded
+      ~crashes:
+        [
+          { Csap_dsim.Fault.vertex = 10; at = 0.0; restart = 1.0 };
+          { Csap_dsim.Fault.vertex = 15; at = 0.5; restart = 2.0 };
+        ]
+      1
   in
-  let fresh = P.run entry g in
-  let reused1 = P.run ~engine entry g in
-  let reused2 = P.run ~engine entry g in
-  Alcotest.(check bool) "reused engine, same measures" true
-    (fresh.P.Outcome.measures = reused1.P.Outcome.measures
-    && reused1.P.Outcome.measures = reused2.P.Outcome.measures)
+  let restarts name =
+    (P.run ~faults (P.find_exn name) g).P.Outcome.restarts
+  in
+  Alcotest.(check int) "dfs-token counts both restarts" 2
+    (restarts "dfs-token");
+  Alcotest.(check int) "plain flood counts the same" (restarts "dfs-token")
+    (restarts "flood")
 
 (* cfg.trace dumps one parseable JSONL trace per engine run. *)
 let test_trace_dump () =
@@ -292,6 +294,7 @@ let suite =
       test_validation;
     Alcotest.test_case "fault-capable entries survive loss" `Quick
       test_reliable_under_loss;
-    Alcotest.test_case "flood engine handle reused" `Quick test_engine_reuse;
+    Alcotest.test_case "plain runs count restarts" `Quick
+      test_plain_restarts_counted;
     Alcotest.test_case "traces dumped and parseable" `Quick test_trace_dump;
   ]

@@ -148,14 +148,15 @@ let test_crash_mid_flood () =
       21
   in
   let r =
-    Csap.Flood.run_reliable ~delay:(Csap_dsim.Delay.seeded 4) ~faults g
+    Csap.Flood.run ~delay:(Csap_dsim.Delay.seeded 4) ~faults ~reliable:true g
       ~source:0
   in
   Alcotest.(check bool) "spanning tree despite the crash" true
-    (Tree.is_spanning_tree_of g r.Csap.Flood.result.Csap.Flood.tree);
-  Alcotest.(check int) "vertex 2 restarted once" 1 r.Csap.Flood.restarts;
+    (Tree.is_spanning_tree_of g r.Csap.Flood.tree);
+  Alcotest.(check int) "vertex 2 restarted once" 1
+    r.Csap.Flood.transport.Net.restarts;
   Alcotest.(check bool) "wave stalled behind the crash" true
-    (r.Csap.Flood.result.Csap.Flood.measures.Csap.Measures.time >= 30.0)
+    (r.Csap.Flood.measures.Csap.Measures.time >= 30.0)
 
 let test_crash_mid_ghs () =
   let g =
@@ -168,11 +169,12 @@ let test_crash_mid_ghs () =
       33
   in
   let r =
-    Csap.Mst_ghs.run_reliable ~delay:(Csap_dsim.Delay.seeded 6) ~faults g
+    Csap.Mst_ghs.run ~delay:(Csap_dsim.Delay.seeded 6) ~faults ~reliable:true g
   in
   Alcotest.(check bool) "MST despite crash + loss + dup" true
-    (Mst.is_mst g r.Csap.Mst_ghs.result.Csap.Mst_ghs.mst);
-  Alcotest.(check int) "restart observed" 1 r.Csap.Mst_ghs.restarts
+    (Mst.is_mst g r.Csap.Mst_ghs.mst);
+  Alcotest.(check int) "restart observed" 1
+    r.Csap.Mst_ghs.transport.Net.restarts
 
 let test_crash_during_outage_spt () =
   (* The synchronizer pipeline under a compound plan: loss + outage +
@@ -230,10 +232,10 @@ let prop_ghs_reliable_under_loss =
     (fun (g, seed) ->
       let faults = F.seeded ~loss:0.15 ~dup:0.1 seed in
       let r =
-        Csap.Mst_ghs.run_reliable ~delay:(Csap_dsim.Delay.seeded seed)
-          ~faults g
+        Csap.Mst_ghs.run ~delay:(Csap_dsim.Delay.seeded seed) ~faults
+          ~reliable:true g
       in
-      Mst.is_mst g r.Csap.Mst_ghs.result.Csap.Mst_ghs.mst)
+      Mst.is_mst g r.Csap.Mst_ghs.mst)
 
 let suite =
   [

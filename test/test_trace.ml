@@ -239,7 +239,7 @@ let test_faulty_trace_records_fault_kinds () =
   let faults = Csap_dsim.Fault.seeded ~loss:0.4 ~dup:0.4 99 in
   let _, traces =
     T.with_collector (fun () ->
-        Csap.Flood.run_reliable ~faults g ~source:0)
+        Csap.Flood.run ~faults ~reliable:true g ~source:0)
   in
   let tr = List.hd traces in
   let count k =
