@@ -134,6 +134,40 @@ let diameter_lazy g =
   done;
   !best
 
+(* The to_jsonl pair: the trace of a seeded-delay flood on dense96
+   (~18k Send/Deliver records), written by the Printf writer the library
+   used before the direct one, and by [Trace.to_jsonl]. *)
+let flood_trace =
+  lazy
+    (let _, traces =
+       Csap_dsim.Trace.with_collector (fun () ->
+           Csap.Flood.run ~delay:(Csap_dsim.Delay.seeded 1)
+             (Lazy.force dense96) ~source:0)
+     in
+     List.hd traces)
+
+let printf_jsonl tr =
+  let module T = Csap_dsim.Trace in
+  let kind = function
+    | T.Send -> "send"
+    | T.Deliver -> "deliver"
+    | T.Local -> "local"
+    | T.Dropped -> "dropped"
+    | T.Dup -> "dup"
+    | T.Decision -> "decision"
+  in
+  let buf = Buffer.create (64 * (T.length tr + 1)) in
+  Array.iter
+    (fun ev ->
+      Buffer.add_string buf
+        (Printf.sprintf
+           "{\"kind\":\"%s\",\"time\":%.17g,\"seq\":%d,\"edge\":%d,\"dir\":%d,\"nth\":%d,\"src\":%d,\"dst\":%d,\"delay\":%.17g}"
+           (kind ev.T.kind) ev.T.time ev.T.seq ev.T.edge ev.T.dir ev.T.nth
+           ev.T.src ev.T.dst ev.T.delay);
+      Buffer.add_char buf '\n')
+    (T.events tr);
+  Buffer.contents buf
+
 let tests =
   [
     (* F1/F5: the SLT construction. *)
@@ -215,6 +249,13 @@ let tests =
     Test.make ~name:"engine: trial-loop reset"
       (Staged.stage (fun () ->
            ignore (flood_trials ~reuse:true (Lazy.force dense96))));
+    (* Before/after: JSONL trace dumps — Printf per record vs the direct
+       writer. *)
+    Test.make ~name:"trace: to_jsonl n~20k printf"
+      (Staged.stage (fun () -> ignore (printf_jsonl (Lazy.force flood_trace))));
+    Test.make ~name:"trace: to_jsonl n~20k direct"
+      (Staged.stage (fun () ->
+           ignore (Csap_dsim.Trace.to_jsonl (Lazy.force flood_trace))));
   ]
 
 let contains s sub =
@@ -270,6 +311,9 @@ let run () =
         find_ns rows "trial-loop recreate" /. find_ns rows "trial-loop reset" );
       ( "speedup: engine send-path (boxed/soa)",
         find_ns rows "send-path boxed" /. find_ns rows "send-path soa" );
+      ( "speedup: trace to_jsonl n~20k (printf/direct)",
+        find_ns rows "to_jsonl n~20k printf"
+        /. find_ns rows "to_jsonl n~20k direct" );
     ]
   in
   Report.subheading "hot-path before/after (ratios > 1 mean faster now)";

@@ -84,10 +84,16 @@ let add t ev =
     t.len <- t.len + 1
   end
 
-let events t =
-  Array.init t.len (fun i ->
-      if t.capacity > 0 then t.buf.((t.start + i) mod t.capacity)
-      else t.buf.(i))
+(* The [i]th held event, oldest first. *)
+let get t i =
+  if t.capacity > 0 then t.buf.((t.start + i) mod t.capacity) else t.buf.(i)
+
+let events t = Array.init t.len (get t)
+
+let iter f t =
+  for i = 0 to t.len - 1 do
+    f (get t i)
+  done
 
 let equal a b = a.len = b.len && events a = events b
 
@@ -109,14 +115,6 @@ let decisions t =
 
 (* ---- JSONL ------------------------------------------------------------ *)
 
-let kind_to_string = function
-  | Send -> "send"
-  | Deliver -> "deliver"
-  | Local -> "local"
-  | Dropped -> "dropped"
-  | Dup -> "dup"
-  | Decision -> "decision"
-
 let kind_of_string = function
   | "send" -> Send
   | "deliver" -> Deliver
@@ -126,32 +124,206 @@ let kind_of_string = function
   | "decision" -> Decision
   | s -> invalid_arg (Printf.sprintf "unknown kind %S" s)
 
-(* %.17g round-trips every finite double; the engine rejects non-finite
-   delays so no nan/inf ever reaches the writer. *)
-let event_to_json ev =
-  Printf.sprintf
-    "{\"kind\":\"%s\",\"time\":%.17g,\"seq\":%d,\"edge\":%d,\"dir\":%d,\"nth\":%d,\"src\":%d,\"dst\":%d,\"delay\":%.17g}"
-    (kind_to_string ev.kind) ev.time ev.seq ev.edge ev.dir ev.nth ev.src
-    ev.dst ev.delay
+(* ---- writer -------------------------------------------------------------
 
-let event_of_json line =
-  try
-    Scanf.sscanf line
-      "{\"kind\":%S,\"time\":%f,\"seq\":%d,\"edge\":%d,\"dir\":%d,\"nth\":%d,\"src\":%d,\"dst\":%d,\"delay\":%f}"
-      (fun kind time seq edge dir nth src dst delay ->
-        { kind = kind_of_string kind; time; seq; edge; dir; nth; src; dst;
-          delay })
-  with Scanf.Scan_failure _ | End_of_file | Failure _ ->
-    invalid_arg (Printf.sprintf "unparsable line %S" line)
+   The output is byte-for-byte what
+   [Printf.sprintf "{\"kind\":\"%s\",\"time\":%.17g,\"seq\":%d,...,\"delay\":%.17g}"]
+   printed (%.17g round-trips every finite double; the engine rejects
+   non-finite delays so no nan/inf ever reaches the writer), without
+   Printf's format interpreter: the key text is constant, ints go through
+   a digit loop, and floats take one of three routes. *)
+
+external format_float : string -> float -> string = "caml_format_float"
+
+(* The last float printed in one field, keyed on its bits (so 0.0 and
+   -0.0 differ). A Decision shares its Send's time and delay, and the
+   sends of one handler share the time of the delivery that ran it, so
+   most floats repeat the previous record's. *)
+type memo = { mutable bits : int64; mutable text : string }
+
+type writer = {
+  buf : Buffer.t;
+  digits : Bytes.t;  (* scratch for [add_int]: sign + 19 digits of min_int *)
+  time_memo : memo;
+  delay_memo : memo;
+}
+
+let writer buf =
+  {
+    buf;
+    digits = Bytes.create 20;
+    time_memo = { bits = 0L; text = "0" };
+    delay_memo = { bits = 0L; text = "0" };
+  }
+
+(* Digits right to left, accumulated as a non-positive number so that
+   min_int needs no special case. *)
+let add_int w n =
+  if n >= 0 && n < 10 then Buffer.add_char w.buf (Char.unsafe_chr (48 + n))
+  else begin
+    let i = ref (Bytes.length w.digits) and m = ref (if n < 0 then n else -n) in
+    while !m <> 0 do
+      decr i;
+      Bytes.unsafe_set w.digits !i (Char.unsafe_chr (48 - (!m mod 10)));
+      m := !m / 10
+    done;
+    if n < 0 then begin
+      decr i;
+      Bytes.unsafe_set w.digits !i '-'
+    end;
+    Buffer.add_subbytes w.buf w.digits !i (Bytes.length w.digits - !i)
+  end
+
+(* An integral float below 1e15 in magnitude has at most 15 digits, so
+   %.17g prints it exactly, with neither a point nor an exponent — the
+   digits of its int value. -0.0 (bits = min_int) prints as "-0", so it
+   takes the general route. *)
+let add_float w memo x =
+  let bits = Int64.bits_of_float x in
+  if Int64.equal bits memo.bits then Buffer.add_string w.buf memo.text
+  else if
+    Float.is_integer x && Float.abs x < 1e15
+    && not (Int64.equal bits Int64.min_int)
+  then add_int w (Float.to_int x)
+  else begin
+    let text = format_float "%.17g" x in
+    memo.bits <- bits;
+    memo.text <- text;
+    Buffer.add_string w.buf text
+  end
+
+let kind_prefix = function
+  | Send -> "{\"kind\":\"send\",\"time\":"
+  | Deliver -> "{\"kind\":\"deliver\",\"time\":"
+  | Local -> "{\"kind\":\"local\",\"time\":"
+  | Dropped -> "{\"kind\":\"dropped\",\"time\":"
+  | Dup -> "{\"kind\":\"dup\",\"time\":"
+  | Decision -> "{\"kind\":\"decision\",\"time\":"
+
+let write_event w ev =
+  let b = w.buf in
+  Buffer.add_string b (kind_prefix ev.kind);
+  add_float w w.time_memo ev.time;
+  Buffer.add_string b ",\"seq\":";
+  add_int w ev.seq;
+  Buffer.add_string b ",\"edge\":";
+  add_int w ev.edge;
+  Buffer.add_string b ",\"dir\":";
+  add_int w ev.dir;
+  Buffer.add_string b ",\"nth\":";
+  add_int w ev.nth;
+  Buffer.add_string b ",\"src\":";
+  add_int w ev.src;
+  Buffer.add_string b ",\"dst\":";
+  add_int w ev.dst;
+  Buffer.add_string b ",\"delay\":";
+  add_float w w.delay_memo ev.delay;
+  Buffer.add_string b "}\n"
 
 let to_jsonl t =
-  let buf = Buffer.create (64 * (t.len + 1)) in
-  Array.iter
-    (fun ev ->
-      Buffer.add_string buf (event_to_json ev);
-      Buffer.add_char buf '\n')
-    (events t);
-  Buffer.contents buf
+  let w = writer (Buffer.create (64 * (t.len + 1))) in
+  iter (write_event w) t;
+  Buffer.contents w.buf
+
+(* Streams in ~64 KB chunks: memory stays bounded whatever the trace's
+   length. *)
+let chunk = 65536
+
+let save_jsonl t path =
+  let oc = open_out path in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () ->
+      let w = writer (Buffer.create (chunk + 256)) in
+      iter
+        (fun ev ->
+          write_event w ev;
+          if Buffer.length w.buf >= chunk then begin
+            Buffer.output_buffer oc w.buf;
+            Buffer.clear w.buf
+          end)
+        t;
+      Buffer.output_buffer oc w.buf)
+
+(* ---- reader -------------------------------------------------------------
+
+   Accepts exactly the writer's shape: the fixed keys in the fixed order,
+   no whitespace, nothing after the closing brace, and numbers in the
+   JSON syntax the writer emits ([-]digits, then for floats an optional
+   fraction and a lowercase, signed exponent) — no '+', '_', hex or
+   nan/inf. *)
+
+exception Malformed
+
+let event_of_json line =
+  let n = String.length line in
+  let pos = ref 0 in
+  let peek c = !pos < n && line.[!pos] = c in
+  let lit s =
+    let l = String.length s in
+    if !pos + l <= n && String.sub line !pos l = s then pos := !pos + l
+    else raise Malformed
+  in
+  let digits () =
+    let start = !pos in
+    while !pos < n && line.[!pos] >= '0' && line.[!pos] <= '9' do
+      incr pos
+    done;
+    if !pos = start then raise Malformed
+  in
+  let number ~float =
+    let start = !pos in
+    if peek '-' then incr pos;
+    if peek '0' then incr pos else digits ();
+    if float then begin
+      if peek '.' then begin
+        incr pos;
+        digits ()
+      end;
+      if peek 'e' then begin
+        incr pos;
+        if peek '+' || peek '-' then incr pos else raise Malformed;
+        digits ()
+      end
+    end;
+    String.sub line start (!pos - start)
+  in
+  let int key =
+    lit key;
+    match int_of_string_opt (number ~float:false) with
+    | Some i -> i
+    | None -> raise Malformed (* out of range *)
+  in
+  let float key =
+    lit key;
+    let x = float_of_string (number ~float:true) in
+    if Float.is_finite x then x else raise Malformed (* e.g. 1e999 *)
+  in
+  match
+    lit "{\"kind\":\"";
+    let kind =
+      match String.index_from_opt line !pos '"' with
+      | Some q ->
+        let k = String.sub line !pos (q - !pos) in
+        pos := q + 1;
+        k
+      | None -> raise Malformed
+    in
+    let time = float ",\"time\":" in
+    let seq = int ",\"seq\":" in
+    let edge = int ",\"edge\":" in
+    let dir = int ",\"dir\":" in
+    let nth = int ",\"nth\":" in
+    let src = int ",\"src\":" in
+    let dst = int ",\"dst\":" in
+    let delay = float ",\"delay\":" in
+    lit "}";
+    if !pos <> n then raise Malformed;
+    (kind, time, seq, edge, dir, nth, src, dst, delay)
+  with
+  | kind, time, seq, edge, dir, nth, src, dst, delay ->
+    { kind = kind_of_string kind; time; seq; edge; dir; nth; src; dst; delay }
+  | exception Malformed -> invalid_arg (Printf.sprintf "unparsable line %S" line)
 
 (* Parse errors carry the 1-based line number (and the filename, when the
    input came from a file): a checkpoint-resume reading a half-written
@@ -173,12 +345,6 @@ let of_jsonl ?file s =
           invalid_arg (Printf.sprintf "Trace.of_jsonl: %s: %s" where msg))
     (String.split_on_char '\n' s);
   t
-
-let save_jsonl t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_jsonl t))
 
 let load_jsonl path =
   let ic = open_in path in

@@ -81,19 +81,29 @@ val decisions : t -> event array
 
 (** {2 JSONL}
 
-    One JSON object per line, fields in fixed order; floats are printed
-    with enough digits to round-trip, so
-    [of_jsonl (to_jsonl t)] holds every event of [t] exactly. *)
+    One JSON object per line, fields in fixed order:
+    [{"kind":"send","time":T,"seq":..,"edge":..,"dir":..,"nth":..,"src":..,"dst":..,"delay":D}],
+    with [T] and [D] printed as C's [%.17g] prints them (enough digits to
+    round-trip, so [of_jsonl (to_jsonl t)] holds every event of [t]
+    exactly) and the ints in decimal. The format is byte-stable: the same
+    events always produce the same bytes, and committed dumps stay valid
+    test fixtures. *)
 
 val to_jsonl : t -> string
 
-(** Parses traces produced by {!to_jsonl}. Raises [Invalid_argument] on
-    malformed lines, naming the 1-based line number (and [file], when
-    given) of the first bad line — precise enough to locate the
-    truncation point of a half-written file. *)
+(** Parses traces produced by {!to_jsonl}, and only those: the reader
+    rejects whitespace inside a record, trailing bytes and number syntax
+    the writer never emits ([1_000], [+1], [0x1p3], [nan]). Raises
+    [Invalid_argument] on malformed lines, naming the 1-based line number
+    (and [file], when given) of the first bad line — precise enough to
+    locate the truncation point of a half-written file. *)
 val of_jsonl : ?file:string -> string -> t
 
+(** [save_jsonl t path] writes [to_jsonl t] to [path], streamed in
+    chunks of about 64 KB: memory stays bounded whatever the trace's
+    length. An empty trace writes an empty file. *)
 val save_jsonl : t -> string -> unit
+
 val load_jsonl : string -> t
 
 (** {2 Replay} *)

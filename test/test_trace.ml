@@ -7,6 +7,26 @@ let ev ?(kind = T.Send) ?(time = 0.0) ?(seq = 0) ?(edge = 0) ?(dir = 0)
     ?(nth = 0) ?(src = 0) ?(dst = 1) ?(delay = 1.0) () =
   { T.kind; time; seq; edge; dir; nth; src; dst; delay }
 
+(* The historical Printf writer: [to_jsonl] must reproduce it byte for
+   byte. *)
+let oracle_line ev =
+  Printf.sprintf
+    "{\"kind\":\"%s\",\"time\":%.17g,\"seq\":%d,\"edge\":%d,\"dir\":%d,\"nth\":%d,\"src\":%d,\"dst\":%d,\"delay\":%.17g}"
+    (match ev.T.kind with
+    | T.Send -> "send"
+    | T.Deliver -> "deliver"
+    | T.Local -> "local"
+    | T.Dropped -> "dropped"
+    | T.Dup -> "dup"
+    | T.Decision -> "decision")
+    ev.T.time ev.T.seq ev.T.edge ev.T.dir ev.T.nth ev.T.src ev.T.dst
+    ev.T.delay
+
+let of_list evs =
+  let t = T.create () in
+  List.iter (T.add t) evs;
+  t
+
 let test_jsonl_roundtrip () =
   let t = T.create () in
   T.add t (ev ~time:0.1 ~seq:3 ~delay:0.30000000000000004 ());
@@ -20,7 +40,35 @@ let test_jsonl_roundtrip () =
   Alcotest.(check bool) "round-trips exactly" true (T.equal t t');
   Alcotest.check_raises "malformed line rejected"
     (Invalid_argument "Trace.of_jsonl: line 1: unparsable line \"{oops}\"")
-    (fun () -> ignore (T.of_jsonl "{oops}"))
+    (fun () -> ignore (T.of_jsonl "{oops}"));
+  (* The reader takes only what the writer emits: no trailing bytes, and
+     JSON numbers, not OCaml's ('_' separators, '+', hex, nan/inf). *)
+  let line ?(seq = "1") ?(delay = "0.5") ?(sep = ",") () =
+    Printf.sprintf
+      "{\"kind\":\"send\",\"time\":0,\"seq\":%s,\"edge\":0,\"dir\":0,\"nth\":0,\"src\":0%s\"dst\":1,\"delay\":%s}"
+      seq sep delay
+  in
+  Alcotest.(check bool) "well-formed line accepted" true
+    (T.length (T.of_jsonl (line ())) = 1);
+  List.iter
+    (fun bad ->
+      Alcotest.check_raises bad
+        (Invalid_argument
+           (Printf.sprintf "Trace.of_jsonl: line 1: unparsable line %S" bad))
+        (fun () -> ignore (T.of_jsonl bad)))
+    [
+      line () ^ "garbage";
+      line ~delay:"1_000" ();
+      line ~delay:"+0.5" ();
+      line ~delay:"0x1p-1" ();
+      line ~delay:"nan" ();
+      line ~delay:"1e999" ();
+      line ~delay:".5" ();
+      line ~seq:"01" ();
+      line ~seq:"1.0" ();
+      line ~seq:"99999999999999999999" ();
+      line ~sep:", " ();
+    ]
 
 let test_jsonl_error_context () =
   (* A corrupted line in the middle of an otherwise valid stream is
@@ -98,6 +146,63 @@ let test_jsonl_file_roundtrip () =
       T.save_jsonl t path;
       Alcotest.(check bool) "file round-trips" true
         (T.equal t (T.load_jsonl path)))
+
+(* A dump longer than one 64 KB chunk, a wrapped ring and an empty trace
+   all come back equal through the file. *)
+let test_save_jsonl_streams () =
+  let through_file t =
+    let path = Filename.temp_file "csap-trace-stream" ".jsonl" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        T.save_jsonl t path;
+        ((Unix.stat path).Unix.st_size, T.load_jsonl path))
+  in
+  let big = T.create () and ring = T.create ~capacity:1000 () in
+  for i = 0 to 59_999 do
+    let e =
+      ev ~time:(float_of_int (i / 3) /. 7.0) ~seq:i ~edge:(i mod 97)
+        ~nth:(i / 97) ~delay:(float_of_int (i mod 11) *. 0.1) ()
+    in
+    T.add big e;
+    T.add ring e
+  done;
+  let size, loaded = through_file big in
+  Alcotest.(check bool) "more than one chunk" true (size > 2 * 65536);
+  Alcotest.(check int) "byte count" (String.length (T.to_jsonl big)) size;
+  Alcotest.(check bool) "long dump round-trips" true (T.equal big loaded);
+  Alcotest.(check bool) "wrapped ring round-trips" true
+    (T.equal ring (snd (through_file ring)));
+  let size, loaded = through_file (T.create ()) in
+  Alcotest.(check int) "empty trace, empty file" 0 size;
+  Alcotest.(check int) "empty file, empty trace" 0 (T.length loaded)
+
+(* Dumps committed from the Printf writer (4x4 grid, flood, one greedy
+   adversary run and one seeded:1 run): the file format is byte-stable. *)
+let test_golden_dumps () =
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  (* [dune runtest] runs in the test directory; [dune exec] from the
+     repository root. *)
+  let dir = if Sys.file_exists "golden" then "golden" else "test/golden" in
+  List.iter
+    (fun (golden, cell) ->
+      let prefix = Filename.temp_file "csap-trace-golden" "" in
+      let dump = prefix ^ "--flood--0.jsonl" in
+      Fun.protect
+        ~finally:(fun () -> List.iter Sys.remove [ prefix; dump ])
+        (fun () ->
+          (match (Csap_farm.Cell.run ~trace_prefix:prefix cell).result with
+          | Ok _ -> ()
+          | Error e -> Alcotest.fail (Csap_farm.Cell.error_message e));
+          Alcotest.(check string) golden
+            (read (Filename.concat dir golden))
+            (read dump)))
+    [
+      ( "trace-grid16-flood-greedy.jsonl",
+        Csap_farm.Cell.make ~family:"grid" ~n:16 ~adversary:"greedy" "flood" );
+      ( "trace-grid16-flood-seeded1.jsonl",
+        Csap_farm.Cell.make ~family:"grid" ~n:16 ~delay:"seeded:1" "flood" );
+    ]
 
 let test_ring_drops_oldest () =
   let t = T.create ~capacity:3 () in
@@ -232,6 +337,59 @@ let prop_jsonl_roundtrip =
         entries;
       T.equal t (T.of_jsonl (T.to_jsonl t)))
 
+(* Every kind, with the floats where %.17g output changes shape (signed
+   zeros, the integral cut-off at 1e15, the exponent switch at 1e17,
+   integers past 2^53, subnormals, extremes) and the extreme ints. The
+   small pool makes events share floats, as the memo expects, with
+   integral values and both zeros in between. *)
+let prop_jsonl_matches_printf =
+  let specials =
+    let e15 = 1e15 and e17 = 1e17 and p53 = Float.pow 2.0 53.0 in
+    let base =
+      [ 0.0; -0.0; 1.0; 0.5; 0.1; 1e-300; Float.max_float; Float.min_float;
+        Float.pred Float.min_float; Int64.float_of_bits 1L;
+        Float.pred e15; e15; Float.succ e15; Float.pred e17; e17;
+        Float.succ e17; p53 +. 1.0; Float.succ p53; 1e15 -. 0.5; 123456.75 ]
+    in
+    base @ List.map Float.neg base
+  in
+  let float_g =
+    QCheck.Gen.(
+      oneof
+        [
+          oneofl specials;
+          oneofl [ 0.1; 1e-7; 3.0; 0.0; -0.0 ];
+          map
+            (fun b ->
+              let x = Int64.float_of_bits b in
+              if Float.is_finite x then x else 0.25)
+            ui64;
+          float_bound_inclusive 1e6;
+          map float_of_int int;
+        ])
+  in
+  let int_g =
+    QCheck.Gen.(oneof [ oneofl [ min_int; max_int; -1; 0 ]; int; small_signed_int ])
+  in
+  let event =
+    QCheck.Gen.(
+      map
+        (fun ((kind, time, delay), (seq, edge, dir), (nth, src, dst)) ->
+          { T.kind; time; seq; edge; dir; nth; src; dst; delay })
+        (triple
+           (triple
+              (oneofl [ T.Send; T.Deliver; T.Local; T.Dropped; T.Dup; T.Decision ])
+              float_g float_g)
+           (triple int_g int_g int_g) (triple int_g int_g int_g)))
+  in
+  QCheck.Test.make ~count:300 ~name:"to_jsonl = Printf oracle, line by line"
+    (QCheck.make
+       ~print:(fun evs -> String.concat "\n" (List.map oracle_line evs))
+       QCheck.Gen.(list_size (int_range 0 40) event))
+    (fun evs ->
+      String.split_on_char '\n' (T.to_jsonl (of_list evs))
+      = List.map oracle_line evs @ [ "" ])
+
 let test_faulty_trace_records_fault_kinds () =
   (* A run under an aggressive fault plan leaves Dropped and Dup records in
      its trace, and the whole trace survives the JSONL round trip. *)
@@ -261,6 +419,11 @@ let suite =
       test_jsonl_error_context;
     Alcotest.test_case "JSONL file parse errors name the file" `Quick
       test_jsonl_file_error_names_file;
+    Alcotest.test_case "save_jsonl streams long, ring and empty traces"
+      `Quick test_save_jsonl_streams;
+    Alcotest.test_case "dumps match the committed golden files" `Quick
+      test_golden_dumps;
+    QCheck_alcotest.to_alcotest prop_jsonl_matches_printf;
     Alcotest.test_case "ring keeps the newest events" `Quick
       test_ring_drops_oldest;
     Alcotest.test_case "collector scopes are nested and isolated" `Quick
