@@ -29,22 +29,23 @@ let family_job name build =
       (fun () ->
         let g = build () in
         let summaries =
-          S.explore_faults
+          S.explore
             ~pool:(Csap_pool.create ~domains:1 ())
-            ~trace_dir:"fault-traces" ~check_replay:true g ~targets
-            ~delays:(S.adversarial_schedules g)
+            ~trace_dir:"fault-traces" ~check_replay:true
             ~faults:(S.fault_schedules g fault_plans)
+            g ~targets ~schedules:(S.adversarial_schedules g)
         in
         List.map
-          (fun (s : S.fault_summary) ->
+          (fun (s : S.summary) ->
+            let o = Option.get s.S.overhead in
             [
               Report.Str name;
-              Report.Str s.S.ftarget_name;
-              Report.Int (Array.length s.S.fruns);
-              Report.Int s.S.ffailures;
-              Report.Int s.S.clean_comm;
-              Report.Float s.S.worst_overhead;
-              Report.Float s.S.mean_overhead;
+              Report.Str s.S.target_name;
+              Report.Int (Array.length s.S.runs);
+              Report.Int s.S.failures;
+              Report.Int o.S.clean_comm;
+              Report.Float o.S.worst_overhead;
+              Report.Float o.S.mean_overhead;
             ])
           summaries);
   }

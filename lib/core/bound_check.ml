@@ -95,19 +95,6 @@ let measure ((module P : Protocol.S) as entry) g =
     measures = o.Protocol.Outcome.measures;
   }
 
-(* Heaviest edge, lowest id on ties — the link the slow-edge schedule
-   stalls (same pick as the explorer's adversarial battery). *)
-let heaviest_edge g =
-  let best = ref 0 and best_w = ref min_int in
-  Array.iteri
-    (fun id e ->
-      if e.G.w > !best_w then begin
-        best := id;
-        best_w := e.G.w
-      end)
-    (G.edges g);
-  !best
-
 (* Worst-case batteries built from the dsim primitives directly (this
    module sits below the explorer, which owns the full rosters). *)
 let regime_battery regime g =
@@ -118,7 +105,7 @@ let regime_battery regime g =
   | Sched_worst ->
     List.map
       (fun d -> A.Oblivious d)
-      ([ D.Exact; D.Near_zero; D.race_crossing; D.slow_edge (heaviest_edge g) ]
+      ([ D.Exact; D.Near_zero; D.race_crossing; D.slow_edge (G.heaviest_edge g) ]
       @ List.map (fun i -> D.seeded (0x5eed + (i * 0x10001))) [ 0; 1; 2; 3 ])
   | Adaptive_worst -> [ A.greedy_commax (); A.time_stretcher () ]
 

@@ -301,6 +301,11 @@ let total_weight t = Array.fold_left (fun acc e -> acc + e.w) 0 t.edges
 
 let max_weight t = Array.fold_left (fun acc e -> max acc e.w) 0 t.edges
 
+let heaviest_edge t =
+  let best = ref 0 in
+  Array.iteri (fun id e -> if e.w > t.edges.(!best).w then best := id) t.edges;
+  !best
+
 let is_connected t =
   if t.n <= 1 then true
   else begin

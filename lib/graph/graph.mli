@@ -135,6 +135,10 @@ val total_weight : t -> int
 (** Maximum edge weight [W]. *)
 val max_weight : t -> int
 
+(** Id of a maximum-weight edge, the lowest id on ties; [0] when the
+    graph has no edges. The link the slow-edge schedules stall. *)
+val heaviest_edge : t -> int
+
 (** Whether the graph is connected (vacuously true for [n <= 1]). *)
 val is_connected : t -> bool
 

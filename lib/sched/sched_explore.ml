@@ -1,16 +1,15 @@
 module G = Csap_graph.Graph
-module Tree = Csap_graph.Tree
 module Paths = Csap_graph.Paths
-module Mst = Csap_graph.Mst
 module Delay = Csap_dsim.Delay
 module Fault = Csap_dsim.Fault
 module Trace = Csap_dsim.Trace
 module Adversary = Csap_dsim.Adversary
 module Measures = Csap.Measures
+module Protocol = Csap.Protocol
 
-type schedule = {
+type 'a schedule = {
   label : string;
-  make : unit -> Adversary.t;
+  make : unit -> 'a;
 }
 
 let oblivious label make_delay =
@@ -25,21 +24,8 @@ let seeded_schedules k =
         (Printf.sprintf "seeded-%d" i)
         (fun () -> Delay.seeded (0x5eed + (i * 0x10001))))
 
-(* Heaviest edge, lowest id on ties — a deterministic pick of the link the
-   slow-edge adversary stalls. *)
-let heaviest_edge g =
-  let best = ref 0 and best_w = ref min_int in
-  Array.iteri
-    (fun id e ->
-      if e.G.w > !best_w then begin
-        best := id;
-        best_w := e.G.w
-      end)
-    (G.edges g);
-  !best
-
 let adversarial_schedules g =
-  let heavy = heaviest_edge g in
+  let heavy = G.heaviest_edge g in
   [
     oblivious
       (Printf.sprintf "slow-edge-%d" heavy)
@@ -60,241 +46,13 @@ let adaptive_schedules () =
     };
   ]
 
-type target = {
-  name : string;
-  execute : G.t -> Adversary.t -> (Measures.t, string) result;
-}
-
-(* ------------------------------------------------------------------ *)
-(* Registry-driven targets: every protocol in {!Csap.Protocol.registry} *)
-(* can be swept; the invariant is the registry entry's own oracle       *)
-(* check, so there is no per-protocol wiring here.                      *)
-(* ------------------------------------------------------------------ *)
-
-module Protocol = Csap.Protocol
-
-let target_suffix ~needs_root root strip =
-  (match root with
-  | Some r when needs_root -> Printf.sprintf "-src%d" r
-  | _ -> "")
-  ^ match strip with Some s -> Printf.sprintf "-s%d" s | None -> ""
-
-let protocol_target ?root ?pulses ?strip ?k ?q entry =
-  let (module P : Protocol.S) = entry in
-  {
-    name = P.name ^ target_suffix ~needs_root:P.caps.Protocol.needs_root
-             root strip;
-    execute =
-      (fun g adversary ->
-        let cfg =
-          Protocol.Run.make ?root ~adversary ?pulses ?strip ?k ?q g
-        in
-        let o = Protocol.execute entry cfg in
-        match P.invariant cfg o with
-        | Ok () -> Ok o.Protocol.Outcome.measures
-        | Error e -> Error (Printf.sprintf "%s: %s" P.name e));
-  }
-
-let target_for ?root ?pulses ?strip ?k ?q name =
-  protocol_target ?root ?pulses ?strip ?k ?q (Protocol.find_exn name)
-
-(* The sweep roster: one target per trade-off family, cheap enough for
-   every (schedule x target) pair of a sweep. *)
-let registry_targets ?(root = 0) () =
-  [
-    target_for ~root "flood";
-    target_for "mst-ghs";
-    target_for ~root "spt-synch";
-    target_for ~root ~strip:2 "spt-recur";
-    target_for ~root "sync-alpha";
-  ]
-
-type run_result = {
-  target : string;
-  schedule : string;
-  ok : bool;
-  violation : string option;
-  measures : Measures.t;
-}
-
-(* The sweep grid as a flat cell list: what [explore] iterates and what
-   external executors (the bench farm) enumerate to run the same work
-   cell-by-cell with checkpoints in between. *)
-let sweep_cells ~targets ~schedules =
-  List.concat_map (fun t -> List.map (fun s -> (t, s)) schedules) targets
-
-let run_cell g ((t : target), (s : schedule)) =
-  match t.execute g (s.make ()) with
-  | Ok m ->
-    {
-      target = t.name;
-      schedule = s.label;
-      ok = true;
-      violation = None;
-      measures = m;
-    }
-  | Error e ->
-    {
-      target = t.name;
-      schedule = s.label;
-      ok = false;
-      violation = Some e;
-      measures = Measures.zero;
-    }
-  | exception e ->
-    {
-      target = t.name;
-      schedule = s.label;
-      ok = false;
-      violation = Some (Printexc.to_string e);
-      measures = Measures.zero;
-    }
-
-type summary = {
-  target_name : string;
-  runs : run_result array;
-  worst_time : float;
-  worst_comm : int;
-  failures : int;
-}
-
-let sanitize label =
-  String.map
-    (fun c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' | '.' -> c
-      | _ -> '_')
-    label
-
-let mkdir_p dir =
-  if not (Sys.file_exists dir) then
-    try Sys.mkdir dir 0o755 with Sys_error _ -> ()
-
-let explore ?pool ?trace_dir ?(check_replay = false) g ~targets ~schedules =
-  let targets = Array.of_list targets in
-  let schedules = Array.of_list schedules in
-  let nt = Array.length targets and ns = Array.length schedules in
-  let results = Array.make (nt * ns) None in
-  if nt > 0 && ns > 0 then begin
-    let pool = match pool with Some p -> p | None -> Csap_pool.default () in
-    Csap_pool.run pool ~tasks:(nt * ns) (fun ~worker:_ i ->
-        results.(i) <-
-          Some (run_cell g (targets.(i / ns), schedules.(i mod ns))))
-  end;
-  (* Replay audit (sequential: trace collectors are domain-local): record
-     each passing run's trace, re-run it as an oblivious schedule under
-     [Trace.recorded], and demand event-for-event equality modulo the
-     Decision records only the recorded (possibly adaptive) run emits.
-     This is what turns an adaptive worst case into a certificate: the
-     decision trace alone reproduces the cost. *)
-  if check_replay then
-    Array.iteri
-      (fun i r ->
-        match r with
-        | Some r when r.ok ->
-          let t = targets.(i / ns) and s = schedules.(i mod ns) in
-          let (), traces =
-            Trace.with_collector (fun () ->
-                ignore (t.execute g (s.make ())))
-          in
-          (match traces with
-          | [ tr ] ->
-            let (), traces2 =
-              Trace.with_collector (fun () ->
-                  ignore
-                    (t.execute g (Adversary.of_delay (Trace.recorded tr))))
-            in
-            let ok =
-              match traces2 with
-              | [ tr2 ] -> Trace.equal (Trace.without_decisions tr) tr2
-              | _ -> false
-            in
-            if not ok then
-              results.(i) <-
-                Some
-                  {
-                    r with
-                    ok = false;
-                    violation = Some "replay: re-run from trace diverged";
-                  }
-          | _ ->
-            results.(i) <-
-              Some
-                {
-                  r with
-                  ok = false;
-                  violation = Some "replay: expected exactly one engine trace";
-                })
-        | _ -> ())
-      results;
-  (* Failures get their schedule dumped: re-run the same deterministic
-     (target, schedule) pair under a collector and write every engine's
-     trace, replayable via [Trace.recorded]. *)
-  (match trace_dir with
-  | None -> ()
-  | Some dir ->
-    Array.iteri
-      (fun i r ->
-        match r with
-        | Some r when not r.ok ->
-          mkdir_p dir;
-          let t = targets.(i / ns) and s = schedules.(i mod ns) in
-          let (), traces =
-            Trace.with_collector (fun () ->
-                try ignore (t.execute g (s.make ())) with _ -> ())
-          in
-          List.iteri
-            (fun j tr ->
-              Trace.save_jsonl tr
-                (Filename.concat dir
-                   (Printf.sprintf "%s--%s--%d.jsonl" (sanitize t.name)
-                      (sanitize s.label) j)))
-            traces
-        | _ -> ())
-      results);
-  Array.to_list
-    (Array.mapi
-       (fun ti (t : target) ->
-         let runs =
-           Array.init ns (fun si ->
-               match results.((ti * ns) + si) with
-               | Some r -> r
-               | None -> assert false)
-         in
-         let worst_time = ref 0.0 and worst_comm = ref 0 and failures = ref 0 in
-         Array.iter
-           (fun r ->
-             if r.ok then begin
-               worst_time := Float.max !worst_time r.measures.Measures.time;
-               worst_comm := max !worst_comm r.measures.Measures.comm
-             end
-             else incr failures)
-           runs;
-         {
-           target_name = t.name;
-           runs;
-           worst_time = !worst_time;
-           worst_comm = !worst_comm;
-           failures = !failures;
-         })
-       targets)
-
-(* ------------------------------------------------------------------ *)
-(* Fault sweep: protocols behind the reliable shim under fault plans.  *)
-(* ------------------------------------------------------------------ *)
-
-type fault_schedule = {
-  flabel : string;
-  fmake : unit -> Fault.plan;
-}
-
 let fault_schedules g k =
   if k < 0 then invalid_arg "Sched_explore.fault_schedules: negative count";
   (* Time scale for outage/crash windows: the weighted diameter bounds a
      clean flood; faulty runs last longer, so windows placed within it
      are guaranteed to overlap the execution. *)
   let scale = float_of_int (max 1 (Paths.diameter g)) in
-  let heavy = heaviest_edge g in
+  let heavy = G.heaviest_edge g in
   let n = G.n g in
   List.init k (fun i ->
       (* Seeds spaced like the delay schedules' so fault and delay
@@ -303,18 +61,18 @@ let fault_schedules g k =
       match i mod 4 with
       | 0 ->
         {
-          flabel = Printf.sprintf "loss-%d" i;
-          fmake = (fun () -> Fault.seeded ~loss:0.15 seed);
+          label = Printf.sprintf "loss-%d" i;
+          make = (fun () -> Fault.seeded ~loss:0.15 seed);
         }
       | 1 ->
         {
-          flabel = Printf.sprintf "loss-dup-%d" i;
-          fmake = (fun () -> Fault.seeded ~loss:0.08 ~dup:0.12 seed);
+          label = Printf.sprintf "loss-dup-%d" i;
+          make = (fun () -> Fault.seeded ~loss:0.08 ~dup:0.12 seed);
         }
       | 2 ->
         {
-          flabel = Printf.sprintf "outage-%d" i;
-          fmake =
+          label = Printf.sprintf "outage-%d" i;
+          make =
             (fun () ->
               Fault.seeded ~loss:0.05
                 ~outages:
@@ -330,8 +88,8 @@ let fault_schedules g k =
       | _ ->
         let v = 1 + ((i / 4) mod max 1 (n - 1)) in
         {
-          flabel = Printf.sprintf "crash-v%d-%d" v i;
-          fmake =
+          label = Printf.sprintf "crash-v%d-%d" v i;
+          make =
             (fun () ->
               Fault.seeded ~loss:0.05
                 ~crashes:
@@ -345,239 +103,261 @@ let fault_schedules g k =
                 seed);
         })
 
-type fault_target = {
-  fname : string;
-  fexecute : G.t -> Adversary.t -> Fault.plan -> (Measures.t, string) result;
-  fclean : G.t -> Measures.t;
+type target = {
+  name : string;
+  execute :
+    G.t -> Adversary.t -> Fault.plan option -> (Measures.t, string) result;
 }
 
-(* Registry-driven fault targets: the protocol runs behind the reliable
-   shim under the given plan; the clean baseline is the same registry
-   run with no plan and no shim. *)
-let protocol_fault_target ?root ?pulses ?strip ?k ?q entry =
+(* ------------------------------------------------------------------ *)
+(* Registry-driven targets: every protocol in {!Csap.Protocol.registry} *)
+(* can be swept; the invariant is the registry entry's own oracle       *)
+(* check, so there is no per-protocol wiring here. A plan switches the  *)
+(* reliable shim on: the shim is what makes the clean oracle hold on a  *)
+(* faulty network.                                                      *)
+(* ------------------------------------------------------------------ *)
+
+let target_suffix ~needs_root root strip =
+  (match root with
+  | Some r when needs_root -> Printf.sprintf "-src%d" r
+  | _ -> "")
+  ^ match strip with Some s -> Printf.sprintf "-s%d" s | None -> ""
+
+let target_for ?root ?pulses ?strip ?k ?q name =
+  let entry = Protocol.find_exn name in
   let (module P : Protocol.S) = entry in
   {
-    fname =
-      "rel-" ^ P.name
-      ^ target_suffix ~needs_root:P.caps.Protocol.needs_root root strip;
-    fexecute =
-      (fun g adversary plan ->
+    name = P.name ^ target_suffix ~needs_root:P.caps.Protocol.needs_root
+             root strip;
+    execute =
+      (fun g adversary faults ->
+        let reliable = faults <> None in
         let cfg =
-          Protocol.Run.make ?root ~adversary ~faults:plan ~reliable:true
-            ?pulses ?strip ?k ?q g
+          Protocol.Run.make ?root ~adversary ?faults ~reliable ?pulses ?strip
+            ?k ?q g
         in
         let o = Protocol.execute entry cfg in
         match P.invariant cfg o with
         | Ok () -> Ok o.Protocol.Outcome.measures
-        | Error e -> Error (Printf.sprintf "rel-%s: %s" P.name e));
-    fclean =
-      (fun g ->
-        (Protocol.run ?root ?pulses ?strip ?k ?q entry g)
-          .Protocol.Outcome.measures);
+        | Error e ->
+          Error
+            (Printf.sprintf "%s%s: %s"
+               (if reliable then "rel-" else "")
+               P.name e));
   }
 
-let fault_target_for ?root ?pulses ?strip ?k ?q name =
-  protocol_fault_target ?root ?pulses ?strip ?k ?q (Protocol.find_exn name)
+(* The sweep roster: one target per trade-off family, cheap enough for
+   every (schedule x target) pair of a sweep. *)
+let registry_targets ?(root = 0) () =
+  [
+    target_for ~root "flood";
+    target_for "mst-ghs";
+    target_for ~root "spt-synch";
+    target_for ~root ~strip:2 "spt-recur";
+    target_for ~root "sync-alpha";
+  ]
 
 (* The fault-sweep roster: every registry protocol that supports both a
    raw fault plan and the reliable shim and is cheap enough to sweep. *)
 let registry_fault_targets ?(root = 0) () =
-  [
-    fault_target_for ~root "flood";
-    fault_target_for ~root "dfs-token";
-    fault_target_for ~root "mst-centr";
-    fault_target_for "mst-ghs";
-    fault_target_for ~root "spt-synch";
-    fault_target_for ~root "global-sum";
-  ]
+  List.map
+    (fun t -> { t with name = "rel-" ^ t.name })
+    [
+      target_for ~root "flood";
+      target_for ~root "dfs-token";
+      target_for ~root "mst-centr";
+      target_for "mst-ghs";
+      target_for ~root "spt-synch";
+      target_for ~root "global-sum";
+    ]
 
-type fault_run = {
-  frun_target : string;
-  fdelay : string;
-  fschedule : string;
-  fok : bool;
-  fviolation : string option;
-  fmeasures : Measures.t;
-  foverhead : float;
+type run_result = {
+  target : string;
+  schedule : string;
+  fault : string option;
+  ok : bool;
+  violation : string option;
+  measures : Measures.t;
 }
 
-let fault_sweep_cells ~targets ~delays ~faults =
-  List.concat_map
-    (fun t ->
-      List.concat_map (fun d -> List.map (fun f -> (t, d, f)) faults) delays)
-    targets
-
-let run_fault_cell g ~clean_comm ((t : fault_target), d, (f : fault_schedule))
-    =
-  let denom = float_of_int (max 1 clean_comm) in
-  match t.fexecute g (d.make ()) (f.fmake ()) with
-  | Ok m ->
-    {
-      frun_target = t.fname;
-      fdelay = d.label;
-      fschedule = f.flabel;
-      fok = true;
-      fviolation = None;
-      fmeasures = m;
-      foverhead = float_of_int m.Measures.comm /. denom;
-    }
-  | Error e ->
-    {
-      frun_target = t.fname;
-      fdelay = d.label;
-      fschedule = f.flabel;
-      fok = false;
-      fviolation = Some e;
-      fmeasures = Measures.zero;
-      foverhead = 0.0;
-    }
-  | exception e ->
-    {
-      frun_target = t.fname;
-      fdelay = d.label;
-      fschedule = f.flabel;
-      fok = false;
-      fviolation = Some (Printexc.to_string e);
-      fmeasures = Measures.zero;
-      foverhead = 0.0;
-    }
-
-type fault_summary = {
-  ftarget_name : string;
-  fruns : fault_run array;
+type overhead = {
   clean_comm : int;
   worst_overhead : float;
   mean_overhead : float;
-  ffailures : int;
 }
 
-let explore_faults ?pool ?trace_dir ?(check_replay = false) g ~targets
-    ~delays ~faults =
+type summary = {
+  target_name : string;
+  runs : run_result array;
+  worst_time : float;
+  worst_comm : int;
+  failures : int;
+  overhead : overhead option;
+}
+
+let sanitize label =
+  String.map
+    (fun c ->
+      match c with
+      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' | '.' -> c
+      | _ -> '_')
+    label
+
+let rec mkdir_p dir =
+  if not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    try Sys.mkdir dir 0o755 with Sys_error _ when Sys.is_directory dir -> ()
+  end
+
+(* The overhead denominator: the target under the exact-delay default
+   with no plan, hence no shim. Its invariant must hold — a ratio over a
+   broken baseline would be meaningless. *)
+let clean_comm g (t : target) =
+  match t.execute g (Adversary.of_delay Delay.Exact) None with
+  | Ok m -> m.Measures.comm
+  | Error e ->
+    failwith
+      (Printf.sprintf "Sched_explore.explore: %s clean baseline failed: %s"
+         t.name e)
+
+let explore ?pool ?trace_dir ?(check_replay = false) ?faults g ~targets
+    ~schedules =
   let targets = Array.of_list targets in
-  let delays = Array.of_list delays in
-  let faults = Array.of_list faults in
+  let schedules = Array.of_list schedules in
+  (* A clean sweep is the grid with one "no plan" column. *)
+  let plans =
+    match faults with
+    | None -> [| None |]
+    | Some fs -> Array.of_list (List.map Option.some fs)
+  in
+  let clean = Option.map (fun _ -> Array.map (clean_comm g) targets) faults in
   let nt = Array.length targets in
-  let nd = Array.length delays in
-  let nf = Array.length faults in
-  (* Clean baselines (default delay model, no faults): the overhead
-     denominator. *)
-  let clean = Array.map (fun (t : fault_target) -> t.fclean g) targets in
-  let per = nd * nf in
+  let nf = Array.length plans in
+  let per = Array.length schedules * nf in
+  let cell i = (targets.(i / per), schedules.(i mod per / nf), plans.(i mod nf)) in
+  let plan f = Option.map (fun f -> f.make ()) f in
   let results = Array.make (nt * per) None in
-  let split i = (i / per, i mod per / nf, i mod nf) in
   if nt > 0 && per > 0 then begin
     let pool = match pool with Some p -> p | None -> Csap_pool.default () in
     Csap_pool.run pool ~tasks:(nt * per) (fun ~worker:_ i ->
-        let ti, di, fi = split i in
+        let t, s, f = cell i in
+        let result ok violation measures =
+          {
+            target = t.name;
+            schedule = s.label;
+            fault = Option.map (fun f -> f.label) f;
+            ok;
+            violation;
+            measures;
+          }
+        in
         results.(i) <-
           Some
-            (run_fault_cell g
-               ~clean_comm:clean.(ti).Measures.comm
-               (targets.(ti), delays.(di), faults.(fi))))
+            (match t.execute g (s.make ()) (plan f) with
+            | Ok m -> result true None m
+            | Error e -> result false (Some e) Measures.zero
+            | exception e ->
+              result false (Some (Printexc.to_string e)) Measures.zero))
   end;
   (* Replay audit (sequential: trace collectors are domain-local): record
-     each passing run's trace, re-run it under [Trace.recorded] with the
-     same fault plan, and demand event-for-event equality. A mismatch
-     turns the run into a failure. *)
+     each passing run's trace, re-run it as an oblivious schedule under
+     [Trace.recorded] with the same fault plan, and demand event-for-event
+     equality modulo the Decision records only the recorded (possibly
+     adaptive) run emits. This is what turns an adaptive worst case into
+     a certificate: the decision trace alone reproduces the cost. *)
   if check_replay then
     Array.iteri
       (fun i r ->
         match r with
-        | Some r when r.fok ->
-          let ti, di, fi = split i in
-          let t = targets.(ti) and d = delays.(di) and f = faults.(fi) in
+        | Some r when r.ok ->
+          let t, s, f = cell i in
           let (), traces =
             Trace.with_collector (fun () ->
-                ignore (t.fexecute g (d.make ()) (f.fmake ())))
+                ignore (t.execute g (s.make ()) (plan f)))
           in
-          (match traces with
-          | [ tr ] ->
-            let (), traces2 =
-              Trace.with_collector (fun () ->
-                  ignore
-                    (t.fexecute g
-                       (Adversary.of_delay (Trace.recorded tr))
-                       (f.fmake ())))
-            in
-            let ok =
-              match traces2 with
-              | [ tr2 ] -> Trace.equal (Trace.without_decisions tr) tr2
-              | _ -> false
-            in
-            if not ok then
-              results.(i) <-
-                Some
-                  {
-                    r with
-                    fok = false;
-                    fviolation =
-                      Some "replay: re-run from trace diverged";
-                    foverhead = 0.0;
-                  }
-          | _ ->
-            results.(i) <-
-              Some
-                {
-                  r with
-                  fok = false;
-                  fviolation =
-                    Some "replay: expected exactly one engine trace";
-                  foverhead = 0.0;
-                })
+          let violation =
+            match traces with
+            | [ tr ] ->
+              let (), traces2 =
+                Trace.with_collector (fun () ->
+                    ignore
+                      (t.execute g
+                         (Adversary.of_delay (Trace.recorded tr))
+                         (plan f)))
+              in
+              (match traces2 with
+              | [ tr2 ] when Trace.equal (Trace.without_decisions tr) tr2 ->
+                None
+              | _ -> Some "replay: re-run from trace diverged")
+            | _ -> Some "replay: expected exactly one engine trace"
+          in
+          if violation <> None then
+            results.(i) <- Some { r with ok = false; violation }
         | _ -> ())
       results;
-  (* Failures get a replayable artifact: re-run the same deterministic
-     (target, delay, fault) triple under a collector and dump JSONL. *)
+  (* Failures get their schedule dumped: re-run the same deterministic
+     (target, schedule, plan) cell under a collector and write every
+     engine's trace, replayable via [Trace.recorded]. *)
   (match trace_dir with
   | None -> ()
   | Some dir ->
     Array.iteri
       (fun i r ->
         match r with
-        | Some r when not r.fok ->
+        | Some r when not r.ok ->
           mkdir_p dir;
-          let ti, di, fi = split i in
-          let t = targets.(ti) and d = delays.(di) and f = faults.(fi) in
+          let t, s, f = cell i in
           let (), traces =
             Trace.with_collector (fun () ->
-                try ignore (t.fexecute g (d.make ()) (f.fmake ()))
-                with _ -> ())
+                try ignore (t.execute g (s.make ()) (plan f)) with _ -> ())
+          in
+          let plan_label =
+            match f with None -> "" | Some f -> "--" ^ sanitize f.label
           in
           List.iteri
             (fun j tr ->
               Trace.save_jsonl tr
                 (Filename.concat dir
-                   (Printf.sprintf "%s--%s--%s--%d.jsonl" (sanitize t.fname)
-                      (sanitize d.label) (sanitize f.flabel) j)))
+                   (Printf.sprintf "%s--%s%s--%d.jsonl" (sanitize t.name)
+                      (sanitize s.label) plan_label j)))
             traces
         | _ -> ())
       results);
-  Array.to_list
-    (Array.mapi
-       (fun ti (t : fault_target) ->
-         let fruns =
-           Array.init per (fun j ->
-               match results.((ti * per) + j) with
-               | Some r -> r
-               | None -> assert false)
-         in
-         let worst = ref 0.0 and sum = ref 0.0 in
-         let passed = ref 0 and failures = ref 0 in
-         Array.iter
-           (fun r ->
-             if r.fok then begin
-               worst := Float.max !worst r.foverhead;
-               sum := !sum +. r.foverhead;
-               incr passed
-             end
-             else incr failures)
-           fruns;
-         {
-           ftarget_name = t.fname;
-           fruns;
-           clean_comm = clean.(ti).Measures.comm;
-           worst_overhead = !worst;
-           mean_overhead = (if !passed = 0 then 0.0 else !sum /. float_of_int !passed);
-           ffailures = !failures;
-         })
-       targets)
+  List.init nt (fun ti ->
+      let runs = Array.init per (fun j -> Option.get results.((ti * per) + j)) in
+      let passing = List.filter (fun r -> r.ok) (Array.to_list runs) in
+      let overhead =
+        Option.map
+          (fun clean ->
+            let clean_comm = clean.(ti) in
+            let denom = float_of_int (max 1 clean_comm) in
+            let factors =
+              List.map
+                (fun r -> float_of_int r.measures.Measures.comm /. denom)
+                passing
+            in
+            {
+              clean_comm;
+              worst_overhead = List.fold_left Float.max 0.0 factors;
+              mean_overhead =
+                (match factors with
+                | [] -> 0.0
+                | _ ->
+                  List.fold_left ( +. ) 0.0 factors
+                  /. float_of_int (List.length factors));
+            })
+          clean
+      in
+      {
+        target_name = targets.(ti).name;
+        runs;
+        worst_time =
+          List.fold_left
+            (fun acc r -> Float.max acc r.measures.Measures.time)
+            0.0 passing;
+        worst_comm =
+          List.fold_left (fun acc r -> max acc r.measures.Measures.comm) 0
+            passing;
+        failures = per - List.length passing;
+        overhead;
+      })

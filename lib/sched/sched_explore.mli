@@ -3,7 +3,7 @@
     The paper's complexity measures quantify over {e all} executions: the
     adversary picks any delay in [(0, w(e)]] per message. A protocol's
     correctness must therefore be schedule-invariant, and its worst-case
-    time/communication is a maximum over schedules. This harness runs
+    time/communication is a maximum over schedules. [explore] runs
     protocol targets under a battery of schedules — seeded pseudo-random
     ones, structured oblivious adversaries (see {!Delay.slow_edge},
     {!Delay.race_crossing}) and {e adaptive} adversaries that observe the
@@ -12,32 +12,42 @@
     reference executor), and reports the worst time and communication
     observed.
 
-    Runs are sharded over a {!Csap_pool.t}; each run gets a fresh delay
-    model built by its schedule's [make], so the sweep is deterministic
-    regardless of how tasks land on workers. When a run violates its
-    invariant the failing execution is re-run under
-    {!Trace.with_collector} and its traces dumped as JSONL next to the
-    results — the artifact CI uploads, replayable with
-    {!Trace.recorded}. *)
+    The same sweep extends to faulty networks: given fault plans
+    ({!Csap_dsim.Fault.plan}: lost and duplicated messages, link
+    outages, vertex crashes), every (schedule, plan) pair runs behind the
+    {!Csap_dsim.Reliable} shim. The oracle checks stay the same — the
+    shim is what makes them hold — and each summary also reports the
+    retransmission overhead factor: weighted communication under faults
+    over the clean unwrapped run's.
 
-(** A named way to build an adversary. [make] is called once per run so
-    stateful adversaries (adaptive built-ins, [Recorded]-style oracles,
+    Runs are sharded over a {!Csap_pool.t}; each run gets a fresh
+    adversary (and plan) built by its schedule's [make], so the sweep is
+    deterministic regardless of how tasks land on workers. When a run
+    violates its invariant the failing execution is re-run under
+    {!Trace.with_collector} and its traces dumped as JSONL — the artifact
+    CI uploads, replayable with {!Trace.recorded}. *)
+
+(** A named way to build an adversary ([Adversary.t schedule]) or a fault
+    plan ([Fault.plan schedule]). [make] is called once per run so
+    stateful values (adaptive built-ins, [Recorded]-style oracles,
     RNG-backed models) never leak state between runs. *)
-type schedule = {
+type 'a schedule = {
   label : string;
-  make : unit -> Csap_dsim.Adversary.t;
+  make : unit -> 'a;
 }
 
 (** [seeded_schedules k] is [k] per-message-seeded schedules (see
     {!Delay.seeded}) with distinct seeds. *)
-val seeded_schedules : int -> schedule list
+val seeded_schedules : int -> Csap_dsim.Adversary.t schedule list
 
 (** [adversarial_schedules g] is the built-in adversary battery for [g]:
-    the heaviest edge slowed to its full weight while everything else
-    races ahead ({!Delay.slow_edge}), direction-asymmetric delays that
-    maximise message crossings ({!Delay.race_crossing}), and the
-    near-instantaneous schedule ({!Delay.Near_zero}). *)
-val adversarial_schedules : Csap_graph.Graph.t -> schedule list
+    the heaviest edge ({!Csap_graph.Graph.heaviest_edge}) slowed to its
+    full weight while everything else races ahead ({!Delay.slow_edge}),
+    direction-asymmetric delays that maximise message crossings
+    ({!Delay.race_crossing}), and the near-instantaneous schedule
+    ({!Delay.Near_zero}). *)
+val adversarial_schedules :
+  Csap_graph.Graph.t -> Csap_dsim.Adversary.t schedule list
 
 (** The adaptive roster: the built-in observing adversaries
     ({!Csap_dsim.Adversary.greedy_commax},
@@ -45,37 +55,37 @@ val adversarial_schedules : Csap_graph.Graph.t -> schedule list
     run. Runs under these emit a replayable decision trace
     ({!Csap_dsim.Trace.Decision}); pair with [explore]'s [check_replay]
     to certify every adaptive worst case as an oblivious schedule. *)
-val adaptive_schedules : unit -> schedule list
+val adaptive_schedules : unit -> Csap_dsim.Adversary.t schedule list
 
-(** A protocol under test: [execute g adversary] runs it on [g] under
-    the adversary (oblivious or adaptive), checks the schedule-invariant
-    output against a sequential oracle, and returns the run's measures —
-    or a description of the violated invariant. *)
+(** [fault_schedules g k] is [k] seeded plans cycling through four
+    shapes: pure loss, loss + duplication, loss + a burst outage on the
+    heaviest edge, and loss + a crash-restart of one vertex (never the
+    conventional source 0). Outage and crash windows are placed within
+    the weighted diameter of [g] so they overlap any execution. *)
+val fault_schedules :
+  Csap_graph.Graph.t -> int -> Csap_dsim.Fault.plan schedule list
+
+(** A protocol under test: [execute g adversary plan] runs it on [g]
+    under the adversary (oblivious or adaptive) and, when given one, the
+    fault plan; checks the schedule-invariant output against a
+    sequential oracle; and returns the run's measures — or a description
+    of the violated invariant. *)
 type target = {
   name : string;
   execute :
     Csap_graph.Graph.t ->
     Csap_dsim.Adversary.t ->
+    Csap_dsim.Fault.plan option ->
     (Csap.Measures.t, string) result;
 }
 
-(** [protocol_target entry] wraps a {!Csap.Protocol} registry entry as a
-    sweep target: the run goes through {!Csap.Protocol.execute} with the
-    schedule's adversary, and the invariant is the entry's own oracle
-    check. Knobs ([root], [pulses], [strip], [k], [q]) are forwarded into
-    the {!Csap.Protocol.Run.cfg}. *)
-val protocol_target :
-  ?root:int ->
-  ?pulses:int ->
-  ?strip:int ->
-  ?k:int ->
-  ?q:float ->
-  Csap.Protocol.entry ->
-  target
-
-(** [target_for name] is {!protocol_target} of
-    [Csap.Protocol.find_exn name]; raises [Invalid_argument] on an
-    unknown protocol. *)
+(** [target_for name] wraps the {!Csap.Protocol} registry entry [name] as
+    a sweep target: the run goes through {!Csap.Protocol.execute} with
+    the schedule's adversary, and the invariant is the entry's own oracle
+    check. Given a plan, the run is behind the reliable shim; without
+    one, it is not. Knobs ([root], [pulses], [strip], [k], [q]) are
+    forwarded into the {!Csap.Protocol.Run.cfg}. Raises
+    [Invalid_argument] on an unknown protocol. *)
 val target_for :
   ?root:int -> ?pulses:int -> ?strip:int -> ?k:int -> ?q:float -> string
   -> target
@@ -85,184 +95,67 @@ val target_for :
     enough for a full (schedule x target) sweep. *)
 val registry_targets : ?root:int -> unit -> target list
 
-(** One (target, schedule) run. *)
+(** The standard fault roster: every registry protocol that supports
+    both raw fault plans and the reliable shim and is cheap enough to
+    sweep (flood, DFS, MST_centr, GHS, SPT_synch, global-sum), named
+    [rel-<protocol>]. *)
+val registry_fault_targets : ?root:int -> unit -> target list
+
+(** One (target, schedule[, plan]) run. *)
 type run_result = {
   target : string;
   schedule : string;
+  fault : string option;  (** the plan's label, in a fault sweep *)
   ok : bool;
   violation : string option;  (** why the invariant failed, when [not ok] *)
   measures : Csap.Measures.t;  (** zero when the run failed *)
 }
 
-(** {2 Enumerable sweep cells}
+(** Retransmission overhead over a fault sweep's passing runs. *)
+type overhead = {
+  clean_comm : int;  (** the unwrapped fault-free run's weighted comm *)
+  worst_overhead : float;  (** max of comm / [clean_comm] *)
+  mean_overhead : float;  (** mean of comm / [clean_comm] *)
+}
 
-    A sweep is a grid; these expose it as a flat list of independent
-    cells so external executors (the bench farm, a job server) can run
-    the {e same} work the in-process sweep runs — one cell at a time,
-    in any order, with checkpointing between cells. [explore] itself
-    runs over this enumeration, so both paths share one code path. *)
-
-(** [sweep_cells ~targets ~schedules] is the (target, schedule) grid in
-    [explore]'s order: target-major, schedule-minor. *)
-val sweep_cells :
-  targets:target list -> schedules:schedule list -> (target * schedule) list
-
-(** [run_cell g (t, s)] executes one cell: [t] under a fresh adversary
-    from [s]. Never raises — an exception becomes a failed
-    {!run_result}. *)
-val run_cell : Csap_graph.Graph.t -> target * schedule -> run_result
-
-(** Per-target aggregate over all schedules. *)
+(** Per-target aggregate over all runs. *)
 type summary = {
   target_name : string;
-  runs : run_result array;  (** in schedule order *)
+  runs : run_result array;  (** schedule-major, plan-minor order *)
   worst_time : float;  (** max completion time over passing runs *)
   worst_comm : int;  (** max weighted communication over passing runs *)
   failures : int;
+  overhead : overhead option;  (** [Some] exactly in a fault sweep *)
 }
 
-(** [explore ?pool ?trace_dir ?check_replay g ~targets ~schedules] runs
-    every target under every schedule, sharded over [pool] (default
-    {!Csap_pool.default}), and returns one summary per target, in target
-    order. With [check_replay] (default [false]), each passing run is
+(** [explore ?pool ?trace_dir ?check_replay ?faults g ~targets
+    ~schedules] runs every target under every schedule — and, with
+    [faults], under every (schedule, plan) pair — sharded over [pool]
+    (default {!Csap_pool.default}), and returns one summary per target,
+    in target order.
+
+    With [faults], each target's overhead denominator is its own run
+    under {!Delay.Exact} with no plan (hence no shim); if that baseline
+    violates its invariant, [explore] raises [Failure].
+
+    With [check_replay] (default [false]), each passing run is
     re-executed under a trace collector and then {e replayed} — re-run
     under {!Csap_dsim.Trace.recorded} of its own trace as an oblivious
-    oracle — demanding event-for-event equality modulo the
-    {!Csap_dsim.Trace.Decision} records only the recorded run emits;
-    divergence marks the run failed. This is the certificate that an
-    adaptive worst case is reproducible as an oblivious schedule. With
-    [trace_dir], each failing run is re-executed under a trace collector
-    and its traces written to
-    [trace_dir/<target>--<schedule>--<i>.jsonl] (the directory is
-    created if missing). *)
+    oracle, with the same plan — demanding event-for-event equality
+    modulo the {!Csap_dsim.Trace.Decision} records only the recorded run
+    emits; divergence marks the run failed. This is the certificate that
+    an adaptive worst case is reproducible as an oblivious schedule.
+
+    With [trace_dir], each failing run is re-executed under a trace
+    collector and its traces written to
+    [trace_dir/<target>--<schedule>[--<plan>]--<i>.jsonl]; the directory
+    and any missing parents are created. *)
 val explore :
   ?pool:Csap_pool.t ->
   ?trace_dir:string ->
   ?check_replay:bool ->
+  ?faults:Csap_dsim.Fault.plan schedule list ->
   Csap_graph.Graph.t ->
   targets:target list ->
-  schedules:schedule list ->
+  schedules:Csap_dsim.Adversary.t schedule list ->
   summary list
-
-(** {2 Fault sweep}
-
-    The same quantification extended to faulty networks: the adversary
-    now also picks which messages to lose or duplicate, which links to
-    black out and which vertices to crash (a {!Csap_dsim.Fault.plan}).
-    Protocols run behind the {!Csap_dsim.Reliable} shim, so the oracle
-    checks are the {e same} as the clean sweep's — the shim is what makes
-    them hold — and the interesting number becomes the retransmission
-    overhead factor: weighted communication under faults divided by the
-    clean unwrapped run's. *)
-
-(** A named way to build a fault plan; [fmake] is called once per run. *)
-type fault_schedule = {
-  flabel : string;
-  fmake : unit -> Csap_dsim.Fault.plan;
-}
-
-(** [fault_schedules g k] is [k] seeded plans cycling through four
-    shapes: pure loss, loss + duplication, loss + a burst outage on the
-    heaviest edge, and loss + a crash-restart of one vertex (never the
-    conventional source 0). Outage and crash windows are placed within
-    the weighted diameter of [g] so they overlap any execution. *)
-val fault_schedules : Csap_graph.Graph.t -> int -> fault_schedule list
-
-(** A protocol under fault test: [fexecute g adversary plan] runs the
-    shim-wrapped protocol and checks the clean oracle; [fclean g] runs
-    the unwrapped protocol on the fault-free network — the overhead
-    denominator. *)
-type fault_target = {
-  fname : string;
-  fexecute :
-    Csap_graph.Graph.t ->
-    Csap_dsim.Adversary.t ->
-    Csap_dsim.Fault.plan ->
-    (Csap.Measures.t, string) result;
-  fclean : Csap_graph.Graph.t -> Csap.Measures.t;
-}
-
-(** [protocol_fault_target entry] wraps a registry entry as a fault
-    target: [fexecute] runs it behind the reliable shim under the plan
-    and checks the entry's own invariant (the shim is what makes the
-    clean oracle hold under faults); [fclean] is the same registry run
-    with no plan and no shim. *)
-val protocol_fault_target :
-  ?root:int ->
-  ?pulses:int ->
-  ?strip:int ->
-  ?k:int ->
-  ?q:float ->
-  Csap.Protocol.entry ->
-  fault_target
-
-(** [fault_target_for name] is {!protocol_fault_target} of
-    [Csap.Protocol.find_exn name]. *)
-val fault_target_for :
-  ?root:int -> ?pulses:int -> ?strip:int -> ?k:int -> ?q:float -> string
-  -> fault_target
-
-(** The standard fault roster: every registry protocol that supports
-    both raw fault plans and the reliable shim and is cheap enough to
-    sweep (flood, DFS, MST_centr, GHS, SPT_synch, global-sum). *)
-val registry_fault_targets : ?root:int -> unit -> fault_target list
-
-(** One (target, delay schedule, fault plan) run. *)
-type fault_run = {
-  frun_target : string;
-  fdelay : string;
-  fschedule : string;
-  fok : bool;
-  fviolation : string option;
-  fmeasures : Csap.Measures.t;  (** zero when the run failed *)
-  foverhead : float;
-      (** weighted comm of this run / the target's clean comm; [0] when
-          the run failed *)
-}
-
-(** [fault_sweep_cells ~targets ~delays ~faults] is the (target, delay,
-    fault) grid in [explore_faults]'s order: target-major, delay-next,
-    fault-minor. *)
-val fault_sweep_cells :
-  targets:fault_target list ->
-  delays:schedule list ->
-  faults:fault_schedule list ->
-  (fault_target * schedule * fault_schedule) list
-
-(** [run_fault_cell g ~clean_comm (t, d, f)] executes one fault cell;
-    [clean_comm] is the target's fault-free weighted communication (the
-    overhead denominator, [t.fclean g]). Never raises. *)
-val run_fault_cell :
-  Csap_graph.Graph.t ->
-  clean_comm:int ->
-  fault_target * schedule * fault_schedule ->
-  fault_run
-
-(** Per-target aggregate over all (delay, fault) pairs. *)
-type fault_summary = {
-  ftarget_name : string;
-  fruns : fault_run array;  (** delay-major, fault-minor order *)
-  clean_comm : int;  (** the unwrapped fault-free run's weighted comm *)
-  worst_overhead : float;  (** max over passing runs *)
-  mean_overhead : float;  (** mean over passing runs *)
-  ffailures : int;
-}
-
-(** [explore_faults ?pool ?trace_dir ?check_replay g ~targets ~delays
-    ~faults] runs every target under every (delay schedule, fault plan)
-    pair, sharded over [pool]. With [check_replay] (default [false]),
-    each passing run is re-executed under a trace collector and then
-    {e replayed} — re-run under {!Csap_dsim.Trace.recorded} of its own
-    trace with the same fault plan — demanding event-for-event equality;
-    divergence marks the run failed. With [trace_dir], each failing
-    run's traces are written to
-    [trace_dir/<target>--<delay>--<fault>--<i>.jsonl]. *)
-val explore_faults :
-  ?pool:Csap_pool.t ->
-  ?trace_dir:string ->
-  ?check_replay:bool ->
-  Csap_graph.Graph.t ->
-  targets:fault_target list ->
-  delays:schedule list ->
-  faults:fault_schedule list ->
-  fault_summary list

@@ -55,7 +55,7 @@ let test_schedule_batteries () =
     (List.length (S.seeded_schedules 8));
   let advs = S.adversarial_schedules g in
   Alcotest.(check int) "three built-in adversaries" 3 (List.length advs);
-  let labels = List.map (fun (s : S.schedule) -> s.S.label) advs in
+  let labels = List.map (fun (s : _ S.schedule) -> s.S.label) advs in
   Alcotest.(check bool) "slow-edge, race, near-zero" true
     (List.exists (fun l -> l = "race-crossing") labels
     && List.exists (fun l -> l = "near-zero") labels
@@ -75,7 +75,7 @@ let test_schedule_dependence_detected () =
     {
       S.name = "flood-tree-fixed";
       execute =
-        (fun g adv ->
+        (fun g adv _plan ->
           Result.bind (oblivious_delay adv) (fun delay ->
               let r = Csap.Flood.run ~delay g ~source:0 in
               if Tree.edges r.Csap.Flood.tree = Tree.edges reference then
@@ -83,11 +83,13 @@ let test_schedule_dependence_detected () =
               else Error "first-contact tree depends on the schedule"));
     }
   in
-  let dir =
+  (* A nested directory: [explore] creates the missing parent too. *)
+  let parent =
     Filename.concat
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "csap-sched-test-%d" (Unix.getpid ()))
   in
+  let dir = Filename.concat parent "nested" in
   (* Oblivious schedules only: the bogus target rejects adaptive ones
      before any engine runs, so they would fail without leaving a trace. *)
   let summaries =
@@ -116,7 +118,8 @@ let test_schedule_dependence_detected () =
         (Tree.edges r.Csap.Flood.tree <> Tree.edges reference))
     dumped;
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) dumped;
-  Sys.rmdir dir
+  Sys.rmdir dir;
+  Sys.rmdir parent
 
 (* The adaptive roster passes the replay audit: every adaptive worst case
    re-executes bit-identically as an oblivious schedule built from its
@@ -154,43 +157,67 @@ let test_fault_sweep_passes () =
   let faults = S.fault_schedules g 4 in
   Alcotest.(check int) "requested plan count" 4 (List.length faults);
   let summaries =
-    S.explore_faults ~check_replay:true g ~targets:fault_targets ~delays
-      ~faults
+    S.explore ~check_replay:true ~faults g ~targets:fault_targets
+      ~schedules:delays
   in
   Alcotest.(check int) "one summary per target" (List.length fault_targets)
     (List.length summaries);
   List.iter
-    (fun (s : S.fault_summary) ->
+    (fun (s : S.summary) ->
+      let o = Option.get s.S.overhead in
       Alcotest.(check int)
-        (Printf.sprintf "%s: zero failures" s.S.ftarget_name)
-        0 s.S.ffailures;
+        (Printf.sprintf "%s: zero failures" s.S.target_name)
+        0 s.S.failures;
       Alcotest.(check int)
-        (Printf.sprintf "%s: one run per (delay, fault) pair" s.S.ftarget_name)
+        (Printf.sprintf "%s: one run per (delay, fault) pair" s.S.target_name)
         (List.length delays * List.length faults)
-        (Array.length s.S.fruns);
+        (Array.length s.S.runs);
       Alcotest.(check bool)
-        (Printf.sprintf "%s: clean comm positive" s.S.ftarget_name)
-        true (s.S.clean_comm > 0);
+        (Printf.sprintf "%s: clean comm positive" s.S.target_name)
+        true (o.S.clean_comm > 0);
       (* Retransmissions and duplicate suppression only add traffic. *)
       Alcotest.(check bool)
-        (Printf.sprintf "%s: overhead factor >= 1" s.S.ftarget_name)
+        (Printf.sprintf "%s: overhead factor >= 1" s.S.target_name)
         true
-        (s.S.mean_overhead >= 1.0
-        && s.S.worst_overhead >= s.S.mean_overhead);
+        (o.S.mean_overhead >= 1.0
+        && o.S.worst_overhead >= o.S.mean_overhead);
       Array.iter
-        (fun (r : S.fault_run) ->
+        (fun (r : S.run_result) ->
           Alcotest.(check bool)
-            (Printf.sprintf "%s/%s/%s passes" r.S.frun_target r.S.fdelay
-               r.S.fschedule)
-            true r.S.fok)
-        s.S.fruns)
+            (Printf.sprintf "%s/%s/%s passes" r.S.target r.S.schedule
+               (Option.get r.S.fault))
+            true r.S.ok)
+        s.S.runs)
+    summaries
+
+(* Adaptive adversaries under fault plans, behind the shim, pass the
+   replay audit: the decision trace plus the same plan reproduce the run
+   event for event. *)
+let test_fault_adaptive_replay_certified () =
+  let g = Gen.grid 3 3 ~w:4 in
+  let summaries =
+    S.explore ~check_replay:true ~faults:(S.fault_schedules g 4) g
+      ~targets:fault_targets ~schedules:(S.adaptive_schedules ())
+  in
+  Alcotest.(check int) "one summary per target" (List.length fault_targets)
+    (List.length summaries);
+  List.iter
+    (fun (s : S.summary) ->
+      let o = Option.get s.S.overhead in
+      Alcotest.(check int)
+        (Printf.sprintf "%s: adaptive fault runs replay cleanly"
+           s.S.target_name)
+        0 s.S.failures;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: overhead factor >= 1" s.S.target_name)
+        true (o.S.mean_overhead >= 1.0))
     summaries
 
 let test_fault_sweep_deterministic () =
   let g = Gen.chorded_cycle 8 ~chord_w:8 in
   let go () =
-    S.explore_faults g ~targets:fault_targets
-      ~delays:(S.adversarial_schedules g) ~faults:(S.fault_schedules g 4)
+    S.explore ~faults:(S.fault_schedules g 4) g ~targets:fault_targets
+      ~schedules:(S.adversarial_schedules g)
   in
   Alcotest.(check bool) "two fault sweeps identical" true (go () = go ())
 
@@ -200,16 +227,14 @@ let test_fault_failure_traced () =
   let g = Gen.grid 3 3 ~w:4 in
   let fragile =
     {
-      S.fname = "mst-unshimmed";
-      fexecute =
-        (fun g adv plan ->
+      S.name = "mst-unshimmed";
+      execute =
+        (fun g adv faults ->
           Result.bind (oblivious_delay adv) (fun delay ->
-              let r = Csap.Mst_ghs.run ~delay ~faults:plan g in
+              let r = Csap.Mst_ghs.run ~delay ?faults g in
               if Csap_graph.Mst.is_mst g r.Csap.Mst_ghs.mst then
                 Ok r.Csap.Mst_ghs.measures
               else Error "not an MST"));
-      fclean =
-        (fun g -> (Csap.Mst_ghs.run g).Csap.Mst_ghs.measures);
     }
   in
   let dir =
@@ -219,12 +244,12 @@ let test_fault_failure_traced () =
   in
   let delays = [ List.hd (S.adversarial_schedules g) ] in
   let summaries =
-    S.explore_faults ~trace_dir:dir g ~targets:[ fragile ] ~delays
-      ~faults:(S.fault_schedules g 2)
+    S.explore ~trace_dir:dir ~faults:(S.fault_schedules g 2) g
+      ~targets:[ fragile ] ~schedules:delays
   in
   let s = List.hd summaries in
   Alcotest.(check bool) "unshimmed GHS fails under faults" true
-    (s.S.ffailures > 0);
+    (s.S.failures > 0);
   let dumped = Sys.readdir dir in
   Alcotest.(check bool) "failing traces dumped" true
     (Array.length dumped > 0);
@@ -239,6 +264,19 @@ let test_fault_failure_traced () =
     dumped;
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) dumped;
   Sys.rmdir dir
+
+(* The overhead baseline is checked too: a target whose plain run breaks
+   its invariant stops the fault sweep instead of yielding a ratio. *)
+let test_fault_baseline_checked () =
+  let g = Gen.grid 3 3 ~w:4 in
+  let broken = { S.name = "broken"; execute = (fun _ _ _ -> Error "broken") } in
+  Alcotest.(check bool) "broken baseline raises" true
+    (match
+       S.explore ~faults:(S.fault_schedules g 1) g ~targets:[ broken ]
+         ~schedules:(S.adversarial_schedules g)
+     with
+    | _ -> false
+    | exception Failure _ -> true)
 
 let suite =
   [
@@ -255,8 +293,12 @@ let suite =
     Alcotest.test_case "sweep is deterministic" `Quick test_deterministic;
     Alcotest.test_case "fault sweep passes with replay checks" `Quick
       test_fault_sweep_passes;
+    Alcotest.test_case "adaptive fault runs replay as oblivious schedules"
+      `Quick test_fault_adaptive_replay_certified;
     Alcotest.test_case "fault sweep is deterministic" `Quick
       test_fault_sweep_deterministic;
     Alcotest.test_case "fault failure detected and traced" `Quick
       test_fault_failure_traced;
+    Alcotest.test_case "fault baseline invariant checked" `Quick
+      test_fault_baseline_checked;
   ]
