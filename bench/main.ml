@@ -3,10 +3,11 @@
 
    Figures declare independent jobs (see [Report.figure]); the
    work-stealing [Csap_pool] runs them on OCaml 5 domains, then every
-   figure is rendered in declaration order from the collected rows — so
-   the printed tables are byte-identical whatever the parallelism.
-   Per-job wall-clock times, per-domain pool busy times and all table
-   cells are also dumped to BENCH_RESULTS.json.
+   figure is rendered in declaration order from the collected rows. A
+   figure run is a deterministic check generator: the printed tables and
+   BENCH_RESULTS.json (every figure's rows) are byte-identical whatever
+   the parallelism. Timings live in bench/perf; only the opt-in [micro]
+   pairs measure time here.
 
    Usage:
      dune exec bench/main.exe                 # all figures, parallel
@@ -83,7 +84,7 @@ let rec parse opts = function
 
 type slot =
   | Pending
-  | Done of Report.job_result
+  | Done of Report.cell list list
   | Failed of string
 
 let () =
@@ -116,35 +117,13 @@ let () =
          (fun fig fig_slots ->
            List.mapi
              (fun ji job () ->
-               (* GC stats are domain-local in OCaml 5 and a job runs
-                  wholly on one pool worker, so the delta is exactly this
-                  job's allocation. Minor words come from the dedicated
-                  [Gc.minor_words] external — quick_stat's field only
-                  advances at minor collections (OCaml 5.1). *)
-               let g0 = Gc.quick_stat () in
-               let w0 = Gc.minor_words () in
-               let t0 = Unix.gettimeofday () in
-               match job.Report.run () with
-               | rows ->
-                 let wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-                 let g1 = Gc.quick_stat () in
-                 fig_slots.(ji) <-
-                   Done
-                     {
-                       Report.job_label = job.Report.label;
-                       rows;
-                       wall_ms;
-                       alloc_minor_words = Gc.minor_words () -. w0;
-                       alloc_promoted_words =
-                         g1.Gc.promoted_words -. g0.Gc.promoted_words;
-                       alloc_major_collections =
-                         g1.Gc.major_collections - g0.Gc.major_collections;
-                     }
-               | exception e ->
-                 fig_slots.(ji) <-
+               fig_slots.(ji) <-
+                 (match job.Report.run () with
+                 | rows -> Done rows
+                 | exception e ->
                    Failed
                      (Printf.sprintf "%s/%s: %s" fig.Report.id
-                        job.Report.label (Printexc.to_string e)))
+                        job.Report.label (Printexc.to_string e))))
              fig.Report.jobs)
          figures slots)
     |> Array.of_list
@@ -152,67 +131,38 @@ let () =
   (* Each task writes exactly one slot; the pool joins every domain
      before returning, so the post-run reads race with nothing. *)
   let pool = Csap_pool.create ~domains:opts.jobs () in
-  let t0 = Unix.gettimeofday () in
   Csap_pool.run pool ~tasks:(Array.length tasks) (fun ~worker:_ i ->
       tasks.(i) ());
-  let pool_wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-  let pool_busy_ms = Csap_pool.busy_ms pool in
   let figure_results =
     List.map2
       (fun fig fig_slots ->
-        let res =
+        let rows =
           Array.map
             (function
-              | Done r -> r
+              | Done rows -> rows
               | Failed msg ->
                 Format.eprintf "bench job failed: %s@." msg;
                 exit 1
               | Pending -> assert false)
             fig_slots
         in
-        (fig, res))
+        (fig, rows))
       figures slots
   in
   (* Render in declaration order, sequentially, after all jobs finished:
      the output is independent of the pool's scheduling. *)
   List.iter
-    (fun (fig, res) ->
+    (fun (fig, rows) ->
       Report.heading fig.Report.id fig.Report.title;
-      fig.Report.render (Array.map (fun r -> r.Report.rows) res))
+      fig.Report.render rows)
     figure_results;
   let micro_rows = if opts.micro then Bench_micro.run () else [] in
   (match opts.json with
   | None -> ()
   | Some path ->
-    let figures_json =
-      Report.json_list
-        (fun (fig, res) ->
-          Report.json_of_figure ~id:fig.Report.id ~title:fig.Report.title
-            (Array.to_list res))
-        figure_results
-    in
-    let micro_json =
-      Report.json_list
-        (fun (name, v) ->
-          Printf.sprintf "{\"name\":\"%s\",\"value\":%s}"
-            (Report.json_escape name)
-            (Report.json_of_cell (Report.Float v)))
-        micro_rows
-    in
-    let busy_json =
-      "["
-      ^ String.concat ","
-          (Array.to_list
-             (Array.map (Printf.sprintf "%.3f") pool_busy_ms))
-      ^ "]"
-    in
-    let doc =
-      Printf.sprintf
-        "{\"harness\":\"csap-bench\",\"pool_domains\":%d,\"pool_wall_ms\":%.3f,\"pool_busy_ms\":%s,\"figures\":%s,\"micro\":%s}\n"
-        opts.jobs pool_wall_ms busy_json figures_json micro_json
-    in
     let oc = open_out path in
-    output_string oc doc;
+    output_string oc (Report.to_json figure_results micro_rows);
+    output_char oc '\n';
     close_out oc;
     Format.eprintf "wrote %s@." path);
   Format.printf "@.done.@."

@@ -75,20 +75,6 @@ type figure = {
   render : cell list list array -> unit;
 }
 
-(* A timed job result, as recorded by the pool. The alloc_* fields are
-   the GC delta over the job body, read from the worker domain's own
-   counters (OCaml 5 GC stats are domain-local, and a job runs entirely
-   on one domain): minor words allocated, words promoted to the major
-   heap, and major collections finished. *)
-type job_result = {
-  job_label : string;
-  rows : cell list list;
-  wall_ms : float;
-  alloc_minor_words : float;
-  alloc_promoted_words : float;
-  alloc_major_collections : int;
-}
-
 let job label run = { label; run }
 
 (* A job wrapping a single row. *)
@@ -99,46 +85,40 @@ let row_job label run = { label; run = (fun () -> [ run () ]) }
 let all_rows results = List.concat (Array.to_list results)
 
 (* ---- JSON emission ---------------------------------------------------- *)
-(* Hand-rolled writer (the environment has no JSON library); the output
-   is plain JSON, validated by the CI smoke job. *)
+(* Through the farm's codec: exact [%.17g] floats, NaN and infinities as
+   [null]. Figure rows are a pure function of the code, so a figure run
+   writes the same bytes at any pool width; only the opt-in micro pairs
+   are measurements. *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module J = Csap_farm.Jsonx
 
 let json_of_cell = function
-  | Int i -> string_of_int i
-  | Float f ->
-    (* JSON has no nan/infinity literals. *)
-    if Float.is_nan f || Float.abs f = infinity then "null"
-    else Printf.sprintf "%.6g" f
-  | Str s -> Printf.sprintf "\"%s\"" (json_escape s)
+  | Int i -> J.Int i
+  | Float f -> J.Float f
+  | Str s -> J.Str s
 
-let json_list to_json xs =
-  "[" ^ String.concat "," (List.map to_json xs) ^ "]"
-
-let json_of_row row = json_list json_of_cell row
-
-let json_of_job_result r =
-  Printf.sprintf
-    "{\"label\":\"%s\",\"wall_ms\":%.3f,\"alloc_minor_words\":%.0f,\"alloc_promoted_words\":%.0f,\"alloc_major_collections\":%d,\"rows\":%s}"
-    (json_escape r.job_label) r.wall_ms r.alloc_minor_words
-    r.alloc_promoted_words r.alloc_major_collections
-    (json_list json_of_row r.rows)
-
-let json_of_figure ~id ~title results =
-  Printf.sprintf "{\"id\":\"%s\",\"title\":\"%s\",\"cells\":%s}"
-    (json_escape id) (json_escape title)
-    (json_list json_of_job_result results)
+(* The BENCH_RESULTS.json document: [figures] pairs each figure with its
+   per-job rows in declaration order; [micro] holds (name, value) pairs. *)
+let to_json figures micro =
+  let row r = J.Arr (List.map json_of_cell r) in
+  let cell job rows =
+    J.Obj [ ("label", J.Str job.label); ("rows", J.Arr (List.map row rows)) ]
+  in
+  let figure (fig, results) =
+    J.Obj
+      [
+        ("id", J.Str fig.id);
+        ("title", J.Str fig.title);
+        ("cells", J.Arr (List.map2 cell fig.jobs (Array.to_list results)));
+      ]
+  in
+  let micro_row (name, v) =
+    J.Obj [ ("name", J.Str name); ("value", J.Float v) ]
+  in
+  J.to_string
+    (J.Obj
+       [
+         ("harness", J.Str "csap-bench");
+         ("figures", J.Arr (List.map figure figures));
+         ("micro", J.Arr (List.map micro_row micro));
+       ])

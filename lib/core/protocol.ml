@@ -86,7 +86,6 @@ type caps = {
   needs_root : bool;
   supports_faults : bool;
   supports_reliable : bool;
-  synchronous_only : bool;
   fixed_family : bool;
   supports_domains : bool;
   supports_adaptive : bool;
@@ -97,7 +96,6 @@ let default_caps =
     needs_root = true;
     supports_faults = true;
     supports_reliable = true;
-    synchronous_only = false;
     fixed_family = false;
     supports_domains = false;
     supports_adaptive = true;
@@ -851,7 +849,7 @@ module Sync_alpha_p = struct
   let name = "sync-alpha"
   let summary = "synchronizer alpha_w running the SPT wave (Section 4)"
   let category = Synchronizer
-  let caps = { default_caps with synchronous_only = true }
+  let caps = default_caps
 
   (* The wave runs for O(D) pulses; alpha_w pays O(E) per pulse and
      O(d) time per pulse. *)
@@ -871,7 +869,7 @@ module Sync_beta_p = struct
   let name = "sync-beta"
   let summary = "synchronizer beta_w running the SPT wave (Section 4)"
   let category = Synchronizer
-  let caps = { default_caps with synchronous_only = true }
+  let caps = default_caps
 
   let claimed =
     [ Claim.comm "E + D * V"; Claim.time "D^2" ]
@@ -893,7 +891,7 @@ module Sync_gamma_p = struct
     "synchronizer gamma_w over the normalized network (Sections 4-5)"
 
   let category = Synchronizer
-  let caps = { default_caps with synchronous_only = true }
+  let caps = default_caps
 
   let claimed =
     [ Claim.comm "E + D * n * logn"; Claim.time "D^2 * logn" ]

@@ -109,8 +109,6 @@ type caps = {
   needs_root : bool;  (** validates [cfg.root] against [0, n) *)
   supports_faults : bool;  (** accepts a raw {!Csap_dsim.Fault.plan} *)
   supports_reliable : bool;  (** accepts [reliable = true] *)
-  synchronous_only : bool;
-      (** a synchronizer driving a synchronous protocol *)
   fixed_family : bool;  (** builds its own graph from size parameters *)
   supports_domains : bool;
       (** passes [cfg.domains] to {!Csap_dsim.Net.make}, running on the

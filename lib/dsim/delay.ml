@@ -13,40 +13,12 @@ type t =
 
 let epsilon = 1e-6
 
-let sample t ~w =
-  assert (w >= 1);
-  let fw = float_of_int w in
-  match t with
-  | Exact -> fw
-  | Uniform rng ->
-    let u = Csap_graph.Rng.float rng in
-    (* (0, w]: map [0,1) to (0, w] by flipping the interval. *)
-    (1.0 -. u) *. fw
-  | Scaled c ->
-    assert (c > 0.0 && c <= 1.0);
-    c *. fw
-  | Near_zero -> epsilon
-  | Jitter rng ->
-    let u = Csap_graph.Rng.float rng in
-    (0.5 +. (0.5 *. (1.0 -. u))) *. fw
-  | Oracle { name; _ } ->
-    invalid_arg
-      (Printf.sprintf
-         "Delay.sample: oracle %S needs per-message context (use sample_on)"
-         name)
-
-let sample_on t ~edge_id ~dir ~nth ~w =
-  match t with
-  | Oracle { fn; _ } -> fn ~edge_id ~dir ~nth ~w
-  | _ -> sample t ~w
-
-(* [sample_on], but the sample is stored into [out.(0)] instead of
-   returned: a float returned across a non-inlined call is boxed, and
-   the engine's send path must not allocate. Each branch stores its
-   result directly (a float-array write, unboxed), so the static models
-   (Exact, Scaled, Near_zero) produce zero heap words; the RNG and
-   oracle models still pay their callee's boxed return. Must sample
-   exactly like [sample_on] — same RNG consumption, same values. *)
+(* The sample is stored into [out.(0)] instead of returned: a float
+   returned across a non-inlined call is boxed, and the engine's send
+   path must not allocate. Each branch stores its result directly (a
+   float-array write, unboxed), so the static models (Exact, Scaled,
+   Near_zero) produce zero heap words; the RNG and oracle models still
+   pay their callee's boxed return. *)
 let sample_into t ~edge_id ~dir ~nth ~w out =
   assert (w >= 1);
   let fw = float_of_int w in
@@ -54,6 +26,7 @@ let sample_into t ~edge_id ~dir ~nth ~w out =
   | Exact -> out.(0) <- fw
   | Uniform rng ->
     let u = Csap_graph.Rng.float rng in
+    (* (0, w]: map [0,1) to (0, w] by flipping the interval. *)
     out.(0) <- (1.0 -. u) *. fw
   | Scaled c ->
     assert (c > 0.0 && c <= 1.0);

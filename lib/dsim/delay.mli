@@ -39,23 +39,14 @@ type t =
       (** delay in [[w(e)/2, w(e)]] — bounded jitter around the weight *)
   | Oracle of oracle  (** programmable per-message schedule *)
 
-(** [sample t ~w] draws a delay in [(0, w]]; [w >= 1] required. Raises
-    [Invalid_argument] on {!Oracle} (an oracle needs the per-message
-    context; use {!sample_on}). *)
-val sample : t -> w:int -> float
-
-(** [sample_on t ~edge_id ~dir ~nth ~w] draws the delay of the [nth]
-    message on directed edge [(edge_id, dir)]. For the five fixed
-    policies this is exactly {!sample} (bit-identical; the context is
-    ignored); for {!Oracle} it applies the oracle function. *)
-val sample_on : t -> edge_id:int -> dir:int -> nth:int -> w:int -> float
-
-(** [sample_into t ~edge_id ~dir ~nth ~w out] is {!sample_on} with the
-    sample stored into [out.(0)] instead of returned — a float-array
-    write instead of a boxed float return, so the engine's send path
-    stays allocation-free under the static models (Exact, Scaled,
-    Near_zero). Samples exactly like {!sample_on}: same RNG consumption
-    order, same values. *)
+(** [sample_into t ~edge_id ~dir ~nth ~w out] stores into [out.(0)]
+    the delay of the [nth] message (0-based) on directed edge
+    [(edge_id, dir)] of weight [w]; [w >= 1] required. The five fixed
+    policies ignore the message context and draw from [(0, w]] as
+    documented on {!t}; {!Oracle} applies its function. The sample is
+    written, not returned — a float-array write instead of a boxed float
+    return — so the engines' send paths stay allocation-free under the
+    static models (Exact, Scaled, Near_zero). *)
 val sample_into :
   t -> edge_id:int -> dir:int -> nth:int -> w:int -> float array -> unit
 

@@ -676,12 +676,6 @@ let run_packed ~until ~max_events ~comm_budget t q =
   !limit_reached
 
 let run ?until ?(max_events = max_int) ?(comm_budget = max_int) t =
-  (* [Gc.minor_words ()] reads the live allocation pointer;
-     [quick_stat]'s minor_words field only advances at minor
-     collections (OCaml 5.1), which would report 0 for any run that
-     fits in one minor heap. *)
-  let g0 = Gc.quick_stat () in
-  let w0 = Gc.minor_words () in
   let events0 = t.metrics.Metrics.events in
   let limit_reached =
     match t.queue with
@@ -696,11 +690,6 @@ let run ?until ?(max_events = max_int) ?(comm_budget = max_int) t =
   (match until with
   | Some limit when limit_reached -> t.clock.(0) <- Float.max t.clock.(0) limit
   | _ -> ());
-  let g1 = Gc.quick_stat () in
-  Metrics.add_alloc t.metrics
-    ~minor_words:(Gc.minor_words () -. w0)
-    ~promoted_words:(g1.Gc.promoted_words -. g0.Gc.promoted_words)
-    ~major_collections:(g1.Gc.major_collections - g0.Gc.major_collections);
   t.metrics.Metrics.events - events0
 
 let metrics t = t.metrics

@@ -95,7 +95,7 @@ val set_handler : 'msg t -> int -> (src:int -> 'msg -> unit) -> unit
     [Invalid_argument] naming the offending [(src, dst)] pair when that
     edge does not exist, or when the delay model produces a delay that is
     not finite and non-negative (NaN would corrupt the event queue's
-    strict ordering; see {!Delay.sample_on}). *)
+    strict ordering; see {!Delay.sample_into}). *)
 val send : 'msg t -> src:int -> dst:int -> 'msg -> unit
 
 (** [schedule t ~delay f] runs the local event [f] after [delay] time;

@@ -4,9 +4,6 @@ type t = {
   mutable completion_time : float;
   mutable last_delivery_time : float;
   mutable events : int;
-  mutable alloc_minor_words : float;
-  mutable alloc_promoted_words : float;
-  mutable alloc_major_collections : int;
 }
 
 let create () =
@@ -16,9 +13,6 @@ let create () =
     completion_time = 0.0;
     last_delivery_time = 0.0;
     events = 0;
-    alloc_minor_words = 0.0;
-    alloc_promoted_words = 0.0;
-    alloc_major_collections = 0;
   }
 
 let reset t =
@@ -26,22 +20,11 @@ let reset t =
   t.weighted_comm <- 0;
   t.completion_time <- 0.0;
   t.last_delivery_time <- 0.0;
-  t.events <- 0;
-  t.alloc_minor_words <- 0.0;
-  t.alloc_promoted_words <- 0.0;
-  t.alloc_major_collections <- 0
+  t.events <- 0
 
 let add_send t ~w =
   t.messages <- t.messages + 1;
   t.weighted_comm <- t.weighted_comm + w
-
-(* One GC-snapshot delta folded into the accumulators; engines call this
-   once per [run] (and once per worker domain in the partitioned
-   engine — OCaml 5 GC counters are domain-local). *)
-let add_alloc t ~minor_words ~promoted_words ~major_collections =
-  t.alloc_minor_words <- t.alloc_minor_words +. minor_words;
-  t.alloc_promoted_words <- t.alloc_promoted_words +. promoted_words;
-  t.alloc_major_collections <- t.alloc_major_collections + major_collections
 
 let pp ppf t =
   Format.fprintf ppf "msgs=%d comm=%d time=%.2f events=%d" t.messages

@@ -15,12 +15,6 @@ type t = {
   mutable last_delivery_time : float;
       (** time of the last message delivery; what {!Csap.Measures} reads *)
   mutable events : int;  (** events processed by the engine *)
-  mutable alloc_minor_words : float;
-      (** minor-heap words allocated during [run]s of this engine *)
-  mutable alloc_promoted_words : float;
-      (** words promoted to the major heap during [run]s *)
-  mutable alloc_major_collections : int;
-      (** major collections finished during [run]s *)
 }
 
 val create : unit -> t
@@ -28,14 +22,5 @@ val reset : t -> unit
 
 (** [add_send t ~w] accounts for one message on an edge of weight [w]. *)
 val add_send : t -> w:int -> unit
-
-(** [add_alloc t ~minor_words ~promoted_words ~major_collections] folds
-    one GC-snapshot delta (a [Gc.quick_stat] difference over a [run])
-    into the allocation accumulators. Engines call it once per run —
-    and once per worker domain in the partitioned engine, whose GC
-    counters are domain-local. *)
-val add_alloc :
-  t -> minor_words:float -> promoted_words:float -> major_collections:int ->
-  unit
 
 val pp : Format.formatter -> t -> unit

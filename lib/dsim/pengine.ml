@@ -282,6 +282,8 @@ type 'msg ctx = {
      heap pops ascend) and re-keyed in; reused across windows. *)
   batch : Rows.t;
   pmetrics : Metrics.t;
+  (* One-slot output of [Delay.sample_into]. *)
+  dscratch : float array;
   mutable clock : float;
   mutable cur_key : key;
   mutable kids : int;
@@ -415,6 +417,7 @@ let create ?(delay = Delay.Exact) ?partition ~domains g =
           heap = Pheap.create ();
           batch = Rows.create ();
           pmetrics = Metrics.create ();
+          dscratch = [| 0.0 |];
           clock = 0.0;
           cur_key = Init 0;
           kids = 0;
@@ -477,7 +480,8 @@ let send ctx ~src ~dst payload =
   let nth = t.send_counts.(slot) in
   t.send_counts.(slot) <- nth + 1;
   Metrics.add_send ctx.pmetrics ~w;
-  let d = Delay.sample_on t.delay ~edge_id:id ~dir ~nth ~w in
+  Delay.sample_into t.delay ~edge_id:id ~dir ~nth ~w ctx.dscratch;
+  let d = ctx.dscratch.(0) in
   if not (d >= 0.0 && d < infinity) then
     invalid_arg
       (Printf.sprintf
@@ -729,26 +733,13 @@ let main_loop t ctx =
     end
   done
 
-(* GC statistics are domain-local in OCaml 5, so each worker snapshots
-   its own counters around the run and banks the delta into its
-   per-partition metrics — captured even when the run unwinds through
-   the barrier. *)
 let worker t ctx =
-  (* [Gc.minor_words ()] reads the allocation pointer; quick_stat's
-     minor_words only advances at minor collections (OCaml 5.1). *)
-  let g0 = Gc.quick_stat () in
-  let w0 = Gc.minor_words () in
-  (try main_loop t ctx with
+  try main_loop t ctx with
   | Barrier.Aborted -> ()
   | e ->
     let bt = Printexc.get_raw_backtrace () in
     t.fails.(ctx.p) <- Some (e, bt);
-    Barrier.abort t.barrier);
-  let g1 = Gc.quick_stat () in
-  Metrics.add_alloc ctx.pmetrics
-    ~minor_words:(Gc.minor_words () -. w0)
-    ~promoted_words:(g1.Gc.promoted_words -. g0.Gc.promoted_words)
-    ~major_collections:(g1.Gc.major_collections - g0.Gc.major_collections)
+    Barrier.abort t.barrier
 
 let merge_metrics t =
   Metrics.reset t.metrics;
@@ -763,11 +754,7 @@ let merge_metrics t =
       m.Metrics.completion_time <-
         Float.max m.Metrics.completion_time pm.Metrics.completion_time;
       m.Metrics.last_delivery_time <-
-        Float.max m.Metrics.last_delivery_time pm.Metrics.last_delivery_time;
-      (* Allocation is a sum over domains, not a max. *)
-      Metrics.add_alloc m ~minor_words:pm.Metrics.alloc_minor_words
-        ~promoted_words:pm.Metrics.alloc_promoted_words
-        ~major_collections:pm.Metrics.alloc_major_collections)
+        Float.max m.Metrics.last_delivery_time pm.Metrics.last_delivery_time)
     t.ctxs
 
 let run t =

@@ -84,17 +84,49 @@ let to_json c =
   in
   Jsonx.to_string (Jsonx.Obj fields)
 
+(* Every key [to_json] can write, with the JSON type its value must
+   have. [of_json] rejects any other key and any mistyped value instead
+   of silently falling back to a default. *)
+type kind = K_int | K_num | K_str | K_bool
+
+let field_kinds =
+  [ ("protocol", K_str); ("family", K_str); ("n", K_int); ("w", K_int);
+    ("seed", K_int); ("root", K_int); ("delay", K_str);
+    ("adversary", K_str); ("loss", K_num); ("dup", K_num);
+    ("fault_seed", K_int); ("reliable", K_bool); ("pulses", K_int);
+    ("strip", K_int); ("k", K_int); ("q", K_num); ("domains", K_int);
+    ("trace", K_str); ("check", K_bool) ]
+
+let field_error (k, v) =
+  match (List.assoc_opt k field_kinds, v) with
+  | None, _ -> Some (Printf.sprintf "cell: unknown field %S" k)
+  | Some K_int, Jsonx.Int _
+  | Some K_num, (Jsonx.Int _ | Jsonx.Float _)
+  | Some K_str, Jsonx.Str _
+  | Some K_bool, Jsonx.Bool _ ->
+    None
+  | Some kind, _ ->
+    let expected =
+      match kind with
+      | K_int -> "an int"
+      | K_num -> "a number"
+      | K_str -> "a string"
+      | K_bool -> "a bool"
+    in
+    Some (Printf.sprintf "cell: field %S: expected %s" k expected)
+
 let of_json s =
   match Jsonx.parse s with
   | Error e -> Error ("cell: " ^ e)
-  | Ok (Jsonx.Obj _ as j) -> (
+  | Ok (Jsonx.Obj kvs as j) -> (
     let m k = Jsonx.member k j in
     let int k d = Option.value ~default:d (Jsonx.to_int (m k)) in
     let flt k d = Option.value ~default:d (Jsonx.to_float (m k)) in
     let bool k d = Option.value ~default:d (Jsonx.to_bool (m k)) in
-    match Jsonx.to_str (m "protocol") with
-    | None -> Error "cell: missing \"protocol\" field"
-    | Some protocol ->
+    match (List.find_map field_error kvs, Jsonx.to_str (m "protocol")) with
+    | Some e, _ -> Error e
+    | None, None -> Error "cell: missing \"protocol\" field"
+    | None, Some protocol ->
       Ok
         {
           protocol;

@@ -71,7 +71,9 @@ val to_json : t -> string
 
 val of_json : string -> (t, string) result
 (** Inverse of [to_json]; also accepts hand-written objects (missing
-    optional fields take [make]'s defaults). [protocol] is required. *)
+    optional fields take [make]'s defaults). [protocol] is required. A
+    key [to_json] never writes, or a value of the wrong JSON type, is an
+    [Error] naming the field — never a silent default. *)
 
 val digest : t -> string
 (** Hex digest of [to_json t]; the identity used by checkpoint

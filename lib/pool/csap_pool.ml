@@ -1,7 +1,4 @@
-type t = {
-  domains : int;
-  busy : float array;  (* cumulative per-worker busy time, in ms *)
-}
+type t = { domains : int }
 
 let create ?domains () =
   let domains =
@@ -11,7 +8,7 @@ let create ?domains () =
       if d < 1 then invalid_arg "Csap_pool.create: domains < 1";
       d
   in
-  { domains; busy = Array.make domains 0.0 }
+  { domains }
 
 let domains t = t.domains
 
@@ -31,15 +28,6 @@ let default () =
   Mutex.unlock default_lock;
   t
 
-let busy_ms t = Array.copy t.busy
-let reset_stats t = Array.fill t.busy 0 (Array.length t.busy) 0.0
-
-(* Each worker claims task indices from [next] until exhaustion and adds
-   its busy time to its own [busy] slot; [Domain.join] publishes the
-   writes, so the post-join reads race with nothing. The first exception
-   (by worker claim order) is stashed and re-raised after every worker
-   has joined, keeping the "all tasks attempted or abandoned, no domain
-   leaked" invariant. *)
 (* A classic bounded monitor queue over a ring buffer. Two conditions:
    [not_full] wakes blocked producers, [not_empty] wakes parked workers.
    [close] broadcasts both so every blocked party re-examines the
@@ -138,21 +126,19 @@ let run t ~tasks f =
   if tasks > 0 then begin
     let next = Atomic.make 0 in
     let failed : exn option Atomic.t = Atomic.make None in
-    let worker w =
-      let t0 = Unix.gettimeofday () in
-      let rec loop () =
-        if Atomic.get failed = None then begin
-          let i = Atomic.fetch_and_add next 1 in
-          if i < tasks then begin
-            (try f ~worker:w i
-             with e ->
-               ignore (Atomic.compare_and_set failed None (Some e)));
-            loop ()
-          end
+    (* Each worker claims task indices from [next] until exhaustion. The
+       first exception (by worker claim order) is stashed and re-raised
+       after every worker has joined, keeping the "all tasks attempted or
+       abandoned, no domain leaked" invariant. *)
+    let rec worker w =
+      if Atomic.get failed = None then begin
+        let i = Atomic.fetch_and_add next 1 in
+        if i < tasks then begin
+          (try f ~worker:w i
+           with e -> ignore (Atomic.compare_and_set failed None (Some e)));
+          worker w
         end
-      in
-      loop ();
-      t.busy.(w) <- t.busy.(w) +. ((Unix.gettimeofday () -. t0) *. 1000.0)
+      end
     in
     let spawned =
       if t.domains <= 1 || tasks <= 1 || not (Domain.is_main_domain ()) then 0

@@ -5,9 +5,7 @@
     domains, claiming task indices from a shared atomic counter, and
     joins every worker before returning — so the caller may freely read
     anything the tasks wrote. Spawning happens per [run] (domains are
-    not parked between runs); what persists in a [t] is the
-    configuration and the cumulative per-domain busy time, which the
-    benchmark harness reports next to its wall-clock numbers.
+    not parked between runs); a [t] is only its configuration.
 
     Determinism: tasks are claimed in an arbitrary order, so tasks must
     be independent; callers wanting deterministic results should have
@@ -43,13 +41,6 @@ val default : unit -> t
 
     A [t] must not be shared by two concurrent [run]s. *)
 val run : t -> tasks:int -> (worker:int -> int -> unit) -> unit
-
-(** Cumulative wall-clock ms each worker slot has spent executing tasks
-    across every [run] so far (a fresh copy; index = worker). *)
-val busy_ms : t -> float array
-
-(** Reset the cumulative busy counters to zero. *)
-val reset_stats : t -> unit
 
 (** A bounded blocking queue for long-lived worker domains.
 

@@ -158,32 +158,9 @@ let test_heap_pop_releases () =
   check_collected ~what:"popped heap elements" w;
   ignore (Sys.opaque_identity h)
 
-let test_metrics_alloc_snapshot () =
-  (* [run] records its own GC footprint into the metrics. *)
-  let g = Gen.path 2 ~w:1 in
-  let eng = E.create ~event_queue:E.Boxed g in
-  E.set_handler eng 0 (fun ~src:_ (_ : int) -> ());
-  E.set_handler eng 1 (fun ~src:_ (_ : int) -> ());
-  E.schedule eng ~delay:0.0 (fun () ->
-      for _ = 1 to 10_000 do
-        E.send eng ~src:0 ~dst:1 0
-      done);
-  ignore (E.run eng);
-  let m = E.metrics eng in
-  Alcotest.(check bool) "minor words recorded" true
-    (m.M.alloc_minor_words > 10_000.0);
-  Alcotest.(check bool) "promoted words non-negative" true
-    (m.M.alloc_promoted_words >= 0.0);
-  Alcotest.(check bool) "major collections non-negative" true
-    (m.M.alloc_major_collections >= 0);
-  E.reset eng;
-  let m = E.metrics eng in
-  Alcotest.(check (float 0.0)) "reset clears alloc" 0.0 m.M.alloc_minor_words
-
 (* One full faulty traced execution; everything observable is returned
    so polymorphic equality compares packed vs boxed runs field for
-   field. The alloc_* metrics are deliberately excluded — differing
-   allocation is the point of the packed queue. *)
+   field. *)
 let execute queue ~gseed ~delay_ix ~fault_ix =
   let rng = Csap_graph.Rng.create (1000 + gseed) in
   let g = Gen.random_connected rng 18 ~extra_edges:24 ~wmax:9 in
@@ -229,13 +206,8 @@ let execute queue ~gseed ~delay_ix ~fault_ix =
       seen.(0) <- true;
       G.iter_neighbors g 0 (fun u _ _ -> E.send eng ~src:0 ~dst:u 0));
   ignore (E.run ~max_events:200_000 eng);
-  let m = E.metrics eng in
   ( List.rev !log,
-    m.M.messages,
-    m.M.weighted_comm,
-    m.M.events,
-    m.M.completion_time,
-    m.M.last_delivery_time,
+    E.metrics eng,
     Array.to_list (E.edge_traffic eng),
     Trace.to_jsonl tr )
 
@@ -262,7 +234,5 @@ let suite =
       test_reset_releases_pending;
     Alcotest.test_case "heap pop releases elements" `Quick
       test_heap_pop_releases;
-    Alcotest.test_case "run records GC footprint in metrics" `Quick
-      test_metrics_alloc_snapshot;
     QCheck_alcotest.to_alcotest prop_packed_equals_boxed;
   ]

@@ -144,7 +144,9 @@ let test_delay_models_bounds () =
     (fun model ->
       for _ = 1 to 200 do
         let w = 1 + Csap_graph.Rng.int rng 50 in
-        let d = Csap_dsim.Delay.sample model ~w in
+        let out = [| nan |] in
+        Csap_dsim.Delay.sample_into model ~edge_id:0 ~dir:0 ~nth:0 ~w out;
+        let d = out.(0) in
         Alcotest.(check bool)
           (Format.asprintf "%a in (0,w]" Csap_dsim.Delay.pp model)
           true

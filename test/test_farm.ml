@@ -103,9 +103,34 @@ let test_cell_canonical () =
     Alcotest.(check int) "default w" 8 c.Cell.w;
     Alcotest.(check bool) "default check" true c.Cell.check
   | Error e -> Alcotest.failf "minimal object rejected: %s" e);
-  match Cell.of_json {|{"family":"path"}|} with
+  (match Cell.of_json {|{"family":"path"}|} with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "accepted cell without protocol"
+  | Ok _ -> Alcotest.fail "accepted cell without protocol");
+  (* A mistyped or unknown field is an error naming it, never a silent
+     default. *)
+  List.iter
+    (fun (input, expected) ->
+      match Cell.of_json input with
+      | Error e -> Alcotest.(check string) input expected e
+      | Ok _ -> Alcotest.failf "accepted %s" input)
+    [
+      ( {|{"protocol":"flood","n":"64"}|},
+        {|cell: field "n": expected an int|} );
+      ( {|{"protocol":"flood","reliable":1}|},
+        {|cell: field "reliable": expected a bool|} );
+      ( {|{"protocol":"flood","check":"no"}|},
+        {|cell: field "check": expected a bool|} );
+      ( {|{"protocol":"flood","delay":5}|},
+        {|cell: field "delay": expected a string|} );
+      ( {|{"protocol":"flood","loss":"0.1"}|},
+        {|cell: field "loss": expected a number|} );
+      ( {|{"protocol":7}|}, {|cell: field "protocol": expected a string|} );
+      ({|{"protocol":"flood","nn":64}|}, {|cell: unknown field "nn"|});
+    ];
+  (* An integral number is still a valid float field. *)
+  match Cell.of_json {|{"protocol":"flood","loss":0}|} with
+  | Ok c -> Alcotest.(check (float 0.0)) "int loss" 0.0 c.Cell.loss
+  | Error e -> Alcotest.failf "integral loss rejected: %s" e
 
 let test_cell_error_classification () =
   let code c = Cell.error_exit_code c in

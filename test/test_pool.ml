@@ -33,22 +33,6 @@ let test_exception_propagates () =
       Pool.run pool ~tasks:8 (fun ~worker:_ i ->
           if i = 3 then failwith "boom"))
 
-let test_busy_ms_accumulates_and_resets () =
-  let pool = Pool.create ~domains:2 () in
-  Alcotest.(check int) "one slot per worker" 2
-    (Array.length (Pool.busy_ms pool));
-  Pool.run pool ~tasks:8 (fun ~worker:_ _ ->
-      ignore (Sys.opaque_identity (Array.init 10_000 Fun.id)));
-  Array.iter
-    (fun b -> Alcotest.(check bool) "non-negative" true (b >= 0.0))
-    (Pool.busy_ms pool);
-  Alcotest.(check bool) "some busy time recorded" true
-    (Array.fold_left ( +. ) 0.0 (Pool.busy_ms pool) >= 0.0);
-  Pool.reset_stats pool;
-  Array.iter
-    (fun b -> Alcotest.(check (float 0.0)) "reset to zero" 0.0 b)
-    (Pool.busy_ms pool)
-
 let test_inline_from_worker_domain () =
   (* Inside a spawned domain the pool must not spawn again: the run
      degrades to an inline loop on the calling domain (worker 0). *)
@@ -160,8 +144,6 @@ let suite =
       test_worker_indices_valid;
     Alcotest.test_case "task exception propagates" `Quick
       test_exception_propagates;
-    Alcotest.test_case "busy counters accumulate and reset" `Quick
-      test_busy_ms_accumulates_and_resets;
     Alcotest.test_case "inline fallback off the main domain" `Quick
       test_inline_from_worker_domain;
     Alcotest.test_case "validation and edge cases" `Quick
