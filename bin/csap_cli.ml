@@ -238,7 +238,7 @@ let submit_cell name dir family n w seed root delay adversary loss dup
     match Option.map Cell.delay_of_spec delay with
     | Some (Error msg) -> bad_spec msg
     | None | Some (Ok _) -> (
-      match Option.map Csap_dsim.Adversary.of_spec adversary with
+      match Option.map Csap_dsim.Delay.adaptive_of_spec adversary with
       | Some (Error msg) -> bad_spec msg
       | None | Some (Ok _) ->
         if loss < 0.0 || loss >= 1.0 then

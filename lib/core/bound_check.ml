@@ -98,16 +98,13 @@ let measure ((module P : Protocol.S) as entry) g =
 (* Worst-case batteries built from the dsim primitives directly (this
    module sits below the explorer, which owns the full rosters). *)
 let regime_battery regime g =
-  let module A = Csap_dsim.Adversary in
   let module D = Csap_dsim.Delay in
   match regime with
-  | Clean -> [ A.Oblivious D.Exact ]
+  | Clean -> [ D.Exact ]
   | Sched_worst ->
-    List.map
-      (fun d -> A.Oblivious d)
-      ([ D.Exact; D.Near_zero; D.race_crossing; D.slow_edge (G.heaviest_edge g) ]
-      @ List.map (fun i -> D.seeded (0x5eed + (i * 0x10001))) [ 0; 1; 2; 3 ])
-  | Adaptive_worst -> [ A.greedy_commax (); A.time_stretcher () ]
+    [ D.Exact; D.Near_zero; D.race_crossing; D.slow_edge (G.heaviest_edge g) ]
+    @ List.map (fun i -> D.seeded (0x5eed + (i * 0x10001))) [ 0; 1; 2; 3 ]
+  | Adaptive_worst -> [ D.greedy_commax (); D.time_stretcher () ]
 
 (* Per-metric maxima over the battery: a synthetic worst-case sample
    (its comm and time generally come from different runs, as the
@@ -118,8 +115,8 @@ let measure_regime ((module P : Protocol.S) as entry) regime g =
   | _ ->
     let worst =
       List.fold_left
-        (fun (acc : Measures.t) adversary ->
-          let cfg = Protocol.Run.make ~adversary g in
+        (fun (acc : Measures.t) delay ->
+          let cfg = Protocol.Run.make ~delay g in
           let m = (Protocol.execute entry cfg).Protocol.Outcome.measures in
           {
             Measures.comm = max acc.Measures.comm m.Measures.comm;
@@ -168,23 +165,12 @@ let check_entry_regime ?slope_tol ~regime ((module P : Protocol.S) as entry) =
 let check_entry ?slope_tol entry =
   check_entry_regime ?slope_tol ~regime:Clean entry
 
-let check_all ?slope_tol () =
-  List.map (check_entry ?slope_tol) Protocol.registry
-
 (* The worst-case roster: one cheap target per trade-off family, the
    same spread the explorer sweeps (the rest of the registry would
    re-measure the same engines at battery-multiplied cost). *)
 let regime_roster () =
   List.filter_map Protocol.find
     [ "flood"; "mst-ghs"; "spt-synch"; "spt-recur"; "sync-alpha" ]
-
-let check_regimes ?slope_tol () =
-  List.concat_map
-    (fun entry ->
-      List.map
-        (fun regime -> check_entry_regime ?slope_tol ~regime entry)
-        [ Sched_worst; Adaptive_worst ])
-    (regime_roster ())
 
 let failures r =
   List.filter (fun cv -> not cv.verdict.Bound.within) r.claims

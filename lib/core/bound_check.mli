@@ -25,7 +25,8 @@ type claim_verdict = {
     exact-delay run per instance — the gating fit. The worst-case
     regimes take per-metric maxima over a battery ([Sched_worst]: the
     oblivious schedule battery; [Adaptive_worst]: the adaptive
-    built-ins, {!Csap_dsim.Adversary}) — the sharper check of the
+    built-ins, {!Csap_dsim.Delay.greedy_commax} and
+    {!Csap_dsim.Delay.time_stretcher}) — the sharper check of the
     paper's worst-case claims, reported but not gated because the
     batteries are heuristic under-approximations of the true sup. *)
 type regime = Clean | Sched_worst | Adaptive_worst
@@ -61,16 +62,9 @@ val check_entry_regime :
     sweep the small grid tier (the battery multiplies per-instance
     cost). *)
 
-val check_all : ?slope_tol:float -> unit -> report list
-(** {!check_entry} over the whole registry, in registry order. *)
-
 val regime_roster : unit -> Protocol.entry list
 (** The worst-case roster: one cheap registry target per trade-off
     family (flood, GHS, both SPT constructions, synchronizer alpha). *)
-
-val check_regimes : ?slope_tol:float -> unit -> report list
-(** [Sched_worst] and [Adaptive_worst] reports for every roster entry —
-    the non-gating rows of figure BD. *)
 
 val failures : report -> claim_verdict list
 (** The claims whose verdict is not [within]. *)

@@ -1,8 +1,3 @@
-(* Cold call site of the deprecated tuple [Graph.neighbors]: the token
-   walk addresses a vertex's ports by position ([iter.(v)]-th neighbour),
-   which wants the random-access array the shim provides. *)
-[@@@alert "-deprecated"]
-
 module Net = Csap_dsim.Net
 module G = Csap_graph.Graph
 
@@ -95,15 +90,20 @@ and guarded_traversal t v ~w action =
 and continue_at t v =
   let g = t.sh.net.Net.graph in
   let deg = G.degree g v in
+  (* The token addresses [v]'s ports by position: the [iter.(v)]-th slot
+     of its CSR row. *)
+  let row = (G.csr_offsets g).(v) in
+  let nbr = G.csr_neighbors g in
   (* Skip the edge back to the DFS parent; it is used only by Retreat. *)
   while t.iter.(v) < deg
-        && (let u, _, _ = (G.neighbors g v).(t.iter.(v)) in
-            v <> t.sh.root && u = t.parent.(v))
+        && v <> t.sh.root
+        && nbr.(row + t.iter.(v)) = t.parent.(v)
   do
     t.iter.(v) <- t.iter.(v) + 1
   done;
   if t.iter.(v) < deg then begin
-    let u, w, _ = (G.neighbors g v).(t.iter.(v)) in
+    let u = nbr.(row + t.iter.(v)) in
+    let w = (G.csr_weights g).(row + t.iter.(v)) in
     guarded_traversal t v ~w (fun () ->
         t.est_c <- t.est_c + w;
         send t ~src:v ~dst:u Forward)

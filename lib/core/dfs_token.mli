@@ -55,7 +55,6 @@ val finished : 'm t -> bool
 val tree : 'm t -> Csap_graph.Tree.t
 
 val root_estimate : 'm t -> int
-val center_estimate : 'm t -> int
 
 (** {2 Standalone} *)
 

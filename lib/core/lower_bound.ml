@@ -9,8 +9,6 @@ let id_ferrying_cost ~n ~x =
   done;
   x * !total
 
-let omega_n_v ~n ~x = n * (n - 1) * x
-
 let check_split_indistinguishable ~n ~i ~x =
   let gn = Gen.lower_bound_gn n ~x in
   let gni = Gen.lower_bound_gn_i n ~i ~x in

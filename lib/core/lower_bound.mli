@@ -24,9 +24,6 @@
     lower-bound term of Lemma 7.2 (at least [n^2 X / 4]). *)
 val id_ferrying_cost : n:int -> x:int -> int
 
-(** [omega_n_v ~n ~x] = [n * script-V] for [G_n] (with [V = (n-1) X]). *)
-val omega_n_v : n:int -> x:int -> int
-
 (** Structural indistinguishability check: the edge sets of [G_n] and
     [G_n^i] restricted to the path (light) edges are identical, and the only
     differences involve the bypass pair [i]. Returns the number of differing

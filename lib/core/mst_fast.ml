@@ -1,8 +1,3 @@
-(* Cold call site of the deprecated tuple [Graph.neighbors]: like
-   [Mst_ghs], per-port state is kept aligned with the adjacency rows and
-   indexed randomly, which wants the shim's arrays. *)
-[@@@alert "-deprecated"]
-
 module Net = Csap_dsim.Net
 module G = Csap_graph.Graph
 module Tree = Csap_graph.Tree
@@ -51,10 +46,13 @@ let run ?delay ?faults ?reliable g =
   if not (G.is_connected g) then invalid_arg "Mst_fast.run: disconnected";
   let net = Net.make ?reliable ?delay ?faults g in
   let stats = Net.monitor net in
-  let adj v = G.neighbors g v in
+  (* Per-port state is kept aligned with [v]'s CSR row: port [i] is slot
+     [off.(v) + i]. *)
+  let off = G.csr_offsets g and nbr = G.csr_neighbors g in
+  let wt = G.csr_weights g in
   let edge_key v i =
-    let u, w, _ = (adj v).(i) in
-    (w, min v u, max v u)
+    let u = nbr.(off.(v) + i) in
+    (wt.(off.(v) + i), min v u, max v u)
   in
   let index_of v u =
     let i = G.neighbor_index g v u in
@@ -178,22 +176,22 @@ let run ?delay ?faults ?reliable g =
     List.iter (fun c -> send v c (Scan { guess = g_val })) f_children.(v);
     (* Probe eligible edges in parallel. *)
     let to_probe = ref [] in
-    Array.iteri
-      (fun i (u, w, _) ->
-        match probe.(v).(i) with
-        | Same_rejected -> ()
-        | Diff_cached ->
-          (* Known outgoing from an earlier round this phase. *)
-          let k = edge_key v i in
-          (match my_best.(v) with
-          | Some c when compare c.ckey k <= 0 -> ()
-          | _ ->
-            my_best.(v) <- Some { ckey = k; inner = v };
-            own_best_adj.(v) <- i)
-        | Unknown ->
-          if w <= g_val then to_probe := (i, u) :: !to_probe
-          else my_heavier.(v) <- true)
-      (adj v);
+    for i = 0 to G.degree g v - 1 do
+      let u = nbr.(off.(v) + i) and w = wt.(off.(v) + i) in
+      match probe.(v).(i) with
+      | Same_rejected -> ()
+      | Diff_cached -> (
+        (* Known outgoing from an earlier round this phase. *)
+        let k = edge_key v i in
+        match my_best.(v) with
+        | Some c when compare c.ckey k <= 0 -> ()
+        | _ ->
+          my_best.(v) <- Some { ckey = k; inner = v };
+          own_best_adj.(v) <- i)
+      | Unknown ->
+        if w <= g_val then to_probe := (i, u) :: !to_probe
+        else my_heavier.(v) <- true
+    done;
     pending_probes.(v) <- List.length !to_probe;
     List.iter (fun (_, u) -> send v u (Probe { fid = fid.(v) })) !to_probe;
     maybe_report v
@@ -236,8 +234,7 @@ let run ?delay ?faults ?reliable g =
       (* v's own incident edge is the fragment's minimum outgoing edge. *)
       let i = own_best_adj.(v) in
       assert (i >= 0);
-      let u, _, _ = (adj v).(i) in
-      do_connect v u
+      do_connect v nbr.(off.(v) + i)
     end
     else begin
       let child = best_via.(v) in

@@ -1,8 +1,3 @@
-(* Cold call site of the deprecated tuple [Graph.neighbors]: the GHS
-   state machine keeps per-port arrays aligned with the adjacency rows
-   and indexes them randomly, which wants the shim's arrays. *)
-[@@@alert "-deprecated"]
-
 module Net = Csap_dsim.Net
 module G = Csap_graph.Graph
 
@@ -76,20 +71,20 @@ let create g ~send:send_fn ~on_done =
   let max_level = ref 0 in
   let done_flag = ref false in
   let bump v = version.(v) <- version.(v) + 1 in
-  let adj v = G.neighbors g v in
+  (* Per-port arrays are aligned with [v]'s CSR row: port [i] is slot
+     [off.(v) + i]. *)
+  let off = G.csr_offsets g and nbr = G.csr_neighbors g in
+  let wt = G.csr_weights g in
   let edge_key v i =
-    let u, w, _ = (adj v).(i) in
-    (w, min v u, max v u)
+    let u = nbr.(off.(v) + i) in
+    (wt.(off.(v) + i), min v u, max v u)
   in
   let index_of v u =
     let i = G.neighbor_index g v u in
     assert (i >= 0);
     i
   in
-  let send v i m =
-    let u, _, _ = (adj v).(i) in
-    send_fn ~src:v ~dst:u m
-  in
+  let send v i m = send_fn ~src:v ~dst:nbr.(off.(v) + i) m in
   (* Sorted adjacency order for the serial scan (lightest first). *)
   let scan_order =
     Array.init n (fun v ->
@@ -246,8 +241,10 @@ let create g ~send:send_fn ~on_done =
       Array.iteri
         (fun i s ->
           if s = Branch then begin
-            let u, w, _ = (adj v).(i) in
-            Hashtbl.replace branch_edges (min v u, max v u, w) ()
+            let u = nbr.(off.(v) + i) in
+            Hashtbl.replace branch_edges
+              (min v u, max v u, wt.(off.(v) + i))
+              ()
           end)
         se.(v)
     done;

@@ -8,7 +8,6 @@ module Run = struct
     graph : G.t;
     root : int;
     delay : Delay.t option;
-    adversary : Csap_dsim.Adversary.t option;
     faults : Csap_dsim.Fault.plan option;
     reliable : bool;
     trace : string option;
@@ -19,10 +18,10 @@ module Run = struct
     domains : int option;
   }
 
-  let make ?(root = 0) ?delay ?adversary ?faults ?(reliable = false) ?trace
-      ?pulses ?strip ?k ?q ?domains graph =
-    { graph; root; delay; adversary; faults; reliable; trace; pulses; strip;
-      k; q; domains }
+  let make ?(root = 0) ?delay ?faults ?(reliable = false) ?trace ?pulses
+      ?strip ?k ?q ?domains graph =
+    { graph; root; delay; faults; reliable; trace; pulses; strip; k; q;
+      domains }
 
   let delay cfg = Option.value cfg.delay ~default:Delay.Exact
 end
@@ -168,12 +167,10 @@ let stats_of (s : Net.stats) =
 
 let clean cfg = cfg.Run.faults = None && not cfg.Run.reliable
 
-(* True when the run's schedule is the deterministic exact-delay default.
-   An adversary — even an oblivious one still sitting unfolded in the
-   cfg — means the schedule is something else. *)
+(* True when the run's schedule is the deterministic exact-delay
+   default. *)
 let exact_delay cfg =
-  cfg.Run.adversary = None
-  && match cfg.Run.delay with None | Some Delay.Exact -> true | _ -> false
+  match cfg.Run.delay with None | Some Delay.Exact -> true | _ -> false
 
 let check_spanning g tree =
   if Tree.is_spanning_tree_of g tree then Ok ()
@@ -640,46 +637,40 @@ module Slt_dist_p = struct
       ~info:[ ("q", string_of_float r.Slt_distributed.q) ]
       (Outcome.Spanning_tree r.Slt_distributed.tree)
 
+  (* The distributed run selects [Slt.build]'s subgraph G' and returns
+     its shortest-path tree, so the two trees agree parent for parent;
+     Lemmas 2.4-2.5 then hold as [Slt.is_shallow_light] states them —
+     for the tree's weight and depth, not for each vertex's stretch (the
+     breakpoint scan bounds depth by (2q+1)·D, see slt.mli). *)
   let invariant cfg (o : Outcome.t) =
     match Outcome.tree o with
     | None -> Error "unexpected payload"
     | Some tree -> (
-      match check_spanning cfg.Run.graph tree with
+      let g = cfg.Run.graph in
+      match check_spanning g tree with
       | Error _ as e -> e
-      | Ok () ->
-        let g = cfg.Run.graph in
-        let q = Option.value cfg.Run.q ~default:2.0 in
-        let sssp = Csap_graph.Paths.dijkstra g ~src:cfg.Run.root in
-        let shallow = ref (Ok ()) in
-        for v = 0 to G.n g - 1 do
-          if !shallow = Ok () then begin
-            let d = Tree.path_weight tree cfg.Run.root v in
-            if
-              float_of_int d
-              > (q *. float_of_int sssp.Csap_graph.Paths.dist.(v)) +. 1e-9
-            then
-              shallow :=
-                Error
-                  (Printf.sprintf
-                     "vertex %d: tree distance %d exceeds %g x %d" v d q
-                     sssp.Csap_graph.Paths.dist.(v))
-          end
+      | Ok () -> (
+        let slt = Slt.build ?q:cfg.Run.q g ~root:cfg.Run.root in
+        let differs = ref (-1) in
+        for v = G.n g - 1 downto 0 do
+          if Tree.parent tree v <> Tree.parent slt.Slt.tree v then differs := v
         done;
-        (match !shallow with
-        | Error _ as e -> e
-        | Ok () ->
-          if q > 1.0 then begin
-            let bound =
-              (1.0 +. (2.0 /. (q -. 1.0)))
-              *. float_of_int (Csap_graph.Mst.weight g)
-            in
-            if float_of_int (Tree.total_weight tree) > bound +. 1e-9 then
-              Error
-                (Printf.sprintf "tree weight %d exceeds lightness bound %g"
-                   (Tree.total_weight tree) bound)
-            else Ok ()
-          end
-          else Ok ()))
+        if !differs >= 0 then
+          Error
+            (Printf.sprintf "vertex %d: parent differs from Slt.build's tree"
+               !differs)
+        else
+          let p = Csap_graph.Params.compute g in
+          let script_v = p.Csap_graph.Params.script_v
+          and script_d = p.Csap_graph.Params.script_d in
+          if Slt.is_shallow_light slt ~script_v ~script_d then Ok ()
+          else
+            Error
+              (Printf.sprintf
+                 "tree weight %d / height %d exceed the shallow-light bounds \
+                  (q=%g, V=%d, D=%d)"
+                 (Tree.total_weight tree) (Tree.height tree) slt.Slt.q
+                 script_v script_d)))
 end
 
 module Global_sum_p = struct
@@ -1060,9 +1051,7 @@ let reject_knob name ~knob reason =
   invalid_arg (Printf.sprintf "%s: %s: %s" name knob reason)
 
 let adaptive_of cfg =
-  match cfg.Run.adversary with
-  | Some (Csap_dsim.Adversary.Adaptive _) -> true
-  | Some (Csap_dsim.Adversary.Oblivious _) | None -> false
+  match cfg.Run.delay with Some (Delay.Adaptive _) -> true | _ -> false
 
 let validate (module P : S) cfg =
   let n = G.n cfg.Run.graph in
@@ -1075,15 +1064,8 @@ let validate (module P : S) cfg =
   if cfg.Run.reliable && not P.caps.supports_reliable then
     invalid_arg
       (Printf.sprintf "%s: reliable transport not supported" P.name);
-  (match cfg.Run.adversary with
-  | None -> ()
-  | Some adv ->
-    if cfg.Run.delay <> None then
-      reject_knob P.name ~knob:"adversary"
-        "conflicts with an explicit delay model";
-    if Csap_dsim.Adversary.is_adaptive adv && not P.caps.supports_adaptive
-    then
-      reject_knob P.name ~knob:"adversary" "adaptive adversaries not supported");
+  if adaptive_of cfg && not P.caps.supports_adaptive then
+    reject_knob P.name ~knob:"adversary" "adaptive adversaries not supported";
   match cfg.Run.domains with
   | None -> ()
   | Some d ->
@@ -1103,13 +1085,7 @@ let validate (module P : S) cfg =
         reject_knob P.name ~knob:"adversary"
           "partitioned execution requires an oblivious (order-independent) \
            adversary";
-      (* The effective model: an oblivious adversary is a delay. *)
-      let delay =
-        match cfg.Run.adversary with
-        | Some (Csap_dsim.Adversary.Oblivious d) -> Some d
-        | Some (Csap_dsim.Adversary.Adaptive _) | None -> cfg.Run.delay
-      in
-      match delay with
+      match cfg.Run.delay with
       | Some dl when not (Delay.order_independent dl) ->
         reject_knob P.name ~knob:"domains"
           "partitioned execution requires an order-independent delay model"
@@ -1118,35 +1094,19 @@ let validate (module P : S) cfg =
 
 let execute ((module P : S) as entry) cfg =
   validate entry cfg;
-  (* An oblivious adversary is just a delay model: fold it into
-     [cfg.delay] (validation guaranteed the slot is free). An adaptive
-     one is installed as the ambient adversary for the scope of the run,
-     so engines the protocol builds internally pick it up — the same
-     mechanism as the ambient trace collector. *)
-  let cfg, in_scope =
-    match cfg.Run.adversary with
-    | None -> (cfg, fun f -> f ())
-    | Some (Csap_dsim.Adversary.Oblivious d) ->
-      ({ cfg with Run.delay = Some d; adversary = None }, fun f -> f ())
-    | Some (Csap_dsim.Adversary.Adaptive a) ->
-      (cfg, fun f -> Csap_dsim.Adversary.with_ambient a f)
-  in
-  in_scope (fun () ->
-      match cfg.Run.trace with
-      | None -> P.run cfg
-      | Some prefix ->
-        let o, traces =
-          Csap_dsim.Trace.with_collector (fun () -> P.run cfg)
-        in
-        List.iteri
-          (fun i tr ->
-            Csap_dsim.Trace.save_jsonl tr
-              (Printf.sprintf "%s--%s--%d.jsonl" prefix P.name i))
-          traces;
-        o)
+  match cfg.Run.trace with
+  | None -> P.run cfg
+  | Some prefix ->
+    let o, traces = Csap_dsim.Trace.with_collector (fun () -> P.run cfg) in
+    List.iteri
+      (fun i tr ->
+        Csap_dsim.Trace.save_jsonl tr
+          (Printf.sprintf "%s--%s--%d.jsonl" prefix P.name i))
+      traces;
+    o
 
-let run ?root ?delay ?adversary ?faults ?reliable ?trace ?pulses ?strip ?k ?q
-    ?domains entry graph =
+let run ?root ?delay ?faults ?reliable ?trace ?pulses ?strip ?k ?q ?domains
+    entry graph =
   execute entry
-    (Run.make ?root ?delay ?adversary ?faults ?reliable ?trace ?pulses ?strip
-       ?k ?q ?domains graph)
+    (Run.make ?root ?delay ?faults ?reliable ?trace ?pulses ?strip ?k ?q
+       ?domains graph)

@@ -2,7 +2,8 @@
 
     Every message-passing protocol in the library is wrapped as a
     first-class module implementing {!S}: one {!Run.cfg} describes a run
-    (graph, root, delay model, fault plan, reliable shim, knobs), one
+    (graph, root, delay model — oblivious or adaptive, one argument
+    either way — fault plan, reliable shim, knobs), one
     {!Outcome.t} describes its result (paper measures, transport
     bookkeeping, a protocol-specific payload), and one [invariant]
     checks the outcome against the sequential oracles (Dijkstra,
@@ -18,11 +19,10 @@ module Run : sig
   type cfg = {
     graph : Csap_graph.Graph.t;
     root : int;  (** source / root vertex; ignored when not needed *)
-    delay : Csap_dsim.Delay.t option;  (** [None] = {!Csap_dsim.Delay.Exact} *)
-    adversary : Csap_dsim.Adversary.t option;
-        (** schedule adversary; an oblivious one replaces [delay] (the
-            two knobs conflict), an adaptive one is installed ambiently
-            around the run (requires {!caps.supports_adaptive}) *)
+    delay : Csap_dsim.Delay.t option;
+        (** [None] = {!Csap_dsim.Delay.Exact}; a
+            {!Csap_dsim.Delay.Adaptive} model requires
+            {!caps.supports_adaptive} *)
     faults : Csap_dsim.Fault.plan option;
     reliable : bool;  (** route through the {!Csap_dsim.Reliable} shim *)
     trace : string option;
@@ -42,7 +42,6 @@ module Run : sig
   val make :
     ?root:int ->
     ?delay:Csap_dsim.Delay.t ->
-    ?adversary:Csap_dsim.Adversary.t ->
     ?faults:Csap_dsim.Fault.plan ->
     ?reliable:bool ->
     ?trace:string ->
@@ -114,14 +113,10 @@ type caps = {
       (** passes [cfg.domains] to {!Csap_dsim.Net.make}, running on the
           partitioned engine when [> 1] *)
   supports_adaptive : bool;
-      (** accepts an adaptive {!Csap_dsim.Adversary.t} (true for every
+      (** accepts a {!Csap_dsim.Delay.Adaptive} model (true for every
           protocol that actually consults its delay model; the
           lower-bound family ignores schedules and rejects it) *)
 }
-
-val default_caps : caps
-(** root required; faults, reliable and adaptive adversaries supported;
-    nothing else set *)
 
 val allowed_vars : category -> Bound.var list
 (** The parameters a claim in this category may mention: the global
@@ -185,21 +180,19 @@ val find_exn : string -> entry
 
 (** Uniform validation: root range ([Invalid_argument] with
     ["<name>: root <r> out of range [0, <n>)"]), fault/reliable/domains/
-    adversary support against {!caps}. Capability rejections involving a
+    adaptive support against {!caps}. Capability rejections involving a
     knob name it uniformly — ["<name>: <knob>: <reason>"] for the
-    [domains] and [adversary] knobs. [domains > 1] additionally excludes
-    faults, the reliable shim, traces, order-dependent delay models —
-    the effective one, so an oblivious adversary's delay counts — and
-    adaptive adversaries (order-dependent by construction); [adversary]
-    conflicts with an explicit [delay]. *)
+    [domains] knob and for an adaptive delay model, which is named
+    [adversary] after the CLI flag and cell field that set it.
+    [domains > 1] additionally excludes faults, the reliable shim,
+    traces, order-dependent delay models and adaptive models
+    (order-dependent by construction). *)
 val validate : entry -> Run.cfg -> unit
 
 (** [execute entry cfg] validates, runs, and (when [cfg.trace] is set)
-    collects and dumps engine traces. An oblivious [cfg.adversary] is
-    folded into the delay model; an adaptive one is installed via
-    {!Csap_dsim.Adversary.with_ambient} for the scope of the run, so the
-    protocol's internally built engines consult it — and, with
-    [cfg.trace] set, the dumped traces carry its replayable
+    collects and dumps engine traces. The protocol passes [cfg.delay] to
+    every engine it builds, so under a {!Csap_dsim.Delay.Adaptive} model
+    with [cfg.trace] set the dumped traces carry its replayable
     {!Csap_dsim.Trace.Decision} records. *)
 val execute : entry -> Run.cfg -> Outcome.t
 
@@ -207,7 +200,6 @@ val execute : entry -> Run.cfg -> Outcome.t
 val run :
   ?root:int ->
   ?delay:Csap_dsim.Delay.t ->
-  ?adversary:Csap_dsim.Adversary.t ->
   ?faults:Csap_dsim.Fault.plan ->
   ?reliable:bool ->
   ?trace:string ->

@@ -3,6 +3,37 @@ type oracle = {
   fn : edge_id:int -> dir:int -> nth:int -> w:int -> float;
 }
 
+(* The Obs view deliberately holds the engine's own arrays (clock slot,
+   in-flight counters): observing is an array read, never a copy, so
+   consulting an adaptive model adds O(1) per send on top of the
+   decision procedure itself. *)
+module Obs = struct
+  type t = {
+    m : int;
+    clock : float array;  (* engine's one-slot clock *)
+    inflight : int array;  (* per directed edge: 2*id + dir *)
+  }
+
+  let make ~m ~clock ~inflight = { m; clock; inflight }
+  let now t = t.clock.(0)
+
+  let busiest_edge t =
+    let best = ref (-1) and best_load = ref 0 in
+    for id = 0 to t.m - 1 do
+      let load = t.inflight.(2 * id) + t.inflight.((2 * id) + 1) in
+      if load > !best_load then begin
+        best := id;
+        best_load := load
+      end
+    done;
+    !best
+end
+
+type adaptive = {
+  name : string;
+  next_delay : Obs.t -> edge_id:int -> dir:int -> nth:int -> w:int -> float;
+}
+
 type t =
   | Exact
   | Uniform of Csap_graph.Rng.t
@@ -10,6 +41,7 @@ type t =
   | Near_zero
   | Jitter of Csap_graph.Rng.t
   | Oracle of oracle
+  | Adaptive of adaptive
 
 let epsilon = 1e-6
 
@@ -36,6 +68,11 @@ let sample_into t ~edge_id ~dir ~nth ~w out =
     let u = Csap_graph.Rng.float rng in
     out.(0) <- (0.5 +. (0.5 *. (1.0 -. u))) *. fw
   | Oracle { fn; _ } -> out.(0) <- fn ~edge_id ~dir ~nth ~w
+  | Adaptive { name; _ } ->
+    invalid_arg
+      (Printf.sprintf
+         "Delay.sample_into: adaptive model %S is consulted by Engine only"
+         name)
 
 let oracle ~name fn = Oracle { name; fn }
 
@@ -97,7 +134,7 @@ let seeded seed =
 
 let order_independent = function
   | Exact | Scaled _ | Near_zero | Oracle _ -> true
-  | Uniform _ | Jitter _ -> false
+  | Uniform _ | Jitter _ | Adaptive _ -> false
 
 let lower_bound t ~w =
   let fw = float_of_int w in
@@ -109,7 +146,7 @@ let lower_bound t ~w =
   | Uniform _ ->
     (* (0, w]: the infimum 0 is open, so no positive static bound. *)
     None
-  | Oracle _ -> None
+  | Oracle _ | Adaptive _ -> None
 
 let pp ppf = function
   | Exact -> Format.fprintf ppf "exact"
@@ -118,3 +155,54 @@ let pp ppf = function
   | Near_zero -> Format.fprintf ppf "near-zero"
   | Jitter _ -> Format.fprintf ppf "jitter[w/2,w]"
   | Oracle { name; _ } -> Format.fprintf ppf "oracle(%s)" name
+  | Adaptive { name; _ } -> Format.pp_print_string ppf name
+
+(* ---- built-in adaptive models ----------------------------------------- *)
+
+let greedy_commax () =
+  Adaptive
+    {
+      name = "greedy-commax";
+      next_delay =
+        (fun obs ~edge_id ~dir:_ ~nth:_ ~w ->
+          (* Stall where the work already is — in-flight copies pile up
+             behind the FIFO stamp — and rush everything else, so
+             contention concentrates on one edge at a time. A send on an
+             idle network stalls its own edge (it is about to be the
+             busiest). *)
+          let busiest = Obs.busiest_edge obs in
+          if busiest < 0 || busiest = edge_id then float_of_int w
+          else epsilon);
+    }
+
+let time_stretcher () =
+  (* One-slot frontier (a float array, not a ref: unboxed store) — the
+     latest arrival time this adversary has committed to so far. *)
+  let frontier = [| 0.0 |] in
+  Adaptive
+    {
+      name = "time-stretcher";
+      next_delay =
+        (fun obs ~edge_id:_ ~dir:_ ~nth:_ ~w ->
+          let full = Obs.now obs +. float_of_int w in
+          if full >= frontier.(0) then begin
+            (* This send can push the completion frontier: take the whole
+               admissible window. *)
+            frontier.(0) <- full;
+            float_of_int w
+          end
+          else
+            (* Already overtaken — rushing it cannot shorten the run. *)
+            epsilon);
+    }
+
+let adaptive_specs = [ "greedy"; "stretch" ]
+
+let adaptive_of_spec = function
+  | "greedy" -> Ok (greedy_commax ())
+  | "stretch" -> Ok (time_stretcher ())
+  | s ->
+    Error
+      (Printf.sprintf
+         "unknown adversary spec %S (expected one of: %s)" s
+         (String.concat ", " adaptive_specs))

@@ -11,7 +11,19 @@
     arbitrary function of the message's identity (edge id, direction,
     ordinal on that directed edge) that the schedule-adversary harness
     ({!Csap_sched.Sched_explore}) and trace replay ({!Trace.recorded})
-    plug their schedules into. *)
+    plug their schedules into.
+
+    A schedule fixed before the run and one chosen by an adversary
+    watching the run are both such assignments, so both are a [t]: an
+    {!Adaptive} model is consulted by {!Engine} at each send with a
+    read-only {!Obs} view of the run and returns the next delay. It
+    reaches an engine through the same [?delay] argument as every other
+    model. Adaptivity is order-dependent ({!order_independent} is
+    [false]), so the partitioned engine rejects it; determinism is
+    restored by {e replay}: every adaptive decision is recorded as a
+    {!Trace.Decision} event, and {!Trace.recorded} turns the decision
+    trace back into an oblivious oracle that reproduces the run event
+    for event (DESIGN.md §17). *)
 
 (** A programmable schedule: [fn ~edge_id ~dir ~nth ~w] is the delay of
     the [nth] message (0-based) sent on the directed edge
@@ -23,6 +35,36 @@
 type oracle = {
   name : string;
   fn : edge_id:int -> dir:int -> nth:int -> w:int -> float;
+}
+
+(** A read-only window onto a running engine, over state the engine
+    maintains anyway (shared arrays, no copying). *)
+module Obs : sig
+  type t
+
+  (** Built by [Engine.create]; the arrays are shared with (and mutated
+      by) the engine: the one-slot clock and the in-flight delivery
+      count per directed edge [2 * edge_id + dir]. Not for protocol
+      code. *)
+  val make : m:int -> clock:float array -> inflight:int array -> t
+
+  (** Current simulated time. *)
+  val now : t -> float
+
+  (** The edge with the most in-flight deliveries (ties to the lowest
+      id); [-1] when nothing is in flight. O(edges). *)
+  val busiest_edge : t -> int
+end
+
+(** An adaptive model: [next_delay obs ~edge_id ~dir ~nth ~w] is the
+    delay of the [nth] message on the directed edge [(edge_id, dir)] of
+    weight [w], chosen after observing the run through [obs]. It must
+    return a finite, non-negative delay (the engine validates, exactly
+    as for the other models); admissible schedules keep it within
+    [(0, w]]. [name] appears in {!pp} and error messages. *)
+type adaptive = {
+  name : string;
+  next_delay : Obs.t -> edge_id:int -> dir:int -> nth:int -> w:int -> float;
 }
 
 type t =
@@ -38,12 +80,17 @@ type t =
   | Jitter of Csap_graph.Rng.t
       (** delay in [[w(e)/2, w(e)]] — bounded jitter around the weight *)
   | Oracle of oracle  (** programmable per-message schedule *)
+  | Adaptive of adaptive
+      (** an adversary observing the run; only {!Engine} can consult
+          it *)
 
 (** [sample_into t ~edge_id ~dir ~nth ~w out] stores into [out.(0)]
     the delay of the [nth] message (0-based) on directed edge
     [(edge_id, dir)] of weight [w]; [w >= 1] required. The five fixed
     policies ignore the message context and draw from [(0, w]] as
-    documented on {!t}; {!Oracle} applies its function. The sample is
+    documented on {!t}; {!Oracle} applies its function; {!Adaptive}
+    raises [Invalid_argument], since only {!Engine} holds the
+    observation view it needs. The sample is
     written, not returned — a float-array write instead of a boxed float
     return — so the engines' send paths stay allocation-free under the
     static models (Exact, Scaled, Near_zero). *)
@@ -54,7 +101,7 @@ val sample_into :
 val oracle :
   name:string -> (edge_id:int -> dir:int -> nth:int -> w:int -> float) -> t
 
-(** {2 Built-in adversaries} *)
+(** {2 Built-in oblivious adversaries} *)
 
 (** [slow_edge id] delays every message on edge [id] by its full weight
     (times [slow], default 1) while all other edges deliver almost
@@ -86,16 +133,45 @@ val seeded : int -> t
     [(edge_id, dir, nth, w)] — true for [Exact], [Scaled], [Near_zero]
     and every [Oracle] (pure by contract), false for [Uniform] and
     [Jitter], which advance shared RNG state and therefore depend on the
-    global sampling order. Only order-independent models can drive the
+    global sampling order, and for [Adaptive], which reads the run's
+    global state. Only order-independent models can drive the
     partitioned engine ({!Pengine}), where sends from different domains
     interleave nondeterministically. *)
 val order_independent : t -> bool
 
 (** [lower_bound t ~w] is a static positive lower bound on every delay
     the model can produce on a weight-[w] edge, or [None] when no such
-    bound exists ([Uniform]'s open interval, arbitrary [Oracle]s). The
+    bound exists ([Uniform]'s open interval, arbitrary [Oracle]s,
+    [Adaptive] models). The
     partitioned engine's conservative lookahead is the minimum of this
     bound over the cut edges; [None] forces lockstep windows. *)
 val lower_bound : t -> w:int -> float option
 
+(** Prints the model; an [Adaptive] one prints its [name]. *)
 val pp : Format.formatter -> t -> unit
+
+(** {2 Built-in adaptive models}
+
+    Both are deterministic functions of the observation, so their runs
+    replay exactly from the decision trace. Fresh state per call — a
+    returned model must not be shared across concurrent engines. *)
+
+(** The greedy communication maximiser: stalls the edge that already has
+    the most in-flight work by the full window [w] and rushes everything
+    else, concentrating contention to force retries/echoes out of
+    contention-sensitive protocols. *)
+val greedy_commax : unit -> t
+
+(** The time stretcher: lets a send extend the adversary's completion
+    frontier by the full window [w] whenever it can, and rushes sends
+    that cannot — every delivery lands just inside the allowed window or
+    immediately, maximising the makespan a single chain can reach. *)
+val time_stretcher : unit -> t
+
+(** The built-in roster, by spec name (["greedy"; "stretch"]). *)
+val adaptive_specs : string list
+
+(** [adaptive_of_spec s] parses an adversary spec as accepted by
+    [csap_cli --adversary] and farm cells: ["greedy"] and ["stretch"]
+    build fresh built-ins. The error lists the vocabulary. *)
+val adaptive_of_spec : string -> (t, string) result

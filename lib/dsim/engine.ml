@@ -63,19 +63,16 @@ type 'msg t = {
   down : bool array;
   epoch : int array;
   restart_handlers : (unit -> unit) option array;
-  (* Adaptive adversary layer. [adaptive = None] (the oblivious case)
-     keeps the send path exactly on the historical zero-allocation
-     route: the observation state below is then never read and only the
-     [inflight]/[obs_counts] maintenance sites — each a one-word match
-     on [t.adaptive] — are crossed. *)
-  mutable adaptive : Adversary.adaptive option;
-  obs : Adversary.Obs.t;
+  (* [delay]'s adaptive model, cached so the send path branches on one
+     word. [adaptive = None] (every oblivious model) keeps the send path
+     exactly on the historical zero-allocation route: the observation
+     state below is then never read and only the [inflight] maintenance
+     sites — each a one-word match on [t.adaptive] — are crossed. *)
+  mutable adaptive : Delay.adaptive option;
+  obs : Delay.Obs.t;
   (* Deliveries currently queued per directed edge (2 * id + dir);
-     maintained only while an adaptive adversary is attached. *)
+     maintained only while an adaptive model is installed. *)
   inflight : int array;
-  (* Slot 0: messages delivered to handlers (drops excluded); same
-     maintenance discipline as [inflight]. *)
-  obs_counts : int array;
 }
 
 (* Explicit monomorphic compares: polymorphic [compare] on a float walks
@@ -124,17 +121,9 @@ let install_faults t = function
             | None -> ()))
       plan.Fault.crashes
 
-(* An explicit [?adversary] wins; otherwise an ambient adaptive
-   adversary (see [Adversary.with_ambient]) is picked up exactly like
-   the ambient trace collector. An oblivious adversary is just a delay
-   model — it replaces [delay] and leaves the hot path untouched. *)
-let resolve_adversary ~delay adversary =
-  match adversary with
-  | Some (Adversary.Oblivious d) -> (d, None)
-  | Some (Adversary.Adaptive a) -> (delay, Some a)
-  | None -> (delay, Adversary.ambient ())
+let adaptive_of = function Delay.Adaptive a -> Some a | _ -> None
 
-let create ?(delay = Delay.Exact) ?adversary ?faults ?(edge_lookup = Indexed)
+let create ?(delay = Delay.Exact) ?faults ?(edge_lookup = Indexed)
     ?(event_queue = Packed) g =
   let m = Csap_graph.Graph.m g in
   let queue =
@@ -146,31 +135,8 @@ let create ?(delay = Delay.Exact) ?adversary ?faults ?(edge_lookup = Indexed)
       Q_packed (Event_queue.create ~capacity:(max 16 (min (2 * m) 65536)) ())
     | Boxed -> Q_boxed (Csap_graph.Heap.create ~cmp:compare_events)
   in
-  let metrics = Metrics.create () in
   let clock = Array.make 1 0.0 in
-  let send_counts = Array.make (2 * m) 0 in
   let inflight = Array.make (2 * m) 0 in
-  let obs_counts = Array.make 1 0 in
-  let queue_size () =
-    match queue with
-    | Q_packed q -> Event_queue.size q
-    | Q_boxed q -> Csap_graph.Heap.size q
-  in
-  let queue_min () =
-    match queue with
-    | Q_packed q ->
-      if Event_queue.is_empty q then Float.nan else (Event_queue.times q).(0)
-    | Q_boxed q -> (
-      match Csap_graph.Heap.peek_min q with
-      | Some e -> e.time
-      | None -> Float.nan)
-  in
-  let obs =
-    Adversary.Obs.make ~m ~clock ~inflight ~sent:send_counts
-      ~counts:obs_counts ~queue_size ~queue_min
-      ~sent_total:(fun () -> metrics.Metrics.messages)
-  in
-  let delay, adaptive = resolve_adversary ~delay adversary in
   let t =
     {
       g;
@@ -178,10 +144,10 @@ let create ?(delay = Delay.Exact) ?adversary ?faults ?(edge_lookup = Indexed)
       lookup = edge_lookup;
       queue;
       handlers = Array.make (Csap_graph.Graph.n g) None;
-      metrics;
+      metrics = Metrics.create ();
       traffic = Array.make m 0;
       last_delivery = Array.make (2 * m) 0.0;
-      send_counts;
+      send_counts = Array.make (2 * m) 0;
       deliver_counts = Array.make (2 * m) 0;
       trace = Trace.register ();
       clock;
@@ -191,10 +157,9 @@ let create ?(delay = Delay.Exact) ?adversary ?faults ?(edge_lookup = Indexed)
       down = Array.make (Csap_graph.Graph.n g) false;
       epoch = Array.make (Csap_graph.Graph.n g) 0;
       restart_handlers = Array.make (Csap_graph.Graph.n g) None;
-      adaptive;
-      obs;
+      adaptive = adaptive_of delay;
+      obs = Delay.Obs.make ~m ~clock ~inflight;
       inflight;
-      obs_counts;
     }
   in
   install_faults t faults;
@@ -205,16 +170,13 @@ let create ?(delay = Delay.Exact) ?adversary ?faults ?(edge_lookup = Indexed)
    or shedding the event queue's grown capacity — multi-seed trial loops
    reuse one engine per instance instead of rebuilding O(n + m) state
    per trial. *)
-let reset ?delay ?adversary ?faults t =
-  (match delay with Some d -> t.delay <- d | None -> ());
-  (* Mirrors [create]: an explicit adversary or an ambient adaptive one
-     is installed; otherwise the engine comes back oblivious (adversary
-     state never leaks between trials). *)
-  let delay', adaptive = resolve_adversary ~delay:t.delay adversary in
-  t.delay <- delay';
-  t.adaptive <- adaptive;
+let reset ?delay ?faults t =
+  (match delay with
+  | Some d ->
+    t.delay <- d;
+    t.adaptive <- adaptive_of d
+  | None -> ());
   Array.fill t.inflight 0 (Array.length t.inflight) 0;
-  t.obs_counts.(0) <- 0;
   (match t.queue with
   | Q_packed q -> Event_queue.clear q
   | Q_boxed q -> Csap_graph.Heap.clear q);
@@ -241,7 +203,6 @@ let now t = t.clock.(0)
 
 let set_trace t trace = t.trace <- trace
 let trace t = t.trace
-let adaptive_adversary t = t.adaptive
 
 let set_handler t v f = t.handlers.(v) <- Some f
 
@@ -319,18 +280,18 @@ let push_deliver_any t ~time ~src ~dst payload =
    the scratch slot — the price of adaptivity, paid only when
    [t.adaptive] is [Some]. *)
 let[@inline never] adaptive_sample t a ~id ~dir ~nth ~w =
-  t.fscratch.(0) <- a.Adversary.next_delay t.obs ~edge_id:id ~dir ~nth ~w
+  t.fscratch.(0) <- a.Delay.next_delay t.obs ~edge_id:id ~dir ~nth ~w
 
 (* Observation upkeep at the delivery-enqueue site; only under an
-   adaptive adversary (the counters are dead weight otherwise). *)
+   adaptive model (the counters are dead weight otherwise). *)
 let[@inline never] note_enqueue t ~slot =
   t.inflight.(slot) <- t.inflight.(slot) + 1
 
 (* Observation upkeep at the delivery-pop site: the in-flight counter
-   comes down (even for crash-dropped deliveries — they left the queue)
-   and the delivered total advances for real deliveries. Runs before the
-   handler, so the handler's own sends observe up-to-date state. *)
-let[@inline never] note_delivery t ~dropped ~src ~dst =
+   comes down, even for crash-dropped deliveries — they left the queue.
+   Runs before the handler, so the handler's own sends observe
+   up-to-date state. *)
+let[@inline never] note_delivery t ~src ~dst =
   let id =
     match t.lookup with
     | Indexed -> Csap_graph.Graph.edge_id_between t.g src dst
@@ -339,8 +300,7 @@ let[@inline never] note_delivery t ~dropped ~src ~dst =
   let e = Csap_graph.Graph.edge t.g id in
   let dir = if src = e.Csap_graph.Graph.u then 0 else 1 in
   let slot = (2 * id) + dir in
-  t.inflight.(slot) <- t.inflight.(slot) - 1;
-  if not dropped then t.obs_counts.(0) <- t.obs_counts.(0) + 1
+  t.inflight.(slot) <- t.inflight.(slot) - 1
 
 let send t ~src ~dst payload =
   (* The per-message hot path: an O(1)-amortised indexed lookup (no
@@ -361,14 +321,7 @@ let send t ~src ~dst payload =
   t.send_counts.(slot) <- nth + 1;
   let disp =
     match t.faults with
-    | None -> (
-      (* No plan: an adaptive adversary with a disposition procedure may
-         still drop/duplicate (a fault plan, when attached, owns the
-         disposition — the adversary then only schedules). *)
-      match t.adaptive with
-      | Some { Adversary.next_disposition = Some nd; _ } ->
-        nd t.obs ~edge_id:id ~dir ~nth ~now:t.clock.(0)
-      | _ -> Fault.Pass)
+    | None -> Fault.Pass
     | Some plan ->
       (* A down sender executes nothing, so a send reaching here (a stale
          timer closure) transmits nothing and pays nothing. *)
@@ -556,7 +509,7 @@ let run_boxed ~until ~max_events ~comm_budget t q =
         t.clock.(0) <- Float.max t.clock.(0) ev.time;
         let dropped = delivery_dropped t ev.action in
         (match (t.adaptive, ev.action) with
-        | Some _, Deliver { src; dst; _ } -> note_delivery t ~dropped ~src ~dst
+        | Some _, Deliver { src; dst; _ } -> note_delivery t ~src ~dst
         | _ -> ());
         (match t.trace with
         | Some tr -> record_dispatch t tr ev.seq ~dropped ev.action
@@ -651,7 +604,7 @@ let run_packed ~until ~max_events ~comm_budget t q =
              in
              (match t.adaptive with
              | None -> ()
-             | Some _ -> note_delivery t ~dropped ~src ~dst);
+             | Some _ -> note_delivery t ~src ~dst);
              (match t.trace with
              | Some tr -> trace_deliver t tr seq ~dropped ~src ~dst
              | None -> ());

@@ -1,7 +1,9 @@
 (** Deterministic discrete-event simulator for asynchronous message passing.
 
     A protocol installs one handler per vertex; [send] enqueues a message on
-    an incident edge with a delay drawn from the engine's {!Delay.t} model.
+    an incident edge with a delay drawn from the engine's {!Delay.t} model
+    — fixed before the run, or an adaptive adversary observing it
+    ({!Delay.Adaptive}; see the adaptive models section below).
     Links are FIFO per direction (delivery order matches send order), local
     computation is instantaneous, and ties are broken by send order, so every
     execution is reproducible.
@@ -45,16 +47,11 @@ type event_queue =
     Without a plan — or under {!Fault.none} — behaviour is bit-identical
     to the historical reliable network.
 
-    [?adversary] installs an {!Adversary.t}: an oblivious one is folded
-    into the delay model (replacing [?delay]) and costs nothing; an
-    adaptive one is consulted at every send with the engine's {!Adversary.Obs}
-    view (see {2:adversaries Adversaries} below). Without the argument,
-    an ambient adaptive adversary installed by
-    {!Adversary.with_ambient} is picked up, exactly like the ambient
-    trace collector. *)
+    A {!Delay.Adaptive} model is consulted at every send with the
+    engine's {!Delay.Obs} view (see the adaptive models section below);
+    every other model costs nothing beyond its sample. *)
 val create :
   ?delay:Delay.t ->
-  ?adversary:Adversary.t ->
   ?faults:Fault.plan ->
   ?edge_lookup:edge_lookup ->
   ?event_queue:event_queue ->
@@ -70,17 +67,16 @@ val create :
     per-edge array (the event queue also keeps its grown capacity).
     [?delay] optionally installs a new delay model, so multi-seed trial
     loops can reuse one engine per instance, swapping the seeded model
-    each trial. Fault state is never carried across trials: the previous
-    plan, down flags, crash epochs, pending crash events and restart
-    handlers are all cleared, and [?faults] (absent by default — a reset
-    engine is clean) installs a fresh plan. Adversary state follows the
-    same discipline: observation counters are zeroed and the adaptive
-    adversary is dropped unless [?adversary] (or an ambient
-    {!Adversary.with_ambient} scope) installs one. A run after [reset]
-    is indistinguishable from a run on a freshly created engine. *)
-val reset :
-  ?delay:Delay.t -> ?adversary:Adversary.t -> ?faults:Fault.plan ->
-  'msg t -> unit
+    each trial; without it the current model stays. Fault state is never
+    carried across trials: the previous plan, down flags, crash epochs,
+    pending crash events and restart handlers are all cleared, and
+    [?faults] (absent by default — a reset engine is clean) installs a
+    fresh plan. The observation counters an adaptive model reads are
+    zeroed. A run after [reset] is indistinguishable from a run on a
+    freshly created engine with the same models (an adaptive model's own
+    state, such as {!Delay.time_stretcher}'s frontier, is the model's:
+    pass a fresh one to start it over). *)
+val reset : ?delay:Delay.t -> ?faults:Fault.plan -> 'msg t -> unit
 
 val graph : 'msg t -> Csap_graph.Graph.t
 
@@ -180,20 +176,15 @@ val set_trace : 'msg t -> Trace.t option -> unit
 (** The currently attached trace, if any. *)
 val trace : 'msg t -> Trace.t option
 
-(** {2:adversaries Adversaries}
+(** {2:adversaries Adaptive models}
 
-    With an adaptive {!Adversary.adaptive} attached the engine consults
-    it instead of the delay model at every send, handing it a read-only
-    {!Adversary.Obs} view (clock, per-edge in-flight counts, totals,
-    queue head) that shares the engine's own state — observing allocates
+    Under a {!Delay.Adaptive} model the engine consults its
+    [next_delay] at every paid send that survives the fault plan,
+    handing it a read-only {!Delay.Obs} view (clock, per-edge in-flight
+    counts) that shares the engine's own state — observing allocates
     nothing. Each decision is recorded in an attached trace as a
     {!Trace.Decision} event immediately before its [Send] twin, so
     {!Trace.recorded} replays the adaptive schedule obliviously and
-    reproduces the run event for event. When no fault plan is attached,
-    an adversary's [next_disposition] may also drop or duplicate sends.
-    Oblivious adversaries take the historical zero-allocation send path
-    unchanged. *)
-
-(** The attached adaptive adversary, if any ([None] on oblivious
-    engines). *)
-val adaptive_adversary : 'msg t -> Adversary.adaptive option
+    reproduces the run event for event. A message's fate (pass, drop,
+    duplicate) is the fault plan's alone. Oblivious models take the
+    historical zero-allocation send path unchanged. *)

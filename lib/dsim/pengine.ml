@@ -350,29 +350,14 @@ let lookahead_for g part delay =
 let check_delay delay =
   if not (Delay.order_independent delay) then
     invalid_arg
-      "Pengine: Uniform/Jitter delays sample shared RNG state in global \
-       order; partitioned execution requires an order-independent model \
+      "Pengine: Uniform/Jitter delays and adaptive models depend on the \
+       global event order; partitioned execution requires an \
+       order-independent model \
        (Exact, Scaled, Near_zero or a pure Oracle)"
-
-(* Defense in depth behind Protocol.validate: an adaptive adversary's
-   decisions depend on the global event order, which the partitioned
-   loop does not preserve inside a window — so an ambient adversary
-   scope must never silently leak into a Pengine run. *)
-let check_no_adaptive what =
-  match Adversary.ambient () with
-  | None -> ()
-  | Some a ->
-    invalid_arg
-      (Printf.sprintf
-         "Pengine.%s: adaptive adversary %S is order-dependent; partitioned \
-          execution requires an oblivious schedule (replay its decision \
-          trace instead)"
-         what a.Adversary.name)
 
 let create ?(delay = Delay.Exact) ?partition ~domains g =
   if domains < 1 then invalid_arg "Pengine.create: domains >= 1 required";
   check_delay delay;
-  check_no_adaptive "create";
   let part =
     match partition with
     | Some p ->
@@ -436,7 +421,7 @@ let set_handler t v f = t.handlers.(v) <- Some f
 
 let schedule t ~vertex ~delay f =
   if t.running then
-    invalid_arg "Pengine.schedule: run in progress (use schedule_ctx)";
+    invalid_arg "Pengine.schedule: run in progress";
   if vertex < 0 || vertex >= G.n t.g then
     invalid_arg (Printf.sprintf "Pengine.schedule: vertex %d out of range" vertex);
   if not (delay >= 0.0 && delay < infinity) then
@@ -493,19 +478,6 @@ let send ctx ~src ~dst payload =
   route ctx ~time:arrival ~key:(child_key ctx) ~tag:tag_deliver ~src ~dst
     (Obj.repr payload)
     ~owner:(Partition.part_of t.part dst)
-
-let schedule_ctx ctx ~vertex ~delay f =
-  let t = ctx.pe in
-  if vertex < 0 || vertex >= G.n t.g then
-    invalid_arg
-      (Printf.sprintf "Pengine.schedule_ctx: vertex %d out of range" vertex);
-  if not (delay >= 0.0 && delay < infinity) then
-    invalid_arg
-      (Printf.sprintf
-         "Pengine.schedule_ctx: invalid delay %g (must be finite, >= 0)" delay);
-  route ctx ~time:(ctx.clock +. delay) ~key:(child_key ctx) ~tag:tag_local
-    ~src:(-1) ~dst:(-1) (Obj.repr f)
-    ~owner:(Partition.part_of t.part vertex)
 
 let[@inline never] no_handler src dst =
   failwith
@@ -788,7 +760,6 @@ let run t =
 
 let reset ?delay t =
   if t.running then invalid_arg "Pengine.reset: run in progress";
-  check_no_adaptive "reset";
   (match delay with
   | Some d ->
     check_delay d;

@@ -23,7 +23,8 @@
 
     Restrictions compared to {!Engine}: the delay model must be
     order-independent ({!Delay.order_independent} — [Uniform]/[Jitter]
-    advance shared RNG state in global sampling order and are rejected),
+    advance shared RNG state in global sampling order and an [Adaptive]
+    model reads the run's global state, so all three are rejected),
     and there is no fault-plan or trace support. Handlers receive a
     {!ctx} naming the executing partition instead of the engine itself;
     protocol state must be partitioned so each vertex's data is written
@@ -66,11 +67,6 @@ val send : 'msg ctx -> src:int -> dst:int -> 'msg -> unit
     engine's delay model and per-directed-edge FIFO clamp, identical to
     {!Engine.send}. [src] must belong to the executing partition (its
     send counters are partition-owned). *)
-
-val schedule_ctx :
-  'msg ctx -> vertex:int -> delay:float -> ('msg ctx -> unit) -> unit
-(** [schedule_ctx ctx ~vertex ~delay f] schedules [f] on [vertex]'s
-    partition at [now ctx +. delay] from inside a handler. *)
 
 val now : 'msg ctx -> float
 (** Simulated time of the event being processed. *)

@@ -23,7 +23,7 @@ type kind =
           [delay] is the copy's sampled delay (from the fault plan, not
           the delay model) *)
   | Decision
-      (** an adaptive {!Adversary} chose this send's delay; recorded
+      (** a {!Delay.Adaptive} model chose this send's delay; recorded
           immediately before the matching [Send] with the same identity
           and delay, so the decision trace alone replays the schedule
           (see {!recorded}) while {!without_decisions} recovers the

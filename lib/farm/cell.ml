@@ -262,15 +262,22 @@ let run ?graph:pre ?trace_prefix c =
         | None -> Ok None
         | Some spec -> Result.map Option.some (delay_of_spec spec)
     in
-    let adversary =
-      match c.adversary with
-      | None -> Ok None
-      | Some spec ->
-        Result.map Option.some (Csap_dsim.Adversary.of_spec spec)
+    let spec =
+      (* The adversary spec is the cell's adaptive delay model, so the
+         two fields are alternatives. *)
+      match (spec, c.adversary) with
+      | (Error _ as e), _ | e, None -> e
+      | Ok delay, Some a -> (
+        match (delay, Csap_dsim.Delay.adaptive_of_spec a) with
+        | _, (Error _ as e) -> e
+        | Some _, Ok _ ->
+          Error
+            (c.protocol ^ ": adversary: conflicts with an explicit delay model")
+        | None, Ok d -> Ok (Some d))
     in
-    match (spec, adversary) with
-    | Error msg, _ | _, Error msg -> finish (Error (Bad_spec msg))
-    | Ok delay, Ok adversary -> (
+    match spec with
+    | Error msg -> finish (Error (Bad_spec msg))
+    | Ok delay -> (
       match (match pre with Some g -> g | None -> graph c) with
       | exception Invalid_argument msg -> finish (Error (Bad_spec msg))
       | g -> (
@@ -280,7 +287,7 @@ let run ?graph:pre ?trace_prefix c =
           else None
         in
         let cfg =
-          P.Run.make ~root:c.root ?delay ?adversary ?faults
+          P.Run.make ~root:c.root ?delay ?faults
             ~reliable:c.reliable ?trace:trace_prefix ?pulses:c.pulses
             ?strip:c.strip ?k:c.k ?q:c.q ?domains:c.domains g
         in
@@ -298,14 +305,3 @@ let run ?graph:pre ?trace_prefix c =
             | exception e ->
               finish (Error (Execution_error (Printexc.to_string e)))
           else finish (Ok o))))
-
-let measures_json (o : P.Outcome.t) ~wall_ms =
-  let m = o.P.Outcome.measures in
-  Jsonx.to_string
-    (Jsonx.Obj
-       [ ("comm", Jsonx.Int m.Csap.Measures.comm);
-         ("time", Jsonx.Float m.Csap.Measures.time);
-         ("messages", Jsonx.Int m.Csap.Measures.messages);
-         ("retransmissions", Jsonx.Int o.P.Outcome.retransmissions);
-         ("restarts", Jsonx.Int o.P.Outcome.restarts);
-         ("wall_ms", Jsonx.Float wall_ms) ])

@@ -18,8 +18,9 @@ type t = {
   root : int;
   delay : string option;  (** delay spec string, as the CLI's [--delay] *)
   adversary : string option;
-      (** adaptive adversary spec, as the CLI's [--adversary]; conflicts
-          with [delay] (rejected at run time by protocol validation) *)
+      (** adaptive adversary spec, as the CLI's [--adversary]: the run's
+          {!Csap_dsim.Delay.Adaptive} model, so it conflicts with [delay]
+          ({!run} rejects a cell setting both) *)
   loss : float;
   dup : float;
   fault_seed : int;
@@ -118,8 +119,3 @@ val run : ?graph:Csap_graph.Graph.t -> ?trace_prefix:string -> t -> outcome
     given, must be [graph t] — callers that already built it (to print
     its parameters) skip the rebuild. [trace_prefix] overrides the
     cell's own [trace] field; with neither, no traces are dumped. *)
-
-val measures_json : Csap.Protocol.Outcome.t -> wall_ms:float -> string
-(** The result summary recorded in manifests and result files:
-    [{"comm":..,"time":..,"messages":..,"retransmissions":..,
-    "restarts":..,"wall_ms":..}]. *)

@@ -198,14 +198,6 @@ let m t = Array.length t.edges
 let id t = t.id
 let edges t = t.edges
 let edge t id = t.edges.(id)
-(* Materialised on demand (not cached): the deprecated shim is a cold
-   path, and caching it would cost O(m) boxed tuples on every graph —
-   prohibitive for the streaming million-vertex families. *)
-let neighbors t v =
-  let lo = t.off.(v) in
-  Array.init
-    (t.off.(v + 1) - lo)
-    (fun i -> (t.nbr.(lo + i), t.wt.(lo + i), t.eid.(lo + i)))
 let degree t v = t.off.(v + 1) - t.off.(v)
 
 let csr_offsets t = t.off

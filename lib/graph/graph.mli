@@ -56,23 +56,9 @@ val edges : t -> edge array
 (** [edge t id] is the edge with id [id]. *)
 val edge : t -> int -> edge
 
-(** [neighbors t v] lists [(u, w, edge_id)] for every edge [{v,u}] incident
-    to [v].
-
-    Deprecated compatibility shim over the flat CSR rows, materialised
-    afresh on every call (an O(degree) boxed-tuple allocation — it is no
-    longer cached, so large graphs pay nothing for its existence). New
-    code should use the allocation-free {!iter_neighbors} /
-    {!fold_neighbors}; remaining cold call sites silence the alert
-    explicitly. *)
-val neighbors : t -> int -> (int * int * int) array
-[@@alert
-  deprecated
-    "per-call allocating shim: use iter_neighbors / fold_neighbors instead"]
-
 (** [iter_neighbors t v f] calls [f u w edge_id] for every edge [{v,u}]
-    incident to [v], in the same per-vertex edge-id order {!neighbors}
-    uses. Allocation-free: the loop reads the graph's flat CSR rows. *)
+    incident to [v], in per-vertex edge-id order (the order of [v]'s CSR
+    row). Allocation-free: the loop reads the graph's flat CSR rows. *)
 val iter_neighbors : t -> int -> (int -> int -> int -> unit) -> unit
 
 (** [fold_neighbors t v f init] folds [f acc u w edge_id] over [v]'s
@@ -121,7 +107,7 @@ val edge_id_between : t -> int -> int -> int
     oracle for the indexed path. *)
 val edge_id_between_scan : t -> int -> int -> int
 
-(** [neighbor_index t u v] is the position of [v] in [neighbors t u], or
+(** [neighbor_index t u v] is the position of [v] in [u]'s CSR row, or
     [-1] when [{u,v}] is not an edge. Same indexed complexity as
     {!edge_between}; used by protocols that keep per-port state. *)
 val neighbor_index : t -> int -> int -> int
@@ -156,4 +142,3 @@ val subgraph : t -> keep_edge:(edge -> bool) -> t
 val compare_edges : edge -> edge -> int
 
 val pp : Format.formatter -> t -> unit
-val pp_edge : Format.formatter -> edge -> unit

@@ -57,9 +57,10 @@ let dijkstra g ~src =
   { src; dist; parent }
 
 (* The pre-CSR formulation of [dijkstra_into]: same indexed heap, but the
-   relaxation scan walks the boxed tuple rows of [Graph.neighbors]. Kept
-   as the before side of the CSR microbenchmark and as a test oracle for
-   the flat-row path. *)
+   relaxation scan walks boxed [(u, w, edge_id)] tuple rows, materialised
+   afresh on each visit — the O(degree) allocation the CSR microbenchmark
+   pair measures. Kept as the before side of that pair and as a test
+   oracle for the flat-row path. *)
 let dijkstra_tuple g ~src =
   let n = Graph.n g in
   let dist = Array.make n max_int in
@@ -67,12 +68,19 @@ let dijkstra_tuple g ~src =
   let heap = Indexed_heap.create n in
   dist.(src) <- 0;
   Indexed_heap.insert heap src 0;
-  let neighbors = (Graph.neighbors [@alert "-deprecated"]) in
+  let off = Graph.csr_offsets g and nbr = Graph.csr_neighbors g in
+  let wt = Graph.csr_weights g and eid = Graph.csr_edge_ids g in
+  let neighbors u =
+    let lo = off.(u) in
+    Array.init
+      (off.(u + 1) - lo)
+      (fun i -> (nbr.(lo + i), wt.(lo + i), eid.(lo + i)))
+  in
   let rec loop () =
     let u = Indexed_heap.pop_min heap in
     if u >= 0 then begin
       let du = dist.(u) in
-      let nbrs = neighbors g u in
+      let nbrs = neighbors u in
       for i = 0 to Array.length nbrs - 1 do
         let v, w, _ = nbrs.(i) in
         let dv = du + w in

@@ -13,8 +13,8 @@ type sssp = {
     heap entries. The relaxation scan reads the graph's flat CSR rows. *)
 val dijkstra : Graph.t -> src:int -> sssp
 
-(** The pre-CSR indexed-heap Dijkstra, walking the boxed tuple rows of
-    [Graph.neighbors]. Kept as the before side of the CSR
+(** The pre-CSR indexed-heap Dijkstra, walking boxed [(u, w, edge_id)]
+    tuple rows built afresh on each visit. Kept as the before side of the CSR
     microbenchmark ([bench_micro]'s "dijkstra n256 tuple" kernel) and as
     a test oracle: {!dijkstra} must reproduce its [dist] {e and}
     [parent] arrays exactly. *)

@@ -173,8 +173,6 @@ let euler_tour t =
   assert (!pos = (2 * n) - 1);
   tour
 
-let vertices_preorder t = Array.copy t.preorder
-
 let is_spanning_tree_of g t =
   Graph.n g = n t
   && List.for_all

@@ -39,10 +39,6 @@ val height : t -> int
 (** Weighted diameter of the tree (max over pairs of the tree-path weight). *)
 val diameter : t -> int
 
-(** [path_to_root t v] lists vertices from [v] up to (and including) the
-    root. *)
-val path_to_root : t -> int -> int list
-
 (** [path t x y] is the unique tree path from [x] to [y], inclusive. *)
 val path : t -> int -> int -> int list
 
@@ -54,9 +50,6 @@ val path_weight : t -> int -> int -> int
     tree edge and every tree edge is traversed exactly twice. Children are
     visited in increasing order of vertex id. *)
 val euler_tour : t -> int array
-
-(** [vertices_preorder t] is a DFS preorder of the vertices. *)
-val vertices_preorder : t -> int array
 
 (** [is_spanning_tree_of g t] checks that every tree edge is an edge of [g]
     with matching weight (and that [t] spans [g]'s vertex set). *)

@@ -3,7 +3,6 @@ module Paths = Csap_graph.Paths
 module Delay = Csap_dsim.Delay
 module Fault = Csap_dsim.Fault
 module Trace = Csap_dsim.Trace
-module Adversary = Csap_dsim.Adversary
 module Measures = Csap.Measures
 module Protocol = Csap.Protocol
 
@@ -12,26 +11,25 @@ type 'a schedule = {
   make : unit -> 'a;
 }
 
-let oblivious label make_delay =
-  { label; make = (fun () -> Adversary.of_delay (make_delay ())) }
-
 let seeded_schedules k =
   if k < 0 then invalid_arg "Sched_explore.seeded_schedules: negative count";
   List.init k (fun i ->
       (* Seeds spaced by a large odd constant so adjacent schedules don't
          share splitmix streams. *)
-      oblivious
-        (Printf.sprintf "seeded-%d" i)
-        (fun () -> Delay.seeded (0x5eed + (i * 0x10001))))
+      {
+        label = Printf.sprintf "seeded-%d" i;
+        make = (fun () -> Delay.seeded (0x5eed + (i * 0x10001)));
+      })
 
 let adversarial_schedules g =
   let heavy = G.heaviest_edge g in
   [
-    oblivious
-      (Printf.sprintf "slow-edge-%d" heavy)
-      (fun () -> Delay.slow_edge heavy);
-    oblivious "race-crossing" (fun () -> Delay.race_crossing);
-    oblivious "near-zero" (fun () -> Delay.Near_zero);
+    {
+      label = Printf.sprintf "slow-edge-%d" heavy;
+      make = (fun () -> Delay.slow_edge heavy);
+    };
+    { label = "race-crossing"; make = (fun () -> Delay.race_crossing) };
+    { label = "near-zero"; make = (fun () -> Delay.Near_zero) };
   ]
 
 (* The adaptive roster: adversaries that observe the engine and pick each
@@ -39,11 +37,8 @@ let adversarial_schedules g =
    replay as oblivious schedules — [explore ~check_replay] asserts it. *)
 let adaptive_schedules () =
   [
-    { label = "greedy-commax"; make = (fun () -> Adversary.greedy_commax ()) };
-    {
-      label = "time-stretcher";
-      make = (fun () -> Adversary.time_stretcher ());
-    };
+    { label = "greedy-commax"; make = Delay.greedy_commax };
+    { label = "time-stretcher"; make = Delay.time_stretcher };
   ]
 
 let fault_schedules g k =
@@ -106,7 +101,7 @@ let fault_schedules g k =
 type target = {
   name : string;
   execute :
-    G.t -> Adversary.t -> Fault.plan option -> (Measures.t, string) result;
+    G.t -> Delay.t -> Fault.plan option -> (Measures.t, string) result;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -130,11 +125,11 @@ let target_for ?root ?pulses ?strip ?k ?q name =
     name = P.name ^ target_suffix ~needs_root:P.caps.Protocol.needs_root
              root strip;
     execute =
-      (fun g adversary faults ->
+      (fun g delay faults ->
         let reliable = faults <> None in
         let cfg =
-          Protocol.Run.make ?root ~adversary ?faults ~reliable ?pulses ?strip
-            ?k ?q g
+          Protocol.Run.make ?root ~delay ?faults ~reliable ?pulses ?strip ?k
+            ?q g
         in
         let o = Protocol.execute entry cfg in
         match P.invariant cfg o with
@@ -213,7 +208,7 @@ let rec mkdir_p dir =
    with no plan, hence no shim. Its invariant must hold — a ratio over a
    broken baseline would be meaningless. *)
 let clean_comm g (t : target) =
-  match t.execute g (Adversary.of_delay Delay.Exact) None with
+  match t.execute g Delay.Exact None with
   | Ok m -> m.Measures.comm
   | Error e ->
     failwith
@@ -280,10 +275,7 @@ let explore ?pool ?trace_dir ?(check_replay = false) ?faults g ~targets
             | [ tr ] ->
               let (), traces2 =
                 Trace.with_collector (fun () ->
-                    ignore
-                      (t.execute g
-                         (Adversary.of_delay (Trace.recorded tr))
-                         (plan f)))
+                    ignore (t.execute g (Trace.recorded tr) (plan f)))
               in
               (match traces2 with
               | [ tr2 ] when Trace.equal (Trace.without_decisions tr) tr2 ->

@@ -4,10 +4,11 @@
     adversary picks any delay in [(0, w(e)]] per message. A protocol's
     correctness must therefore be schedule-invariant, and its worst-case
     time/communication is a maximum over schedules. [explore] runs
-    protocol targets under a battery of schedules — seeded pseudo-random
-    ones, structured oblivious adversaries (see {!Delay.slow_edge},
+    protocol targets under a battery of schedules, each a
+    {!Csap_dsim.Delay.t} — seeded pseudo-random ones, structured
+    oblivious adversaries (see {!Delay.slow_edge},
     {!Delay.race_crossing}) and {e adaptive} adversaries that observe the
-    execution as it unfolds ({!Csap_dsim.Adversary}) — checks each run's
+    execution as it unfolds ({!Csap_dsim.Delay.Adaptive}) — checks each run's
     output against a sequential oracle (Kruskal/Dijkstra/the synchronous
     reference executor), and reports the worst time and communication
     observed.
@@ -21,13 +22,13 @@
     over the clean unwrapped run's.
 
     Runs are sharded over a {!Csap_pool.t}; each run gets a fresh
-    adversary (and plan) built by its schedule's [make], so the sweep is
+    delay model (and plan) built by its schedule's [make], so the sweep is
     deterministic regardless of how tasks land on workers. When a run
     violates its invariant the failing execution is re-run under
     {!Trace.with_collector} and its traces dumped as JSONL — the artifact
     CI uploads, replayable with {!Trace.recorded}. *)
 
-(** A named way to build an adversary ([Adversary.t schedule]) or a fault
+(** A named way to build a delay model ([Delay.t schedule]) or a fault
     plan ([Fault.plan schedule]). [make] is called once per run so
     stateful values (adaptive built-ins, [Recorded]-style oracles,
     RNG-backed models) never leak state between runs. *)
@@ -38,7 +39,7 @@ type 'a schedule = {
 
 (** [seeded_schedules k] is [k] per-message-seeded schedules (see
     {!Delay.seeded}) with distinct seeds. *)
-val seeded_schedules : int -> Csap_dsim.Adversary.t schedule list
+val seeded_schedules : int -> Csap_dsim.Delay.t schedule list
 
 (** [adversarial_schedules g] is the built-in adversary battery for [g]:
     the heaviest edge ({!Csap_graph.Graph.heaviest_edge}) slowed to its
@@ -47,15 +48,15 @@ val seeded_schedules : int -> Csap_dsim.Adversary.t schedule list
     ({!Delay.race_crossing}), and the near-instantaneous schedule
     ({!Delay.Near_zero}). *)
 val adversarial_schedules :
-  Csap_graph.Graph.t -> Csap_dsim.Adversary.t schedule list
+  Csap_graph.Graph.t -> Csap_dsim.Delay.t schedule list
 
 (** The adaptive roster: the built-in observing adversaries
-    ({!Csap_dsim.Adversary.greedy_commax},
-    {!Csap_dsim.Adversary.time_stretcher}), each constructed fresh per
+    ({!Csap_dsim.Delay.greedy_commax},
+    {!Csap_dsim.Delay.time_stretcher}), each constructed fresh per
     run. Runs under these emit a replayable decision trace
     ({!Csap_dsim.Trace.Decision}); pair with [explore]'s [check_replay]
     to certify every adaptive worst case as an oblivious schedule. *)
-val adaptive_schedules : unit -> Csap_dsim.Adversary.t schedule list
+val adaptive_schedules : unit -> Csap_dsim.Delay.t schedule list
 
 (** [fault_schedules g k] is [k] seeded plans cycling through four
     shapes: pure loss, loss + duplication, loss + a burst outage on the
@@ -65,8 +66,8 @@ val adaptive_schedules : unit -> Csap_dsim.Adversary.t schedule list
 val fault_schedules :
   Csap_graph.Graph.t -> int -> Csap_dsim.Fault.plan schedule list
 
-(** A protocol under test: [execute g adversary plan] runs it on [g]
-    under the adversary (oblivious or adaptive) and, when given one, the
+(** A protocol under test: [execute g delay plan] runs it on [g]
+    under the delay model (oblivious or adaptive) and, when given one, the
     fault plan; checks the schedule-invariant output against a
     sequential oracle; and returns the run's measures — or a description
     of the violated invariant. *)
@@ -74,14 +75,14 @@ type target = {
   name : string;
   execute :
     Csap_graph.Graph.t ->
-    Csap_dsim.Adversary.t ->
+    Csap_dsim.Delay.t ->
     Csap_dsim.Fault.plan option ->
     (Csap.Measures.t, string) result;
 }
 
 (** [target_for name] wraps the {!Csap.Protocol} registry entry [name] as
     a sweep target: the run goes through {!Csap.Protocol.execute} with
-    the schedule's adversary, and the invariant is the entry's own oracle
+    the schedule's delay model, and the invariant is the entry's own oracle
     check. Given a plan, the run is behind the reliable shim; without
     one, it is not. Knobs ([root], [pulses], [strip], [k], [q]) are
     forwarded into the {!Csap.Protocol.Run.cfg}. Raises
@@ -157,5 +158,5 @@ val explore :
   ?faults:Csap_dsim.Fault.plan schedule list ->
   Csap_graph.Graph.t ->
   targets:target list ->
-  schedules:Csap_dsim.Adversary.t schedule list ->
+  schedules:Csap_dsim.Delay.t schedule list ->
   summary list

@@ -1,4 +1,3 @@
-module A = Csap_dsim.Adversary
 module D = Csap_dsim.Delay
 module T = Csap_dsim.Trace
 module G = Csap_graph.Graph
@@ -12,71 +11,33 @@ let ghs = P.find_exn "mst-ghs"
 
 let test_spec_parsing () =
   Alcotest.(check (list string))
-    "builtin roster" [ "greedy"; "stretch" ] A.builtin_specs;
-  (match A.of_spec "greedy" with
-  | Ok (A.Adaptive a) ->
-    Alcotest.(check string) "greedy name" "greedy-commax" a.A.name
-  | _ -> Alcotest.fail "greedy must parse to an adaptive adversary");
-  (match A.of_spec "stretch" with
-  | Ok t ->
-    Alcotest.(check bool) "stretch is adaptive" true (A.is_adaptive t);
-    Alcotest.(check string) "stretch name" "time-stretcher" (A.name t)
+    "builtin roster" [ "greedy"; "stretch" ] D.adaptive_specs;
+  (match D.adaptive_of_spec "greedy" with
+  | Ok (D.Adaptive a) ->
+    Alcotest.(check string) "greedy name" "greedy-commax" a.D.name
+  | _ -> Alcotest.fail "greedy must parse to an adaptive model");
+  (match D.adaptive_of_spec "stretch" with
+  | Ok (D.Adaptive _ as t) ->
+    Alcotest.(check string) "stretch name" "time-stretcher"
+      (Format.asprintf "%a" D.pp t)
+  | Ok _ -> Alcotest.fail "stretch must parse to an adaptive model"
   | Error e -> Alcotest.fail e);
-  (match A.of_spec "bogus" with
+  (match D.adaptive_of_spec "bogus" with
   | Error msg ->
     Alcotest.(check string) "error lists the vocabulary"
       "unknown adversary spec \"bogus\" (expected one of: greedy, stretch)"
       msg
   | Ok _ -> Alcotest.fail "bogus spec must be rejected");
-  Alcotest.(check bool) "oblivious is not adaptive" false
-    (A.is_adaptive (A.of_delay D.Exact))
-
-let test_ambient_scope () =
-  Alcotest.(check bool) "no ambient by default" true (A.ambient () = None);
-  let adv =
-    match A.greedy_commax () with
-    | A.Adaptive a -> a
-    | _ -> Alcotest.fail "greedy is adaptive"
-  in
-  A.with_ambient adv (fun () ->
-      (match A.ambient () with
-      | Some a -> Alcotest.(check string) "installed" a.A.name adv.A.name
-      | None -> Alcotest.fail "ambient must be set inside the scope");
-      let inner =
-        match A.time_stretcher () with
-        | A.Adaptive a -> a
-        | _ -> assert false
-      in
-      A.with_ambient inner (fun () ->
-          match A.ambient () with
-          | Some a ->
-            Alcotest.(check string) "nested scope wins" "time-stretcher"
-              a.A.name
-          | None -> Alcotest.fail "nested ambient must be set"));
-  Alcotest.(check bool) "restored after the scope" true (A.ambient () = None);
-  (try
-     A.with_ambient adv (fun () -> raise Exit)
-   with Exit -> ());
-  Alcotest.(check bool) "restored after an exception" true
-    (A.ambient () = None)
-
-(* ---- the oblivious path is unchanged ----------------------------------- *)
-
-let test_oblivious_identical () =
-  (* Wrapping a delay model as [Oblivious] must be bit-identical to
-     passing it directly: same measures, same trace. *)
-  let g = Gen.grid 4 4 ~w:6 in
-  let run adversary delay =
-    T.with_collector (fun () -> P.run ?adversary ?delay flood g)
-  in
-  let o1, tr1 = run None (Some (D.seeded 5)) in
-  let o2, tr2 = run (Some (A.of_delay (D.seeded 5))) None in
-  Alcotest.(check bool) "identical measures" true
-    (o1.P.Outcome.measures = o2.P.Outcome.measures);
-  Alcotest.(check bool) "identical traces" true
-    (T.equal (List.hd tr1) (List.hd tr2));
-  Alcotest.(check int) "no decision records on the oblivious path" 0
-    (Array.length (T.decisions (List.hd tr2)))
+  (* An adaptive model is order-dependent, has no static lower bound,
+     and cannot be sampled outside an engine. *)
+  let greedy = D.greedy_commax () in
+  Alcotest.(check bool) "adaptive is order-dependent" false
+    (D.order_independent greedy);
+  Alcotest.(check bool) "no static lower bound" true
+    (D.lower_bound greedy ~w:3 = None);
+  match D.sample_into greedy ~edge_id:0 ~dir:0 ~nth:0 ~w:3 [| 0.0 |] with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "sample_into must refuse an adaptive model"
 
 (* ---- the observation view ---------------------------------------------- *)
 
@@ -86,82 +47,33 @@ let test_probe_observations () =
   let m = G.m g in
   let calls = ref 0 and last_now = ref neg_infinity in
   let probe =
-    {
-      A.name = "probe";
-      next_delay =
-        (fun obs ~edge_id ~dir ~nth ~w ->
-          incr calls;
-          Alcotest.(check int) "edges = m" m (A.Obs.edges obs);
-          Alcotest.(check bool) "clock is monotone" true
-            (A.Obs.now obs >= !last_now);
-          last_now := A.Obs.now obs;
-          Alcotest.(check bool) "legal send site" true
-            (edge_id >= 0 && edge_id < m && (dir = 0 || dir = 1) && nth >= 0);
-          Alcotest.(check bool) "pending non-negative" true
-            (A.Obs.pending_on obs ~edge_id ~dir >= 0
-            && A.Obs.pending_edge obs ~edge_id
-               >= A.Obs.pending_on obs ~edge_id ~dir);
-          Alcotest.(check bool) "busiest edge in range or -1" true
-            (let b = A.Obs.busiest_edge obs in
-             b = -1 || (b >= 0 && b < m));
-          (* This send is not yet counted; totals only ever grow. *)
-          Alcotest.(check bool) "delivered <= sent" true
-            (A.Obs.delivered_total obs <= A.Obs.sent_total obs);
-          Alcotest.(check bool) "queue_size non-negative" true
-            (A.Obs.queue_size obs >= 0);
-          (let qm = A.Obs.queue_min_time obs in
-           Alcotest.(check bool) "queue head not in the past" true
-             (Float.is_nan qm || qm >= A.Obs.now obs));
-          float_of_int w)
-      ;
-      next_disposition = None;
-    }
+    D.Adaptive
+      {
+        D.name = "probe";
+        next_delay =
+          (fun obs ~edge_id ~dir ~nth ~w ->
+            incr calls;
+            Alcotest.(check bool) "clock is monotone" true
+              (D.Obs.now obs >= !last_now);
+            last_now := D.Obs.now obs;
+            Alcotest.(check bool) "legal send site" true
+              (edge_id >= 0 && edge_id < m
+              && (dir = 0 || dir = 1)
+              && nth >= 0);
+            Alcotest.(check bool) "busiest edge in range or -1" true
+              (let b = D.Obs.busiest_edge obs in
+               b = -1 || (b >= 0 && b < m));
+            float_of_int w);
+      }
   in
-  let o = P.run ~adversary:(A.Adaptive probe) flood g in
+  let o = P.run ~delay:probe flood g in
   Alcotest.(check int) "consulted once per paid message"
     o.P.Outcome.measures.Csap.Measures.messages !calls
 
-let test_adaptive_disposition () =
-  (* An adversary that drops every reverse-direction message: the run
-     still terminates, drops are paid for, and the trace records them.
-     (A grid, not a path: flooding a path from 0 only ever sends
-     forward, so there would be nothing to drop.) *)
-  let g = Gen.grid 3 3 ~w:3 in
-  let dropper =
-    {
-      A.name = "echo-dropper";
-      next_delay = (fun _ ~edge_id:_ ~dir:_ ~nth:_ ~w -> float_of_int w);
-      next_disposition =
-        Some
-          (fun _ ~edge_id:_ ~dir ~nth:_ ~now:_ ->
-            if dir = 1 then Csap_dsim.Fault.Drop else Csap_dsim.Fault.Pass);
-    }
-  in
-  let o, traces =
-    T.with_collector (fun () ->
-        (* [check] would rightly fail: echoes are load-bearing for the
-           parent counts some invariants inspect — run unchecked. *)
-        A.with_ambient dropper (fun () ->
-            Csap.Flood.run g ~source:0))
-  in
-  let tr = List.hd traces in
-  let dropped =
-    Array.length
-      (Array.of_seq
-         (Seq.filter
-            (fun ev -> ev.T.kind = T.Dropped)
-            (Array.to_seq (T.events tr))))
-  in
-  Alcotest.(check bool) "reverse messages dropped" true (dropped > 0);
-  Alcotest.(check bool) "forward wave still delivered" true
-    (o.Csap.Flood.measures.Csap.Measures.messages > 0)
-
 (* ---- decision traces and replay ---------------------------------------- *)
 
-let record_run entry adversary g =
-  let o, traces =
-    T.with_collector (fun () -> P.run ~adversary entry g)
-  in
+let record_run entry delay g =
+  let o, traces = T.with_collector (fun () -> P.run ~delay entry g) in
   match traces with
   | [ tr ] -> (o, tr)
   | l -> Alcotest.fail (Printf.sprintf "expected one trace, got %d"
@@ -169,7 +81,7 @@ let record_run entry adversary g =
 
 let test_decision_trace_roundtrip () =
   let g = Gen.grid 4 4 ~w:5 in
-  let _, tr = record_run flood (A.greedy_commax ()) g in
+  let _, tr = record_run flood (D.greedy_commax ()) g in
   let decisions = T.decisions tr in
   Alcotest.(check bool) "decisions recorded" true
     (Array.length decisions > 0);
@@ -193,9 +105,9 @@ let test_decision_trace_roundtrip () =
   Alcotest.(check int) "without_decisions strips them" 0
     (Array.length (T.decisions (T.without_decisions tr)))
 
-let replay_matches entry adversary g =
-  let o, tr = record_run entry adversary g in
-  let o', tr' = record_run entry (A.of_delay (T.recorded tr)) g in
+let replay_matches entry delay g =
+  let o, tr = record_run entry delay g in
+  let o', tr' = record_run entry (T.recorded tr) g in
   T.equal (T.without_decisions tr) tr'
   && o.P.Outcome.measures = o'.P.Outcome.measures
 
@@ -204,46 +116,73 @@ let test_replay_reproduces () =
   List.iter
     (fun adv ->
       Alcotest.(check bool)
-        (A.name adv ^ " replays bit-identically")
+        (Format.asprintf "%a replays bit-identically" D.pp adv)
         true
         (replay_matches flood adv g))
-    [ A.greedy_commax (); A.time_stretcher () ];
+    [ D.greedy_commax (); D.time_stretcher () ];
   (* The decision trace alone is a sufficient schedule: stripping the
      Send records before building the oracle changes nothing. *)
-  let _, tr = record_run ghs (A.time_stretcher ()) g in
+  let _, tr = record_run ghs (D.time_stretcher ()) g in
   let decision_only = T.create () in
   Array.iter
     (fun ev -> if ev.T.kind = T.Decision then T.add decision_only ev)
     (T.events tr);
-  let _, tr' = record_run ghs (A.of_delay (T.recorded decision_only)) g in
+  let _, tr' = record_run ghs (T.recorded decision_only) g in
   Alcotest.(check bool) "decision records alone replay the run" true
     (T.equal (T.without_decisions tr) tr')
+
+(* Every engine a protocol builds must receive its [?delay]: under an
+   adaptive model each paid, surviving send of every collected trace has
+   its Decision twin. A protocol that forgets to thread the model into
+   one of its engines leaves that engine's sends undecided. *)
+let test_adaptive_reaches_every_engine () =
+  let g = Gen.grid 4 4 ~w:5 in
+  List.iter
+    (fun entry ->
+      let (module M : P.S) = entry in
+      if M.caps.P.supports_adaptive then begin
+        let _, traces =
+          T.with_collector (fun () ->
+              P.run ~delay:(D.greedy_commax ()) entry g)
+        in
+        Alcotest.(check bool) (M.name ^ ": traces collected") true
+          (traces <> []);
+        List.iteri
+          (fun i tr ->
+            let count kind =
+              Array.fold_left
+                (fun acc ev -> if ev.T.kind = kind then acc + 1 else acc)
+                0 (T.events tr)
+            in
+            Alcotest.(check int)
+              (Printf.sprintf "%s: trace %d decisions = sends" M.name i)
+              (count T.Send) (count T.Decision))
+          traces
+      end)
+    P.registry
 
 (* ---- capability guards -------------------------------------------------- *)
 
 let test_pengine_rejects_adaptive () =
   let g = Gen.grid 4 4 ~w:4 in
   (* Uniform knob-named validation error through the registry... *)
-  (match P.run ~adversary:(A.greedy_commax ()) ~domains:2 flood g with
+  (match P.run ~delay:(D.greedy_commax ()) ~domains:2 flood g with
   | exception Invalid_argument msg ->
     Alcotest.(check string) "knob-named rejection"
       "flood: adversary: partitioned execution requires an oblivious \
        (order-independent) adversary"
       msg
   | _ -> Alcotest.fail "adaptive + domains must be rejected");
-  (* ...and defense in depth in Pengine itself for ambient installs. *)
-  let adv =
-    match A.greedy_commax () with A.Adaptive a -> a | _ -> assert false
-  in
+  (* ...and in Pengine itself, whose order-independence check covers an
+     adaptive model like any other order-dependent one. *)
   match
-    A.with_ambient adv (fun () ->
-        (Csap_dsim.Pengine.create ~domains:2 g : unit Csap_dsim.Pengine.t))
+    (Csap_dsim.Pengine.create ~delay:(D.greedy_commax ()) ~domains:2 g
+      : unit Csap_dsim.Pengine.t)
   with
   | exception Invalid_argument msg ->
-    Alcotest.(check bool) "Pengine.create guard names the adversary" true
-      (String.length msg > 0
-      && String.sub msg 0 14 = "Pengine.create")
-  | _ -> Alcotest.fail "Pengine must reject an ambient adaptive adversary"
+    Alcotest.(check bool) "Pengine's delay check rejects it" true
+      (String.length msg >= 8 && String.sub msg 0 8 = "Pengine:")
+  | _ -> Alcotest.fail "Pengine must reject an adaptive model"
 
 (* ---- the QCheck replay property ---------------------------------------- *)
 
@@ -265,26 +204,22 @@ let prop_adaptive_replay =
         | _ -> Gen.chorded_cycle 8 ~chord_w:(1 + (seed mod 9))
       in
       let entry = if pick land 1 = 0 then flood else ghs in
-      let adversary =
-        if pick land 2 = 0 then A.greedy_commax () else A.time_stretcher ()
+      let delay =
+        if pick land 2 = 0 then D.greedy_commax () else D.time_stretcher ()
       in
-      replay_matches entry adversary g)
+      replay_matches entry delay g)
 
 let suite =
   [
     Alcotest.test_case "spec parsing and names" `Quick test_spec_parsing;
-    Alcotest.test_case "ambient scope installs and restores" `Quick
-      test_ambient_scope;
-    Alcotest.test_case "oblivious wrapper bit-identical to delay" `Quick
-      test_oblivious_identical;
     Alcotest.test_case "observation view invariants at every send" `Quick
       test_probe_observations;
-    Alcotest.test_case "adaptive disposition drops are traced" `Quick
-      test_adaptive_disposition;
     Alcotest.test_case "decision trace twins sends, survives JSONL" `Quick
       test_decision_trace_roundtrip;
     Alcotest.test_case "built-ins replay bit-identically" `Quick
       test_replay_reproduces;
+    Alcotest.test_case "adaptive model reaches every engine" `Quick
+      test_adaptive_reaches_every_engine;
     Alcotest.test_case "pengine rejects adaptive adversaries" `Quick
       test_pengine_rejects_adaptive;
     QCheck_alcotest.to_alcotest prop_adaptive_replay;

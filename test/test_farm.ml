@@ -151,6 +151,14 @@ let test_cell_error_classification () =
     (classify (Cell.make ~adversary:"bogus" "flood"));
   Alcotest.(check string) "adversary/delay conflict" "3"
     (classify (Cell.make ~adversary:"greedy" ~delay:"exact" "flood"));
+  (match
+     (Cell.run (Cell.make ~adversary:"greedy" ~delay:"exact" "flood"))
+       .Cell.result
+   with
+  | Error (Cell.Bad_spec msg) ->
+    Alcotest.(check string) "adversary/delay conflict message"
+      "flood: adversary: conflicts with an explicit delay model" msg
+  | _ -> Alcotest.fail "adversary/delay conflict must be a bad spec");
   Alcotest.(check string) "bad family" "3"
     (classify (Cell.make ~family:"nope" "flood"));
   Alcotest.(check string) "bad loss" "3"
@@ -390,9 +398,7 @@ let test_cell_trace_replayable () =
   let module P = Csap.Protocol in
   let _, traces =
     T.with_collector (fun () ->
-        P.run
-          ~adversary:(Csap_dsim.Adversary.of_delay (T.recorded tr))
-          (P.find_exn "flood") g)
+        P.run ~delay:(T.recorded tr) (P.find_exn "flood") g)
   in
   Alcotest.(check bool) "farm trace replays bit-identically" true
     (T.equal (T.without_decisions tr) (List.hd traces))

@@ -246,24 +246,19 @@ let test_protocol_domains_knob () =
           entry g);
       (fun () -> P.run ~domains:0 entry g);
     ];
-  (* An oblivious adversary is a delay model: an order-dependent one is
-     rejected by validation, with the delay-model message, not later
-     inside the partitioned engine. *)
+  (* An order-dependent delay model is rejected by validation, with the
+     delay-model message, not later inside the partitioned engine. *)
   let expected =
     "flood: domains: partitioned execution requires an order-independent \
      delay model"
   in
   match
-    P.run ~domains:2
-      ~adversary:
-        (Csap_dsim.Adversary.Oblivious
-           (Delay.Uniform (Csap_graph.Rng.create 1)))
-      entry g
+    P.run ~domains:2 ~delay:(Delay.Uniform (Csap_graph.Rng.create 1)) entry g
   with
   | exception Invalid_argument msg ->
-    Alcotest.(check string) "oblivious adversary's delay checked" expected
+    Alcotest.(check string) "order-dependent delay checked" expected
       (String.sub msg 0 (min (String.length msg) (String.length expected)))
-  | _ -> Alcotest.fail "oblivious Uniform adversary accepted with domains"
+  | _ -> Alcotest.fail "Uniform delay accepted with domains"
 
 (* The partitioned Net backend refuses what it cannot reproduce. *)
 let test_net_partitioned_rejections () =

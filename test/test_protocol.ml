@@ -132,17 +132,7 @@ let test_validation () =
              (M.name ^ ": adversary: adaptive adversaries not supported"))
           (fun () ->
             ignore
-              (P.run ~adversary:(Csap_dsim.Adversary.greedy_commax ()) entry
-                 g));
-      Alcotest.check_raises
-        (M.name ^ ": adversary/delay conflict rejected")
-        (Invalid_argument
-           (M.name ^ ": adversary: conflicts with an explicit delay model"))
-        (fun () ->
-          ignore
-            (P.run ~delay:Csap_dsim.Delay.Exact
-               ~adversary:(Csap_dsim.Adversary.of_delay Csap_dsim.Delay.Exact)
-               entry g)))
+              (P.run ~delay:(Csap_dsim.Delay.greedy_commax ()) entry g)))
     P.registry;
   (* Only the lower-bound family (which ignores its delay model) opts
      out of adaptivity. *)
@@ -278,6 +268,43 @@ let test_bounds_names_match_registry () =
          if M.claimed <> [] then Some M.name else None)
        P.registry)
 
+(* slt-dist's invariant: the tree is Slt.build's, parent for parent, and
+   shallow-light. The seed-1 random n=32 cell failed the old per-vertex
+   stretch check although its tree is Slt.build's. *)
+let test_slt_dist_seed1 () =
+  let module Cell = Csap_farm.Cell in
+  match
+    (Cell.run
+       (Cell.make ~family:"random" ~n:32 ~seed:1 ~check:true "slt-dist"))
+      .Cell.result
+  with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "random n=32 seed 1: %s" (Cell.error_message e)
+
+(* A plain shortest-path tree passed the old check (stretch 1, weight
+   within (1+2/(q-1))·V) but is not the shallow-light tree. *)
+let test_slt_dist_rejects_spt () =
+  let g =
+    Gen.random_connected (Csap_graph.Rng.create 0) 16 ~extra_edges:20 ~wmax:8
+  in
+  let entry = P.find_exn "slt-dist" in
+  let (module M : P.S) = entry in
+  let cfg = P.Run.make g in
+  let o = P.execute entry cfg in
+  (match M.invariant cfg o with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "slt-dist's own tree rejected: %s" e);
+  let spt =
+    {
+      o with
+      P.Outcome.payload =
+        P.Outcome.Spanning_tree (Csap_graph.Paths.spt g ~src:0);
+    }
+  in
+  match M.invariant cfg spt with
+  | Error _ -> ()
+  | Ok () -> Alcotest.fail "a shortest-path tree passed as the SLT"
+
 let suite =
   [
     Alcotest.test_case "registry is complete" `Quick test_completeness;
@@ -297,4 +324,8 @@ let suite =
     Alcotest.test_case "plain runs count restarts" `Quick
       test_plain_restarts_counted;
     Alcotest.test_case "traces dumped and parseable" `Quick test_trace_dump;
+    Alcotest.test_case "slt-dist passes on random n=32 seed 1" `Quick
+      test_slt_dist_seed1;
+    Alcotest.test_case "slt-dist rejects a shortest-path tree" `Quick
+      test_slt_dist_rejects_spt;
   ]

@@ -3,16 +3,8 @@ module G = Csap_graph.Graph
 module Gen = Csap_graph.Generators
 module Tree = Csap_graph.Tree
 
-module Adv = Csap_dsim.Adversary
-
 let schedules g =
   S.seeded_schedules 8 @ S.adversarial_schedules g @ S.adaptive_schedules ()
-
-(* Unwrap for legacy targets exercising a raw [Csap.Flood.run]-style API
-   that only understands delay models. *)
-let oblivious_delay = function
-  | Adv.Oblivious d -> Ok d
-  | Adv.Adaptive a -> Error (a.Adv.name ^ ": oblivious-only target")
 
 (* The registry's clean-sweep roster: flood, GHS, SPT_synch, SPT_recur,
    sync-alpha — all built from Csap.Protocol entries. *)
@@ -75,12 +67,11 @@ let test_schedule_dependence_detected () =
     {
       S.name = "flood-tree-fixed";
       execute =
-        (fun g adv _plan ->
-          Result.bind (oblivious_delay adv) (fun delay ->
-              let r = Csap.Flood.run ~delay g ~source:0 in
-              if Tree.edges r.Csap.Flood.tree = Tree.edges reference then
-                Ok r.Csap.Flood.measures
-              else Error "first-contact tree depends on the schedule"));
+        (fun g delay _plan ->
+          let r = Csap.Flood.run ~delay g ~source:0 in
+          if Tree.edges r.Csap.Flood.tree = Tree.edges reference then
+            Ok r.Csap.Flood.measures
+          else Error "first-contact tree depends on the schedule");
     }
   in
   (* A nested directory: [explore] creates the missing parent too. *)
@@ -90,8 +81,6 @@ let test_schedule_dependence_detected () =
       (Printf.sprintf "csap-sched-test-%d" (Unix.getpid ()))
   in
   let dir = Filename.concat parent "nested" in
-  (* Oblivious schedules only: the bogus target rejects adaptive ones
-     before any engine runs, so they would fail without leaving a trace. *)
   let summaries =
     S.explore ~trace_dir:dir g ~targets:[ bogus ]
       ~schedules:(S.seeded_schedules 8 @ S.adversarial_schedules g)
@@ -229,12 +218,11 @@ let test_fault_failure_traced () =
     {
       S.name = "mst-unshimmed";
       execute =
-        (fun g adv faults ->
-          Result.bind (oblivious_delay adv) (fun delay ->
-              let r = Csap.Mst_ghs.run ~delay ?faults g in
-              if Csap_graph.Mst.is_mst g r.Csap.Mst_ghs.mst then
-                Ok r.Csap.Mst_ghs.measures
-              else Error "not an MST"));
+        (fun g delay faults ->
+          let r = Csap.Mst_ghs.run ~delay ?faults g in
+          if Csap_graph.Mst.is_mst g r.Csap.Mst_ghs.mst then
+            Ok r.Csap.Mst_ghs.measures
+          else Error "not an MST");
     }
   in
   let dir =
