@@ -1,11 +1,12 @@
 (* Bench PX: partitioned engine bit-identity.
 
    Flood and spt-async on small graphs, sequential vs partitioned across
-   K domains under exact and seeded-oracle delays (the lockstep path).
-   The [fail] column counts any divergence in measures, arrivals,
-   distances or tree parents — it must be zero; the CI job asserts it.
-   Correctness is scheduling-blind, so the table is the same on any
-   number of CPUs. Scale timings live in bench/perf ([scale-part]). *)
+   K domains under exact delays (static lookahead) and a seeded oracle
+   (pre-sampled lookahead). The [fail] column counts any divergence in
+   measures, arrivals, distances or tree parents — it must be zero; the
+   CI job asserts it. Correctness is scheduling-blind, so the table is
+   the same on any number of CPUs. Scale timings live in bench/perf
+   ([scale-part]). *)
 
 module G = Csap_graph.Graph
 module Gen = Csap_graph.Generators

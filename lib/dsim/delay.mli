@@ -144,7 +144,9 @@ val order_independent : t -> bool
     bound exists ([Uniform]'s open interval, arbitrary [Oracle]s,
     [Adaptive] models). The
     partitioned engine's conservative lookahead is the minimum of this
-    bound over the cut edges; [None] forces lockstep windows. *)
+    bound over the cut edges; with [None] it pre-samples each cut slot's
+    next delay instead (an [Oracle] is a pure function of the message
+    identity). *)
 val lower_bound : t -> w:int -> float option
 
 (** Prints the model; an [Adaptive] one prints its [name]. *)

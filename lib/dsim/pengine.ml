@@ -82,26 +82,18 @@ module Rows = struct
     }
 
   let[@inline never] grow r =
-    let cap = Array.length r.tags in
-    let cap' = max 16 (2 * cap) in
-    let times = Array.make cap' 0.0 in
-    let keys = Array.make cap' dummy_key in
-    let tags = Array.make cap' 0 in
-    let srcs = Array.make cap' 0 in
-    let dsts = Array.make cap' 0 in
-    let datas = Array.make cap' filler in
-    Array.blit r.times 0 times 0 r.len;
-    Array.blit r.keys 0 keys 0 r.len;
-    Array.blit r.tags 0 tags 0 r.len;
-    Array.blit r.srcs 0 srcs 0 r.len;
-    Array.blit r.dsts 0 dsts 0 r.len;
-    Array.blit r.datas 0 datas 0 r.len;
-    r.times <- times;
-    r.keys <- keys;
-    r.tags <- tags;
-    r.srcs <- srcs;
-    r.dsts <- dsts;
-    r.datas <- datas
+    let cap' = max 16 (2 * Array.length r.tags) in
+    let col a fill =
+      let a' = Array.make cap' fill in
+      Array.blit a 0 a' 0 r.len;
+      a'
+    in
+    r.times <- col r.times 0.0;
+    r.keys <- col r.keys dummy_key;
+    r.tags <- col r.tags 0;
+    r.srcs <- col r.srcs 0;
+    r.dsts <- col r.dsts 0;
+    r.datas <- col r.datas filler
 
   let push r ~time ~key ~tag ~src ~dst data =
     let i = r.len in
@@ -142,8 +134,7 @@ module Pheap = struct
             (Array.unsafe_get h.Rows.keys j)
           < 0
 
-  let swap (h : t) i j =
-    let r = h in
+  let swap (r : t) i j =
     let ft = Array.unsafe_get r.Rows.times i in
     Array.unsafe_set r.Rows.times i (Array.unsafe_get r.Rows.times j);
     Array.unsafe_set r.Rows.times j ft;
@@ -198,8 +189,7 @@ module Pheap = struct
   let min_dst (h : t) = Array.unsafe_get h.Rows.dsts 0
   let min_data (h : t) = Array.unsafe_get h.Rows.datas 0
 
-  let drop_min (h : t) =
-    let r = h in
+  let drop_min (r : t) =
     let last = r.Rows.len - 1 in
     r.Rows.len <- last;
     r.Rows.times.(0) <- Array.unsafe_get r.Rows.times last;
@@ -210,7 +200,7 @@ module Pheap = struct
     r.Rows.datas.(0) <- Array.unsafe_get r.Rows.datas last;
     Array.unsafe_set r.Rows.keys last Rows.dummy_key;
     Array.unsafe_set r.Rows.datas last Rows.filler;
-    if last > 0 then sift_down h 0
+    if last > 0 then sift_down r 0
 end
 
 let tag_deliver = 0
@@ -289,6 +279,11 @@ type 'msg ctx = {
   mutable kids : int;
   mutable rank_base : int;
   mutable processed : int;
+  (* Lookahead, read at the root (node 1): [[|la; la|]] when static; when
+     pre-sampled, a min tournament tree over the owned outgoing cut slots
+     (node [i] = min of [2i], [2i+1]; leaves [c .. 2c-1] the next delays). *)
+  mutable la_tree : float array;
+  mutable windows : int;
 }
 
 and 'msg t = {
@@ -296,7 +291,11 @@ and 'msg t = {
   part : Partition.t;
   k : int;
   mutable delay : Delay.t;
-  mutable lookahead : float;
+  (* Static window width, or [None] for an oracle: pre-sampled windows. *)
+  mutable lookahead : float option;
+  (* Slot [2 * edge_id + dir] of an outgoing cut slot -> its leaf in the
+     sender's [la_tree]; -1 elsewhere. Empty under a static lookahead. *)
+  mutable leaf_of : int array;
   handlers : ('msg ctx -> src:int -> 'msg -> unit) option array;
   (* Sender-owned directed-edge state, shared across domains without
      locks: slot [2 * edge_id + dir] is written only by the partition
@@ -310,15 +309,14 @@ and 'msg t = {
      strictly on the other side of a barrier — single producer, single
      consumer, no lock, no per-event record. *)
   mailboxes : Rows.t array array;
-  (* Barrier-published scratch: local queue minima, per-instant minimum
-     keys (lockstep sub-rounds), and per-partition (time, key) snapshots
-     of the window batches for the merge-rank. The snapshot arrays are
-     reused across windows (grown geometrically, [pub_lens] bounds the
-     live prefix) and copied out of [ctx.batch] so the in-place re-key
-     never races a peer's merge read. Written before a barrier, read
-     after it. *)
+  (* Barrier-published scratch: local queue minima and lookaheads, and
+     per-partition (time, key) snapshots of the window batches for the
+     merge-rank. The snapshot arrays are reused across windows (grown
+     geometrically, [pub_lens] bounds the live prefix) and copied out of
+     [ctx.batch] so the in-place re-key never races a peer's merge read.
+     Written before a barrier, read after it. *)
   mins : float array;
-  minkeys : key option array;
+  las : float array;
   pub_times : float array array;
   pub_keys : key array array;
   pub_lens : int array;
@@ -329,23 +327,75 @@ and 'msg t = {
   mutable running : bool;
 }
 
-(* Conservative lookahead: cross-partition messages carry at least the
-   minimum static delay lower bound over the cut edges, so a window of
-   that width can run without hearing from other partitions. Any
-   unbounded cut edge forces lockstep (zero-width) windows. *)
-let lookahead_for g part delay =
-  let la = ref infinity in
+let sender e dir = if dir = 0 then e.G.u else e.G.v
+
+(* Installs [delay] and its conservative lookahead. Static: messages
+   across the cut carry at least the minimum delay lower bound over the
+   cut edges, so a window of that width needs nothing from other
+   partitions. A cut edge without a static bound (an oracle) makes it
+   pre-sampled instead (Nicol): an oracle is a pure function of the
+   message identity, so each cut slot's next delay is known before the
+   message exists, and FIFO clamping keeps later messages on the slot
+   from arriving earlier. A partition whose earliest event is at [m]
+   sends nothing across the cut that arrives before [m + root]; here its
+   outgoing cut slots are numbered as tree leaves. *)
+let set_delay t delay =
+  t.delay <- delay;
+  t.lookahead <-
+    Array.fold_left
+      (fun la id ->
+        match (la, Delay.lower_bound delay ~w:(G.edge t.g id).G.w) with
+        | Some a, Some b -> Some (Float.min a b)
+        | _ -> None)
+      (Some infinity) (Partition.cut_edges t.part);
+  let counts = Array.make t.k 0 in
+  let presampled = Option.is_none t.lookahead in
+  t.leaf_of <- (if presampled then Array.make (2 * G.m t.g) (-1) else [||]);
+  if presampled then
+    Array.iter
+      (fun id ->
+        for dir = 0 to 1 do
+          let p = Partition.part_of t.part (sender (G.edge t.g id) dir) in
+          t.leaf_of.((2 * id) + dir) <- counts.(p);
+          counts.(p) <- counts.(p) + 1
+        done)
+      (Partition.cut_edges t.part);
+  let fill = Option.value t.lookahead ~default:infinity in
+  Array.iteri
+    (fun p ctx -> ctx.la_tree <- Array.make (max 2 (2 * counts.(p))) fill)
+    t.ctxs
+
+(* Re-sample leaf [slot] for its next message and repair the path to the
+   root: O(log C), no allocation. A delay the oracle refuses ([Trace.recorded]
+   past its recording) or that [send] would reject is +inf — if that message
+   is ever sent, [send]'s own call raises the real error. *)
+let refresh_leaf t ctx ~id ~dir ~w =
+  let slot = (2 * id) + dir in
+  let out = ctx.dscratch in
   (try
-     Array.iter
-       (fun id ->
-         match Delay.lower_bound delay ~w:(G.edge g id).G.w with
-         | None ->
-           la := 0.0;
-           raise Exit
-         | Some b -> if b < !la then la := b)
-       (Partition.cut_edges part)
-   with Exit -> ());
-  !la
+     Delay.sample_into t.delay ~edge_id:id ~dir ~nth:t.send_counts.(slot) ~w out
+   with Invalid_argument _ -> out.(0) <- infinity);
+  let d = out.(0) in
+  let tree = ctx.la_tree in
+  let i = ref ((Array.length tree / 2) + t.leaf_of.(slot)) in
+  tree.(!i) <- (if d >= 0.0 && d < infinity then d else infinity);
+  while !i > 1 do
+    i := !i / 2;
+    let a = tree.(2 * !i) and b = tree.((2 * !i) + 1) in
+    tree.(!i) <- (if a <= b then a else b)
+  done
+
+(* Fill a pre-sampled tree from the current send counters (run start). *)
+let fill_leaves t ctx =
+  if Option.is_none t.lookahead then
+    Array.iter
+      (fun id ->
+        let e = G.edge t.g id in
+        for dir = 0 to 1 do
+          if Partition.part_of t.part (sender e dir) = ctx.p then
+            refresh_leaf t ctx ~id ~dir ~w:e.G.w
+        done)
+      (Partition.cut_edges t.part)
 
 let check_delay delay =
   if not (Delay.order_independent delay) then
@@ -375,15 +425,16 @@ let create ?(delay = Delay.Exact) ?partition ~domains g =
       part;
       k;
       delay;
-      lookahead = lookahead_for g part delay;
+      lookahead = None;
       handlers = Array.make (G.n g) None;
       send_counts = Array.make (2 * G.m g) 0;
       last_delivery = Array.make (2 * G.m g) 0.0;
       metrics = Metrics.create ();
       ctxs = [||];
       mailboxes = Array.init k (fun _ -> Array.init k (fun _ -> Rows.create ()));
+      leaf_of = [||];
       mins = Array.make k infinity;
-      minkeys = Array.make k None;
+      las = Array.make k infinity;
       pub_times = Array.make k [||];
       pub_keys = Array.make k [||];
       pub_lens = Array.make k 0;
@@ -408,13 +459,21 @@ let create ?(delay = Delay.Exact) ?partition ~domains g =
           kids = 0;
           rank_base = 0;
           processed = 0;
+          la_tree = [||];
+          windows = 0;
         });
+  set_delay t delay;
   t
 
 let graph t = t.g
 let partition t = t.part
 let domains t = t.k
-let lookahead t = t.lookahead
+let windows t = t.ctxs.(0).windows
+
+let lookahead t =
+  Array.iter (fill_leaves t) t.ctxs;
+  Array.fold_left (fun la ctx -> Float.min la ctx.la_tree.(1)) infinity t.ctxs
+
 let metrics t = t.metrics
 
 let set_handler t v f = t.handlers.(v) <- Some f
@@ -475,6 +534,9 @@ let send ctx ~src ~dst payload =
      so the read-modify-write is single-threaded. *)
   let arrival = Float.max (ctx.clock +. d) t.last_delivery.(slot) in
   t.last_delivery.(slot) <- arrival;
+  (match t.lookahead with
+  | None when t.leaf_of.(slot) >= 0 -> refresh_leaf t ctx ~id ~dir ~w
+  | _ -> ());
   route ctx ~time:arrival ~key:(child_key ctx) ~tag:tag_deliver ~src ~dst
     (Obj.repr payload)
     ~owner:(Partition.part_of t.part dst)
@@ -520,37 +582,24 @@ let drain t ctx =
   for q = 0 to t.k - 1 do
     if q <> ctx.p then begin
       let r = t.mailboxes.(q).(ctx.p) in
-      let n = r.Rows.len in
-      if n > 0 then begin
-        for i = 0 to n - 1 do
-          Pheap.push ctx.heap ~time:r.Rows.times.(i) ~key:r.Rows.keys.(i)
-            ~tag:r.Rows.tags.(i) ~src:r.Rows.srcs.(i) ~dst:r.Rows.dsts.(i)
-            r.Rows.datas.(i)
-        done;
-        Rows.clear r
-      end
+      for i = 0 to r.Rows.len - 1 do
+        Pheap.push ctx.heap ~time:r.Rows.times.(i) ~key:r.Rows.keys.(i)
+          ~tag:r.Rows.tags.(i) ~src:r.Rows.srcs.(i) ~dst:r.Rows.dsts.(i)
+          r.Rows.datas.(i)
+      done;
+      Rows.clear r
     end
   done
 
-let local_min ctx =
-  if Pheap.is_empty ctx.heap then infinity else Pheap.min_time ctx.heap
-
-(* Pop the events this window will process into the scratch batch:
-   times in [t0, t1) for positive lookahead, exactly t0 for lockstep.
-   Heap pops come out already (time, key)-sorted. *)
-let pop_batch t ctx ~t0 ~t1 =
+(* Pop the events this window will process — times below [t1] — into
+   the scratch batch. Heap pops come out already (time, key)-sorted. *)
+let pop_batch ctx ~t1 =
   let h = ctx.heap in
-  let continue = ref true in
-  while !continue do
-    if Pheap.is_empty h then continue := false
-    else
-      let time = Pheap.min_time h in
-      if if t.lookahead > 0.0 then time < t1 else time <= t0 then begin
-        Rows.push ctx.batch ~time ~key:(Pheap.min_key h) ~tag:(Pheap.min_tag h)
-          ~src:(Pheap.min_src h) ~dst:(Pheap.min_dst h) (Pheap.min_data h);
-        Pheap.drop_min h
-      end
-      else continue := false
+  while (not (Pheap.is_empty h)) && Pheap.min_time h < t1 do
+    Rows.push ctx.batch ~time:(Pheap.min_time h) ~key:(Pheap.min_key h)
+      ~tag:(Pheap.min_tag h) ~src:(Pheap.min_src h) ~dst:(Pheap.min_dst h)
+      (Pheap.min_data h);
+    Pheap.drop_min h
   done
 
 (* Publish an immutable (time, key) snapshot of the batch for the
@@ -614,94 +663,51 @@ let rank_batch t ctx =
     Rows.clear b
   end
 
-(* One lockstep sub-round bound: the smallest instant-t0 key any *other*
-   partition may still process. Everything a peer sends in the future
-   carries a key above its current minimum (children always outrank
-   their parents), so processing strictly below this bound is safe. *)
-let other_min_key t ctx =
-  let bound = ref None in
-  for q = 0 to t.k - 1 do
-    if q <> ctx.p then
-      match t.minkeys.(q) with
-      | None -> ()
-      | Some k -> (
-        match !bound with
-        | None -> bound := Some k
-        | Some b -> if compare_key k b < 0 then bound := Some k)
-  done;
-  !bound
-
 let process_window ctx ~t1 =
   let h = ctx.heap in
-  let continue = ref true in
-  while !continue do
-    if Pheap.is_empty h || Pheap.min_time h >= t1 then continue := false
-    else dispatch_min ctx
+  while (not (Pheap.is_empty h)) && Pheap.min_time h < t1 do
+    dispatch_min ctx
   done
 
-let process_instant ctx ~t0 ~bound =
-  let h = ctx.heap in
-  let continue = ref true in
-  while !continue do
-    if
-      (not (Pheap.is_empty h))
-      && Pheap.min_time h = t0
-      && (match bound with
-         | None -> true
-         | Some b -> compare_key (Pheap.min_key h) b < 0)
-    then dispatch_min ctx
-    else continue := false
-  done
-
-let minkey_at ctx ~t0 =
-  if (not (Pheap.is_empty ctx.heap)) && Pheap.min_time ctx.heap = t0 then
-    Some (Pheap.min_key ctx.heap)
-  else None
-
-(* Zero-lookahead windows: a single simulated instant, processed in
-   global key order via sub-rounds. Each sub-round publishes every
-   partition's minimum pending key at t0; a partition may process
-   strictly below the minimum over its peers (the conservative null
-   message in key space), then mailboxes are exchanged in case a
-   zero-delay cross edge landed new work at the same instant. The
-   partition holding the global minimum always progresses, so the loop
-   terminates whenever the sequential run does. *)
-let run_instant t ctx ~t0 =
-  let b = t.barrier in
-  let continue = ref true in
-  while !continue do
-    t.minkeys.(ctx.p) <- minkey_at ctx ~t0;
-    Barrier.await b;
-    let any = Array.exists Option.is_some t.minkeys in
-    if not any then continue := false
-    else begin
-      let bound = other_min_key t ctx in
-      process_instant ctx ~t0 ~bound;
-      Barrier.await b;
-      drain t ctx
-    end
-  done
+(* The window rule: [t1] is the least (earliest pending event + lookahead)
+   over the partitions. A window that cannot advance the clock — a cut
+   slot's next delay is 0, or [t0 +. la] rounds to [t0] — is refused. *)
+let window_end t ~t0 =
+  let q = ref 0 in
+  for i = 1 to t.k - 1 do
+    if t.mins.(i) +. t.las.(i) < t.mins.(!q) +. t.las.(!q) then q := i
+  done;
+  let t1 = t.mins.(!q) +. t.las.(!q) in
+  if not (t1 > t0) then
+    invalid_arg
+      (Printf.sprintf
+         "Pengine.run: empty window at time %g: lookahead %g does not \
+          advance the clock"
+         t0 t.las.(!q));
+  t1
 
 let main_loop t ctx =
   let b = t.barrier in
+  ctx.windows <- 0;
+  fill_leaves t ctx;
   let continue = ref true in
   while !continue do
     drain t ctx;
-    t.mins.(ctx.p) <- local_min ctx;
+    t.mins.(ctx.p) <-
+      (if Pheap.is_empty ctx.heap then infinity else Pheap.min_time ctx.heap);
+    t.las.(ctx.p) <- ctx.la_tree.(1);
     Barrier.await b;
     let t0 = Array.fold_left Float.min infinity t.mins in
     if t0 = infinity then continue := false
     else begin
-      let t1 = t0 +. t.lookahead in
-      pop_batch t ctx ~t0 ~t1;
+      let t1 = window_end t ~t0 in
+      ctx.windows <- ctx.windows + 1;
+      pop_batch ctx ~t1;
       publish_batch t ctx;
       Barrier.await b;
       rank_batch t ctx;
-      if t.lookahead > 0.0 then begin
-        process_window ctx ~t1;
-        Barrier.await b
-      end
-      else run_instant t ctx ~t0
+      process_window ctx ~t1;
+      Barrier.await b
     end
   done
 
@@ -749,13 +755,10 @@ let run t =
   Array.iter Domain.join others;
   t.running <- false;
   merge_metrics t;
-  let failed = ref None in
-  for p = t.k - 1 downto 0 do
-    match t.fails.(p) with Some f -> failed := Some f | None -> ()
-  done;
-  (match !failed with
-  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-  | None -> ());
+  (* Re-raise the lowest-numbered partition's failure. *)
+  Array.iter
+    (function Some (e, bt) -> Printexc.raise_with_backtrace e bt | None -> ())
+    t.fails;
   Array.fold_left (fun acc ctx -> acc + ctx.processed) 0 t.ctxs
 
 let reset ?delay t =
@@ -763,8 +766,7 @@ let reset ?delay t =
   (match delay with
   | Some d ->
     check_delay d;
-    t.delay <- d;
-    t.lookahead <- lookahead_for t.g t.part d
+    set_delay t d
   | None -> ());
   Array.fill t.handlers 0 (Array.length t.handlers) None;
   Array.fill t.send_counts 0 (Array.length t.send_counts) 0;
@@ -782,8 +784,6 @@ let reset ?delay t =
       ctx.processed <- 0)
     t.ctxs;
   Array.iter (fun row -> Array.iter Rows.clear row) t.mailboxes;
-  Array.fill t.mins 0 t.k infinity;
-  Array.fill t.minkeys 0 t.k None;
   (* Publish snapshots: drop stale key references, keep the capacity. *)
   for p = 0 to t.k - 1 do
     Array.fill t.pub_keys.(p) 0 (Array.length t.pub_keys.(p)) Rows.dummy_key;

@@ -3,15 +3,19 @@
 
     The graph is split into K blocks ({!Csap_graph.Partition}); each
     domain owns one block's vertices, their handlers and a private event
-    queue. Synchronisation is conservative: windows of simulated time
-    whose width is the {e lookahead} — the minimum static delay lower
-    bound over cut edges ({!Delay.lower_bound}) — run without
-    communication, and cross-partition sends are exchanged through
-    single-producer/single-consumer mailboxes drained at window barriers.
-    When no positive bound exists (pure oracles), windows degenerate to
-    single instants processed in lockstep sub-rounds bounded in {e key
-    space}: each partition may process an event only while its key is
-    below every peer's published minimum pending key at that instant.
+    queue. Synchronisation is conservative: a window of simulated time
+    runs without communication and ends at the least (earliest pending
+    event + {e lookahead}) over the partitions; cross-partition sends are
+    exchanged through single-producer/single-consumer mailboxes drained
+    at window barriers. Under a static model the lookahead is the minimum
+    {!Delay.lower_bound} over the cut edges. An oracle has no static
+    bound, so its lookahead is {e pre-sampled}: a partition's lookahead
+    is the least delay the oracle assigns to the next message on any cut
+    slot the partition sends on, kept in a tournament tree updated at
+    each cut send; FIFO clamping keeps later messages on a slot from
+    arriving earlier. A window that cannot advance the clock (a next
+    delay of 0 on a cut slot, or a lookahead below the clock's float
+    resolution) raises [Invalid_argument] from {!run}.
 
     The engine is {b bit-identical} to {!Engine}: the sequential tie-break
     order (time, push sequence) is reconstructed from structural event
@@ -98,6 +102,10 @@ val partition : 'msg t -> Csap_graph.Partition.t
 val domains : 'msg t -> int
 
 val lookahead : 'msg t -> float
-(** Current conservative window width: [infinity] when no cut edge
-    exists, [0] when some cut edge has no static delay lower bound
-    (lockstep mode). *)
+(** The conservative window width, read between runs: [infinity] when
+    no cut edge exists; under a static model the least
+    {!Delay.lower_bound} over the cut edges; under an oracle the least
+    pre-sampled delay of any cut slot's next message. *)
+
+val windows : 'msg t -> int
+(** Number of windows (barrier-separated rounds) in the last {!run}. *)

@@ -19,15 +19,18 @@ let spt_fingerprint (r : S.result) =
     Array.to_list r.S.dist,
     List.init (Array.length r.S.dist) (Tree.parent r.S.tree) )
 
-(* The delay models exercising both synchronisation paths: positive
-   lookahead (Exact / Scaled / Near_zero) and key-space lockstep (the
-   seeded oracle has no static bound). *)
+(* The delay models exercising both lookahead kinds: static (Exact /
+   Scaled / Near_zero) and pre-sampled (the oracles have no static
+   bound). The skewed oracles put ε and w side by side on the cut, so
+   the tournament tree's minimum decides every window. *)
 let delays seed =
   [
     ("exact", Delay.Exact);
     ("scaled", Delay.Scaled 0.5);
     ("near-zero", Delay.Near_zero);
     ("seeded", Delay.seeded seed);
+    ("race-crossing", Delay.race_crossing);
+    ("slow-edge-0", Delay.slow_edge 0);
   ]
 
 let prop_flood_identical =
@@ -132,9 +135,104 @@ let test_reset_changes_delay_and_lookahead () =
   Alcotest.(check (float 1e-9)) "exact lookahead" 4.0 (Pengine.lookahead eng);
   Pengine.reset ~delay:(Delay.Scaled 0.5) eng;
   Alcotest.(check (float 1e-9)) "scaled lookahead" 2.0 (Pengine.lookahead eng);
-  Pengine.reset ~delay:(Delay.seeded 3) eng;
-  Alcotest.(check (float 1e-9)) "oracle forces lockstep" 0.0
+  let delay = Delay.seeded 3 in
+  Pengine.reset ~delay eng;
+  (* The cut is edge {2, 3}: the lookahead is the smaller of its two
+     directions' first pre-sampled delays. *)
+  let edge_id = G.edge_id_between g 2 3 in
+  let first dir =
+    let out = [| 0.0 |] in
+    Delay.sample_into delay ~edge_id ~dir ~nth:0 ~w:4 out;
+    out.(0)
+  in
+  Alcotest.(check (float 0.0)) "oracle lookahead is pre-sampled"
+    (Float.min (first 0) (first 1))
     (Pengine.lookahead eng)
+
+(* A window that cannot advance the clock is refused, not spun on:
+   1e20 +. 1.0 = 1e20, so the window [t0, t0 + lookahead) is empty. One
+   domain has no cut and delivers at 1e20, as the sequential engine does. *)
+let test_empty_window_rejected () =
+  let g = Gen.path 2 ~w:1 in
+  let run domains =
+    let eng = Pengine.create ~domains g in
+    Pengine.set_handler eng 1 (fun _ ~src:_ () -> ());
+    Pengine.schedule eng ~vertex:0 ~delay:1e20 (fun ctx ->
+        Pengine.send ctx ~src:0 ~dst:1 ());
+    let events = Pengine.run eng in
+    (events, (Pengine.metrics eng).Csap_dsim.Metrics.last_delivery_time)
+  in
+  Alcotest.(check (pair int (float 0.0)))
+    "one domain delivers" (2, 1e20) (run 1);
+  Alcotest.(check bool) "two domains refuse the empty window" true
+    (match run 2 with exception Invalid_argument _ -> true | _ -> false)
+
+(* A zero delay is outside the paper's (0, w(e)]: on a cut edge it leaves
+   no lookahead, so K = 2 refuses it; the sequential engine and a single
+   domain (no cut) still run it. *)
+let test_zero_delay_oracle () =
+  let g = Gen.path 4 ~w:1 in
+  let delay =
+    Delay.oracle ~name:"zero" (fun ~edge_id:_ ~dir:_ ~nth:_ ~w:_ -> 0.0)
+  in
+  let seq = F.run ~delay g ~source:0 in
+  Alcotest.(check (float 0.0))
+    "engine runs it" 0.0 seq.F.measures.Csap.Measures.time;
+  let events, _, _, _, _ = echo_run (Pengine.create ~delay ~domains:1 g) g in
+  Alcotest.(check int) "one domain runs it" 4 events;
+  Alcotest.(check bool) "two domains refuse it" true
+    (match echo_run (Pengine.create ~delay ~domains:2 g) g with
+    | exception Invalid_argument _ -> true
+    | _ -> false)
+
+(* Replay under K = 2: the pre-sampler asks the recorded oracle for each
+   cut slot's next message, which past the recording raises; that leaf
+   must read +inf instead of failing the run. *)
+let test_recorded_replay_partitioned () =
+  let module T = Csap_dsim.Trace in
+  let g = Gen.grid 6 6 ~w:3 in
+  let recorded, traces =
+    T.with_collector (fun () -> F.run ~delay:(Delay.seeded 5) g ~source:0)
+  in
+  let delay =
+    match traces with
+    | [ tr ] -> T.recorded tr
+    | _ -> Alcotest.fail "expected one trace"
+  in
+  let replay = F.run ~delay ~domains:2 g ~source:0 in
+  Alcotest.(check bool) "measures replay" true
+    (replay.F.measures = recorded.F.measures);
+  Alcotest.(check bool) "arrivals replay" true
+    (replay.F.arrival = recorded.F.arrival)
+
+(* Pre-sampled windows cover many events each: a fallback to one window
+   per simulated instant would use about one window per event. The
+   handler is spt-async's distributed Bellman-Ford. *)
+let test_seeded_windows_counted () =
+  let g = Gen.grid 30 30 ~w:4 in
+  let eng = Pengine.create ~delay:(Delay.seeded 3) ~domains:2 g in
+  let dist = Array.make (G.n g) max_int in
+  let announce ctx v ~except d =
+    G.iter_neighbors g v (fun u w _ ->
+        if u <> except then Pengine.send ctx ~src:v ~dst:u (d + w))
+  in
+  for v = 0 to G.n g - 1 do
+    Pengine.set_handler eng v (fun ctx ~src d ->
+        if d < dist.(v) then begin
+          dist.(v) <- d;
+          announce ctx v ~except:src d
+        end)
+  done;
+  Pengine.schedule eng ~vertex:0 ~delay:0.0 (fun ctx ->
+      dist.(0) <- 0;
+      announce ctx 0 ~except:(-1) 0);
+  let events = Pengine.run eng in
+  let seq = S.run ~delay:(Delay.seeded 3) g ~source:0 in
+  Alcotest.(check bool) "distances" true (dist = seq.S.dist);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d windows < %d events / 2" (Pengine.windows eng) events)
+    true
+    (Pengine.windows eng > 0 && 2 * Pengine.windows eng < events)
 
 let test_order_dependent_delay_rejected () =
   let g = Gen.path 4 ~w:1 in
@@ -286,6 +384,14 @@ let suite =
     Alcotest.test_case "reset reproduces a run" `Quick test_reset_reproduces;
     Alcotest.test_case "reset recomputes delay and lookahead" `Quick
       test_reset_changes_delay_and_lookahead;
+    Alcotest.test_case "empty window rejected" `Quick
+      test_empty_window_rejected;
+    Alcotest.test_case "zero-delay oracle rejected across a cut" `Quick
+      test_zero_delay_oracle;
+    Alcotest.test_case "recorded replay under two domains" `Quick
+      test_recorded_replay_partitioned;
+    Alcotest.test_case "seeded windows counted" `Quick
+      test_seeded_windows_counted;
     Alcotest.test_case "order-dependent delays rejected" `Quick
       test_order_dependent_delay_rejected;
     Alcotest.test_case "partition validated" `Quick test_partition_validated;
