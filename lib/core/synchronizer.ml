@@ -192,7 +192,6 @@ let rec core_try_execute c v =
     c.states.(v) <- state;
     c.executed.(v) <- p;
     (* Transmit, tracking outstanding acknowledgements. *)
-    let levels_touched = ref [] in
     List.iter
       (fun (dst, payload) ->
         match G.edge_between c.g v dst with
@@ -204,11 +203,8 @@ let rec core_try_execute c v =
           let level = level_of_weight w in
           ignore (tbl_add c.outstanding (v, p) 1);
           ignore (tbl_add c.outstanding_lvl (v, p, level) 1);
-          if not (List.mem level !levels_touched) then
-            levels_touched := level :: !levels_touched;
           c.net.Net.send ~src:v ~dst (Proto { sent_at = p; payload }))
       sends;
-    ignore !levels_touched;
     c.on_executed v p;
     (* A pulse with no sends is immediately safe. *)
     if not (Hashtbl.mem c.outstanding (v, p)) then c.on_safe v p;
@@ -281,15 +277,9 @@ let finish ?comm_budget c start_all =
 let run_alpha ?delay ?faults ?reliable g protocol ~pulses =
   let n = G.n g in
   let net = Net.make ?reliable ?delay ?faults g in
-  (* heard.(v).(i): highest pulse for which neighbour i declared safe. *)
+  (* heard.(v).(i): highest pulse for which v's i-th neighbour in CSR row
+     order ([G.neighbor_index]) declared safe. *)
   let heard = Array.init n (fun v -> Array.make (G.degree g v) (-1)) in
-  let neighbor_index = Array.init n (fun _ -> Hashtbl.create 4) in
-  for v = 0 to n - 1 do
-    let i = ref 0 in
-    G.iter_neighbors g v (fun u _ _ ->
-        Hashtbl.replace neighbor_index.(v) u !i;
-        incr i)
-  done;
   let cleared v p =
     p = 0 || Array.for_all (fun h -> h >= p - 1) heard.(v)
   in
@@ -305,7 +295,7 @@ let run_alpha ?delay ?faults ?reliable g protocol ~pulses =
         | Ack { sent_at } ->
           core_handle_ack core ~me:v ~src ~sent_at
         | Ctrl p ->
-          let i = Hashtbl.find neighbor_index.(v) src in
+          let i = G.neighbor_index g v src in
           heard.(v).(i) <- max heard.(v).(i) p;
           core_try_execute core v)
   done;
@@ -390,7 +380,7 @@ let run_beta ?delay ?faults ?reliable ?tree g protocol ~pulses =
 (* ------------------------------------------------------------------ *)
 
 (* Ctrl encoding for gamma_w: kind + level + round packed as
-   ((round * 64 + level) * 8 + kind), kinds 0..4. *)
+   ((round * 64 + level) * 8 + kind), kinds 0..4 in [gamma_kinds] order. *)
 
 type gamma_kind =
   | KSafe
@@ -398,6 +388,8 @@ type gamma_kind =
   | KPsafe
   | KReady
   | KGo
+
+let gamma_kinds = [| KSafe; KCsafe; KPsafe; KReady; KGo |]
 
 let encode_gamma kind ~level ~round =
   let k =
@@ -409,22 +401,6 @@ let encode_gamma kind ~level ~round =
     | KGo -> 4
   in
   (((round * 64) + level) * 8) + k
-
-let decode_gamma enc =
-  let k = enc mod 8 in
-  let rest = enc / 8 in
-  let level = rest mod 64 in
-  let round = rest / 64 in
-  let kind =
-    match k with
-    | 0 -> KSafe
-    | 1 -> KCsafe
-    | 2 -> KPsafe
-    | 3 -> KReady
-    | 4 -> KGo
-    | _ -> assert false
-  in
-  (kind, level, round)
 
 let run_gamma_w ?delay ?faults ?reliable ?comm_budget ?(k = 2)
     ?(levels = `Partition) g protocol ~pulses =
@@ -495,15 +471,28 @@ let run_gamma_w ?delay ?faults ?reliable ?comm_budget ?(k = 2)
   let core =
     make_core ~check_in_synch:true net g protocol ~pulses ~cleared
   in
-  (* Round bookkeeping, keyed by (level, round, vertex). *)
-  let safe_got = Hashtbl.create 64 in
-  let ready_got = Hashtbl.create 64 in
-  let csafe_got = Hashtbl.create 64 in
-  let psafe_got = Hashtbl.create 64 in
   let released = Array.init (max_level + 1) (fun l ->
       Array.make (Array.length parts.(l).Partition.root_of) 0)
   in
+  (* Round bookkeeping, flat per level: (l, r, v) sits at index r*n + v
+     of level l's array, for rounds 0 .. max_round l. Counters are ints,
+     flags bytes; [self_ready] marks v's own ready contribution. *)
   let max_round l = (pulses / (1 lsl l)) + 1 in
+  let per_level make =
+    Array.init (max_level + 1) (fun l -> make ((max_round l + 1) * n))
+  in
+  let counters () = per_level (fun len -> Array.make len 0) in
+  let flags () = per_level (fun len -> Bytes.make len '\000') in
+  let safe_got = counters () and ready_got = counters () in
+  let psafe_got = counters () and csafe_got = flags () in
+  let self_ready = flags () and contributed = flags () in
+  let bump a l r v =
+    let i = (r * n) + v in
+    a.(l).(i) <- a.(l).(i) + 1;
+    a.(l).(i)
+  in
+  let flag a l r v = Bytes.get a.(l) ((r * n) + v) <> '\000' in
+  let set_flag a l r v = Bytes.set a.(l) ((r * n) + v) '\001' in
   let send_ctrl v dst kind ~level ~round =
     net.Net.send ~src:v ~dst (Ctrl (encode_gamma kind ~level ~round))
   in
@@ -514,7 +503,7 @@ let run_gamma_w ?delay ?faults ?reliable ?comm_budget ?(k = 2)
        cluster. Count: children + 1 for v's own safety. *)
     let part = parts.(l) in
     let needed = List.length part.Partition.children.(v) + 1 in
-    let have = tbl_add safe_got (l, r, v) 1 in
+    let have = bump safe_got l r v in
     assert (have <= needed);
     if have = needed then begin
       if part.Partition.parent.(v) < 0 then cluster_safe l r v
@@ -526,7 +515,7 @@ let run_gamma_w ?delay ?faults ?reliable ?comm_budget ?(k = 2)
     csafe_cascade l r leader_v
 
   and csafe_cascade l r v =
-    Hashtbl.replace csafe_got (l, r, v) ();
+    set_flag csafe_got l r v;
     List.iter
       (fun c -> send_ctrl v c KCsafe ~level:l ~round:r)
       parts.(l).Partition.children.(v);
@@ -539,22 +528,19 @@ let run_gamma_w ?delay ?faults ?reliable ?comm_budget ?(k = 2)
   and ready_check l r v =
     (* v is self-ready when its cluster is safe and every incident
        preferred edge has delivered the neighbour cluster's safety. *)
-    let self_ready =
-      Hashtbl.mem csafe_got (l, r, v)
-      && (try Hashtbl.find psafe_got (l, r, v) with Not_found -> 0)
-         = List.length pref_nbrs.(l).(v)
-      && not (Hashtbl.mem ready_got (l, r, -1 - v))
-      (* sentinel: self-contribution already counted *)
-    in
-    if self_ready then begin
-      Hashtbl.replace ready_got (l, r, -1 - v) 0;
+    if
+      flag csafe_got l r v
+      && psafe_got.(l).((r * n) + v) = List.length pref_nbrs.(l).(v)
+      && not (flag self_ready l r v)
+    then begin
+      set_flag self_ready l r v;
       ready_contribution l r v
     end
 
   and ready_contribution l r v =
     let part = parts.(l) in
     let needed = List.length part.Partition.children.(v) + 1 in
-    let have = tbl_add ready_got (l, r, v) 1 in
+    let have = bump ready_got l r v in
     assert (have <= needed);
     if have = needed then begin
       if part.Partition.parent.(v) < 0 then begin
@@ -581,7 +567,6 @@ let run_gamma_w ?delay ?faults ?reliable ?comm_budget ?(k = 2)
      In [`Divisible] mode, level-l safety additionally needs every heavier
      batch of the same pulse acked, and a cleared heavy batch can unlock
      several lower levels at once. *)
-  let contributed = Hashtbl.create 64 in
   let heavier_clear v p l =
     match levels with
     | `Partition -> true
@@ -599,11 +584,11 @@ let run_gamma_w ?delay ?faults ?reliable ?comm_budget ?(k = 2)
       && p mod (1 lsl l) = 0
       && (not (Hashtbl.mem core.outstanding_lvl (v, p, l)))
       && heavier_clear v p l
-      && not (Hashtbl.mem contributed (v, p, l))
     then begin
+      (* Pulse p of level l is round r, one-to-one as 2^l divides p. *)
       let r = (p / (1 lsl l)) + 1 in
-      if r <= max_round l then begin
-        Hashtbl.replace contributed (v, p, l) ();
+      if r <= max_round l && not (flag contributed l r v) then begin
+        set_flag contributed l r v;
         safe_contribution l r v
       end
     end
@@ -631,12 +616,12 @@ let run_gamma_w ?delay ?faults ?reliable ?comm_budget ?(k = 2)
           core_handle_proto core ~me:v ~src ~sent_at payload
         | Ack { sent_at } -> core_handle_ack core ~me:v ~src ~sent_at
         | Ctrl enc ->
-          let kind, level, round = decode_gamma enc in
-          (match kind with
+          let level = enc / 8 mod 64 and round = enc / 512 in
+          (match gamma_kinds.(enc mod 8) with
           | KSafe -> safe_contribution level round v
           | KCsafe -> csafe_cascade level round v
           | KPsafe ->
-            ignore (tbl_add psafe_got (level, round, v) 1);
+            ignore (bump psafe_got level round v);
             ready_check level round v
           | KReady -> ready_contribution level round v
           | KGo -> go_cascade level round v))

@@ -158,6 +158,37 @@ let test_heap_pop_releases () =
   check_collected ~what:"popped heap elements" w;
   ignore (Sys.opaque_identity h)
 
+(* gamma_w's control path: the unreliable exact spt-synch run on a
+   128-vertex graph. [Gc.allocated_bytes] counts major allocation too, so
+   the flat per-level round arrays are charged to the run. With the round
+   state in tuple-keyed [Hashtbl]s this run allocated 70.0 words/msg (34.7
+   with the flat arrays); the budget is two thirds of the former. *)
+let test_gamma_control_words_per_msg () =
+  let g =
+    Gen.random_connected (Csap_graph.Rng.create 7) 128 ~extra_edges:256
+      ~wmax:8
+  in
+  let pulses = Csap_graph.Paths.diameter g + 1 in
+  let run () =
+    snd
+      (Csap.Synchronizer.run_transformed g
+         (Csap.Spt_synch.protocol ~source:0)
+         ~pulses)
+  in
+  ignore (run ());
+  let before = Gc.allocated_bytes () in
+  let o = run () in
+  let words =
+    (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)
+  in
+  let msgs = o.Csap.Synchronizer.total.Csap.Measures.messages in
+  let per_msg = words /. float_of_int msgs in
+  let budget = 70.0 *. 2.0 /. 3.0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "gamma_w run allocates %.1f words/msg over %d msgs \
+                     (budget %.1f)" per_msg msgs budget)
+    true (per_msg <= budget)
+
 (* One full faulty traced execution; everything observable is returned
    so polymorphic equality compares packed vs boxed runs field for
    field. *)
@@ -234,5 +265,7 @@ let suite =
       test_reset_releases_pending;
     Alcotest.test_case "heap pop releases elements" `Quick
       test_heap_pop_releases;
+    Alcotest.test_case "gamma_w control path words/msg budget" `Quick
+      test_gamma_control_words_per_msg;
     QCheck_alcotest.to_alcotest prop_packed_equals_boxed;
   ]

@@ -200,6 +200,59 @@ let prop_gamma_exact_random =
       in
       equivalent_to_reference g o ~pulses)
 
+(* gamma_w behind the reliable shim under loss and duplication, over both
+   level constructions, k in {2, 3} and weights up to 32 (levels 0-5).
+   Every pulse divisible by 2^l opens round p / 2^l + 1 of level l, so
+   with pulses >= W each level runs through its last round,
+   pulses / 2^l + 1, and past its first. *)
+let prop_gamma_reliable_faults =
+  QCheck.Test.make ~count:20
+    ~name:"gamma_w behind the shim under faults = synchronous reference"
+    QCheck.(
+      quad
+        (Gen_qcheck.connected_graph_gen ~max_n:10 ~max_wmax:32 ())
+        (int_bound 1000) (int_range 2 3) bool)
+    (fun (g0, seed, k, divisible) ->
+      let g = Csap.Normalize.graph g0 in
+      let w = G.max_weight g in
+      let pulses = w + (seed mod (w + 1)) in
+      let levels = if divisible then `Divisible else `Partition in
+      let o =
+        Sync.run_gamma_w ~reliable:true
+          ~faults:(Csap_dsim.Fault.seeded ~loss:0.2 ~dup:0.05 seed)
+          ~k ~levels g tick_protocol ~pulses
+      in
+      equivalent_to_reference g o ~pulses)
+
+(* spt-synch over gamma_w behind the shim, clean and lossy, pinned to the
+   figures of the tuple-keyed round tables that the flat per-level arrays
+   replaced: the same messages in the same order give the same measures,
+   retransmissions and control traffic. *)
+let test_spt_synch_pinned () =
+  let g =
+    Gen.random_connected (Csap_graph.Rng.create 7) 128 ~extra_edges:256
+      ~wmax:8
+  in
+  let pulses = Csap_graph.Paths.diameter g + 1 in
+  let measures ?faults () =
+    let _, o =
+      Sync.run_transformed ~reliable:true ?faults g
+        (Csap.Spt_synch.protocol ~source:0)
+        ~pulses
+    in
+    let m = o.Sync.total in
+    Printf.sprintf "messages=%d comm=%d time=%h retrans=%d control=%d"
+      m.Csap.Measures.messages m.Csap.Measures.comm m.Csap.Measures.time
+      o.Sync.retransmissions o.Sync.control_comm
+  in
+  Alcotest.(check string) "clean-reliable"
+    "messages=109234 comm=324718 time=0x1.0fp+11 retrans=7743 control=316414"
+    (measures ());
+  Alcotest.(check string) "loss 0.2, dup 0.05"
+    "messages=136006 comm=415546 time=0x1.d0cp+13 retrans=26893 \
+     control=407242"
+    (measures ~faults:(Csap_dsim.Fault.seeded ~loss:0.2 ~dup:0.05 11) ())
+
 let prop_alpha_exact_random =
   QCheck.Test.make ~count:25 ~name:"alpha_w execution = synchronous reference"
     QCheck.(pair (Gen_qcheck.connected_graph_gen ~max_n:10 ~max_wmax:9 ()) (int_bound 1000))
@@ -231,7 +284,10 @@ let suite =
       test_partition_disconnected_levels;
     Alcotest.test_case "divisible-levels ablation" `Quick
       test_divisible_levels_exact_and_dearer;
+    Alcotest.test_case "spt-synch measures pinned behind the shim" `Quick
+      test_spt_synch_pinned;
     QCheck_alcotest.to_alcotest prop_divisible_exact_random;
     QCheck_alcotest.to_alcotest prop_gamma_exact_random;
+    QCheck_alcotest.to_alcotest prop_gamma_reliable_faults;
     QCheck_alcotest.to_alcotest prop_alpha_exact_random;
   ]
