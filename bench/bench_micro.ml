@@ -1,7 +1,7 @@
 (* Bechamel micro-benchmarks: per-operation cost (with OLS fit) of the
    sequential kernels behind each figure — one Test.make per table —
-   plus before/after pairs for the hot-path work: Engine.send's edge
-   lookup (adjacency scan vs the graph's sorted index) and the
+   plus before/after pairs for the hot-path work: the edge lookup
+   behind Engine.send (adjacency scan vs the graph's sorted index) and the
    all-sources diameter (lazy-deletion tuple heap vs the indexed heap
    with decrease_key). Always run on the main domain. *)
 
@@ -22,9 +22,9 @@ let graph =
 
 let bkj = lazy (Gen.bkj_star_cycle 48 ~heavy:200)
 
-(* Before/after instances named by the acceptance criteria: a dense
-   n = 96 network for the send-heavy flood, and an n = 256 sparse random
-   network for the n-Dijkstra diameter sweep. *)
+(* Before/after instances: a dense n = 96 network for the send-heavy
+   flood and the edge lookup, and an n = 256 sparse random network for
+   the n-Dijkstra diameter sweep. *)
 let dense96 = lazy (Gen.complete 96 ~w:4)
 
 let sparse256 =
@@ -45,11 +45,11 @@ type msg = Wave
 
 (* A bare flood (no tree bookkeeping): ~2 sends per edge, so the run cost
    is the per-message hot path — Engine.send's edge lookup plus two event
-   queue operations. [lookup]/[queue] select the historical or the
-   optimised implementation of each. *)
-let flood_with lookup queue g =
+   queue operations. [queue] selects the historical or the optimised
+   queue. *)
+let flood_with queue g =
   let n = G.n g in
-  let eng = E.create ~edge_lookup:lookup ~event_queue:queue g in
+  let eng = E.create ~event_queue:queue g in
   let reached = Array.make n false in
   let forward v ~except =
     G.iter_neighbors g v (fun u _ _ ->
@@ -92,7 +92,7 @@ let flood_trials ~reuse g =
    boxed oracle. *)
 let flood_bytes_per_msg queue g =
   let n = G.n g in
-  let eng = E.create ~edge_lookup:E.Indexed ~event_queue:queue g in
+  let eng = E.create ~event_queue:queue g in
   let reached = Array.make n false in
   let forward v ~except =
     G.iter_neighbors g v (fun u _ _ ->
@@ -120,6 +120,18 @@ let flood_bytes_per_msg queue g =
   let w1 = Gc.minor_words () in
   let msgs = (E.metrics eng).Csap_dsim.Metrics.messages in
   (w1 -. w0) *. 8.0 /. float_of_int (max 1 msgs)
+
+(* [find g u v] for every ordered pair of distinct vertices: the edge
+   lookup [Engine.send] makes once per message. *)
+let lookup_all find g =
+  let n = G.n g in
+  let acc = ref 0 in
+  for u = 0 to n - 1 do
+    for v = 0 to n - 1 do
+      if u <> v then acc := !acc + find g u v
+    done
+  done;
+  !acc
 
 (* The pre-index diameter: n independent lazy-deletion Dijkstras, fresh
    buffers each time. *)
@@ -200,23 +212,20 @@ let tests =
     Test.make ~name:"ct: flood-run"
       (Staged.stage (fun () ->
            ignore (Csap.Flood.run (Lazy.force graph) ~source:0)));
-    (* Before/after: the engine's per-message hot path (adjacency-scan
-       lookup + boxed event heap vs indexed lookup + packed heap). *)
-    Test.make ~name:"send: flood dense96 seed-path"
+    (* Before/after: the edge lookup of the send path — adjacency scan
+       vs the graph's sorted index. *)
+    Test.make ~name:"lookup: dense96 scan"
       (Staged.stage (fun () ->
-           flood_with E.Scan E.Boxed (Lazy.force dense96)));
-    Test.make ~name:"send: flood dense96 hot-path"
+           ignore (lookup_all G.edge_id_between_scan (Lazy.force dense96))));
+    Test.make ~name:"lookup: dense96 indexed"
       (Staged.stage (fun () ->
-           flood_with E.Indexed E.Packed (Lazy.force dense96)));
-    (* Before/after: the event queue alone (both sides use the indexed
-       edge lookup) — boxed record heap vs the allocation-free SOA
-       queue. *)
+           ignore (lookup_all G.edge_id_between (Lazy.force dense96))));
+    (* Before/after: the event queue alone — boxed record heap vs the
+       allocation-free SOA queue. *)
     Test.make ~name:"engine: send-path boxed"
-      (Staged.stage (fun () ->
-           flood_with E.Indexed E.Boxed (Lazy.force dense96)));
+      (Staged.stage (fun () -> flood_with E.Boxed (Lazy.force dense96)));
     Test.make ~name:"engine: send-path soa"
-      (Staged.stage (fun () ->
-           flood_with E.Indexed E.Packed (Lazy.force dense96)));
+      (Staged.stage (fun () -> flood_with E.Packed (Lazy.force dense96)));
     (* Before/after: the diameter sweep's Dijkstra core. Both sides run
        all n sources, so the pair measures the heap, not the sweep. *)
     Test.make ~name:"spt: diameter n256 lazy"
@@ -295,9 +304,9 @@ let run () =
     (List.map (fun (name, ns) -> [ Report.Str name; Report.Float ns ]) rows);
   let speedups =
     [
-      ( "speedup: engine-send flood dense96 (seed/hot)",
-        find_ns rows "flood dense96 seed-path"
-        /. find_ns rows "flood dense96 hot-path" );
+      ( "speedup: edge lookup dense96 (scan/indexed)",
+        find_ns rows "lookup: dense96 scan"
+        /. find_ns rows "lookup: dense96 indexed" );
       ( "speedup: diameter n256 (lazy/indexed)",
         find_ns rows "diameter n256 lazy" /. find_ns rows "diameter n256 indexed"
       );

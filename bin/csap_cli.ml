@@ -231,30 +231,18 @@ let submit_cell name dir family n w seed root delay adversary loss dup
     Format.eprintf "unknown protocol %S; try `csap_cli list`@." name;
     2
   | Some _ -> (
-    let bad_spec msg =
+    let cell =
+      Cell.make ~family ~n ~w ~seed ~root ?delay ?adversary ~loss ~dup
+        ~fault_seed ~reliable ?pulses ?strip ?k ?q ?domains ?trace ~check name
+    in
+    match Cell.delay_model cell with
+    | Error msg ->
       Format.eprintf "error: %s@." msg;
       3
-    in
-    match Option.map Cell.delay_of_spec delay with
-    | Some (Error msg) -> bad_spec msg
-    | None | Some (Ok _) -> (
-      match Option.map Csap_dsim.Delay.adaptive_of_spec adversary with
-      | Some (Error msg) -> bad_spec msg
-      | None | Some (Ok _) ->
-        if loss < 0.0 || loss >= 1.0 then
-          bad_spec "loss must be a probability in [0, 1)"
-        else if dup < 0.0 || dup >= 1.0 then
-          bad_spec "dup must be a probability in [0, 1)"
-        else begin
-          let cell =
-            Cell.make ~family ~n ~w ~seed ~root ?delay ?adversary ~loss ~dup
-              ~fault_seed ~reliable ?pulses ?strip ?k ?q ?domains ?trace
-              ~check name
-          in
-          let file = Farm.submit ~dir cell in
-          Format.printf "submitted %s (digest %s)@." file (Cell.digest cell);
-          0
-        end))
+    | Ok _ ->
+      let file = Farm.submit ~dir cell in
+      Format.printf "submitted %s (digest %s)@." file (Cell.digest cell);
+      0)
 
 let status_farm dir assert_done =
   let path = Farm.manifest_path ~dir in

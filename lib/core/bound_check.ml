@@ -83,7 +83,8 @@ let sweep (module P : Protocol.S) =
    the carrier's size parameters — mirror that rebuild. *)
 let measured_graph (module P : Protocol.S) g =
   if P.caps.Protocol.fixed_family then
-    Gen.lower_bound_gn (max 4 (G.n g)) ~x:(max 2 (G.max_weight g))
+    let n, x = Lower_bound.gn_params g in
+    Gen.lower_bound_gn n ~x
   else g
 
 let measure ((module P : Protocol.S) as entry) g =

@@ -91,12 +91,8 @@ type beta_msg =
   | Ready of int
   | Go of int
 
-let default_tree g =
-  let _, center = Csap_graph.Paths.radius_and_center g in
-  (Slt.build g ~root:center).Slt.tree
-
-let run_beta ?delay ?faults ?reliable ?tree g ~pulses =
-  let tree = match tree with Some t -> t | None -> default_tree g in
+let run_beta ?delay ?faults ?reliable g ~pulses =
+  let tree = Slt.centre_tree g in
   let n = G.n g in
   let root = Csap_graph.Tree.root tree in
   let net = Net.make ?reliable ?delay ?faults g in
@@ -162,9 +158,8 @@ type gamma_msg =
   | TNeighborDone of { src_tree : int; dst_tree : int; pulse : int }
   | TGo of { tree : int; pulse : int }
 
-let run_gamma ?delay ?faults ?reliable ?cover ?(neighbor_phase = true) g
-    ~pulses =
-  let cover = match cover with Some c -> c | None -> TC.build g in
+let run_gamma ?delay ?faults ?reliable ?(neighbor_phase = true) g ~pulses =
+  let cover = TC.build g in
   let n = G.n g in
   let trees = Array.of_list cover.TC.trees in
   let tcount = Array.length trees in

@@ -41,20 +41,20 @@ val run_alpha :
   pulses:int ->
   result
 
-(** [run_beta ?delay ?faults ?reliable ?tree g ~pulses] runs synchronizer
-    beta* over [tree] (default: a shallow-light tree rooted at a centre
-    vertex). *)
+(** [run_beta ?delay ?faults ?reliable g ~pulses] runs synchronizer
+    beta* over {!Slt.centre_tree}, a shallow-light tree rooted at a
+    centre vertex. *)
 val run_beta :
   ?delay:Csap_dsim.Delay.t ->
   ?faults:Csap_dsim.Fault.plan ->
   ?reliable:bool ->
-  ?tree:Csap_graph.Tree.t ->
   Csap_graph.Graph.t ->
   pulses:int ->
   result
 
-(** [run_gamma ?delay ?cover g ~pulses] runs synchronizer gamma* over a tree
-    edge-cover (default: {!Csap_cover.Tree_cover.build}).
+(** [run_gamma ?delay ?faults ?reliable ?neighbor_phase g ~pulses] runs
+    synchronizer gamma* over the tree edge-cover
+    {!Csap_cover.Tree_cover.build}[ g].
 
     [neighbor_phase] (default [true]) controls the paper's second phase
     (alpha among neighbouring trees). Because the tree edge-cover already
@@ -66,7 +66,6 @@ val run_gamma :
   ?delay:Csap_dsim.Delay.t ->
   ?faults:Csap_dsim.Fault.plan ->
   ?reliable:bool ->
-  ?cover:Csap_cover.Tree_cover.t ->
   ?neighbor_phase:bool ->
   Csap_graph.Graph.t ->
   pulses:int ->

@@ -34,6 +34,8 @@ type gn_run = {
   hybrid_comm : int;
 }
 
+let gn_params g = (max 4 (G.n g), max 2 (G.max_weight g))
+
 let run_on_gn ~n ~x =
   let g = Gen.lower_bound_gn n ~x in
   let flood = Flood.run g ~source:0 in

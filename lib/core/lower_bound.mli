@@ -46,3 +46,8 @@ type gn_run = {
 }
 
 val run_on_gn : n:int -> x:int -> gn_run
+
+(** [gn_params g] is the [(n, x)] of the [G_n(x)] a fixed-family run
+    rebuilds from its carrier graph [g]: [n = max 4 (number of
+    vertices)], [x = max 2 (heaviest weight)]. *)
+val gn_params : Csap_graph.Graph.t -> int * int

@@ -27,10 +27,7 @@ module Run = struct
 end
 
 module Outcome = struct
-  type payload = ..
-
-  type payload +=
-    | No_payload
+  type payload =
     | Spanning_tree of Tree.t
     | Flood_wave of { tree : Tree.t; arrival : float array }
     | Dfs_walk of { tree : Tree.t; est_c : int; est_r : int }
@@ -183,34 +180,36 @@ let check_mst g tree =
     if Csap_graph.Mst.is_mst g tree then Ok ()
     else Error "spanning tree is not an MST"
 
-(* Path distance from the root inside [tree] must equal the true
-   shortest-path distance for every vertex. *)
+(* The error [fails v] reports for the first vertex [v < n] it reports
+   one for, or [Ok ()]. *)
+let first_failure n fails =
+  let rec go v =
+    if v = n then Ok ()
+    else match fails v with Some msg -> Error msg | None -> go (v + 1)
+  in
+  go 0
+
+(* Weighted depth inside [tree] must equal the true shortest-path
+   distance from [root] for every vertex. *)
 let check_spt g ~root tree =
   match check_spanning g tree with
   | Error _ as e -> e
   | Ok () ->
-    let sssp = Csap_graph.Paths.dijkstra g ~src:root in
-    let ok = ref (Ok ()) in
-    for v = 0 to G.n g - 1 do
-      if !ok = Ok () then begin
-        let d = ref 0 and u = ref v in
-        let continue = ref true in
-        while !continue do
-          match Tree.parent tree !u with
-          | Some (p, w) ->
-            d := !d + w;
-            u := p
-          | None -> continue := false
-        done;
-        if !d <> sssp.Csap_graph.Paths.dist.(v) then
-          ok :=
-            Error
-              (Printf.sprintf
-                 "vertex %d: tree distance %d <> shortest distance %d" v !d
-                 sssp.Csap_graph.Paths.dist.(v))
-      end
-    done;
-    !ok
+    let dist = (Csap_graph.Paths.dijkstra g ~src:root).Csap_graph.Paths.dist in
+    first_failure (G.n g) (fun v ->
+        let d = Tree.depth tree v in
+        if d = dist.(v) then None
+        else
+          Some
+            (Printf.sprintf
+               "vertex %d: tree distance %d <> shortest distance %d" v d
+               dist.(v)))
+
+(* [check] applied to the outcome's tree, for payloads that carry one. *)
+let on_tree check (o : Outcome.t) =
+  match Outcome.tree o with
+  | Some tree -> check tree
+  | None -> Error "unexpected payload"
 
 (* The partitioned entries record the domain count they ran on. *)
 let domains_info cfg =
@@ -259,24 +258,18 @@ module Flood_p = struct
           (* Delays never exceed weights, so no schedule can make the
              wave slower than the weighted shortest path; under exact
              delays it arrives exactly on it. *)
-          let sssp =
-            Csap_graph.Paths.dijkstra cfg.Run.graph ~src:cfg.Run.root
+          let dist =
+            (Csap_graph.Paths.dijkstra cfg.Run.graph ~src:cfg.Run.root)
+              .Csap_graph.Paths.dist
           in
           let exact = exact_delay cfg in
-          let ok = ref (Ok ()) in
-          Array.iteri
-            (fun v t ->
-              let d = float_of_int sssp.Csap_graph.Paths.dist.(v) in
-              if
-                !ok = Ok ()
-                && (t > d +. 1e-9 || (exact && t < d -. 1e-9))
-              then
-                ok :=
-                  Error
-                    (Printf.sprintf
-                       "vertex %d: arrival %g vs shortest distance %g" v t d))
-            arrival;
-          !ok
+          first_failure (Array.length arrival) (fun v ->
+              let t = arrival.(v) and d = float_of_int dist.(v) in
+              if t > d +. 1e-9 || (exact && t < d -. 1e-9) then
+                Some
+                  (Printf.sprintf
+                     "vertex %d: arrival %g vs shortest distance %g" v t d)
+              else None)
         end
         else Ok ())
     | _ -> Error "unexpected payload"
@@ -344,20 +337,14 @@ module Con_hybrid_p = struct
         ]
       (Outcome.Spanning_tree r.Con_hybrid.spanning_tree)
 
-  let invariant cfg (o : Outcome.t) =
-    match Outcome.tree o with
-    | Some tree -> check_spanning cfg.Run.graph tree
-    | None -> Error "unexpected payload"
+  let invariant cfg = on_tree (check_spanning cfg.Run.graph)
 end
 
 (* ------------------------------------------------------------------ *)
 (* Sections 6.3 / 8: minimum spanning trees.                           *)
 (* ------------------------------------------------------------------ *)
 
-let mst_invariant cfg (o : Outcome.t) =
-  match Outcome.tree o with
-  | Some tree -> check_mst cfg.Run.graph tree
-  | None -> Error "unexpected payload"
+let mst_invariant cfg = on_tree (check_mst cfg.Run.graph)
 
 module Mst_centr_p = struct
   let name = "mst-centr"
@@ -461,10 +448,7 @@ end
 (* Sections 6.4 / 9: shortest-path trees.                              *)
 (* ------------------------------------------------------------------ *)
 
-let spt_invariant cfg (o : Outcome.t) =
-  match Outcome.tree o with
-  | Some tree -> check_spt cfg.Run.graph ~root:cfg.Run.root tree
-  | None -> Error "unexpected payload"
+let spt_invariant cfg = on_tree (check_spt cfg.Run.graph ~root:cfg.Run.root)
 
 module Spt_centr_p = struct
   let name = "spt-centr"
@@ -642,35 +626,34 @@ module Slt_dist_p = struct
      Lemmas 2.4-2.5 then hold as [Slt.is_shallow_light] states them —
      for the tree's weight and depth, not for each vertex's stretch (the
      breakpoint scan bounds depth by (2q+1)·D, see slt.mli). *)
-  let invariant cfg (o : Outcome.t) =
-    match Outcome.tree o with
-    | None -> Error "unexpected payload"
-    | Some tree -> (
-      let g = cfg.Run.graph in
-      match check_spanning g tree with
-      | Error _ as e -> e
-      | Ok () -> (
-        let slt = Slt.build ?q:cfg.Run.q g ~root:cfg.Run.root in
-        let differs = ref (-1) in
-        for v = G.n g - 1 downto 0 do
-          if Tree.parent tree v <> Tree.parent slt.Slt.tree v then differs := v
-        done;
-        if !differs >= 0 then
-          Error
-            (Printf.sprintf "vertex %d: parent differs from Slt.build's tree"
-               !differs)
-        else
-          let p = Csap_graph.Params.compute g in
-          let script_v = p.Csap_graph.Params.script_v
-          and script_d = p.Csap_graph.Params.script_d in
-          if Slt.is_shallow_light slt ~script_v ~script_d then Ok ()
-          else
-            Error
-              (Printf.sprintf
-                 "tree weight %d / height %d exceed the shallow-light bounds \
-                  (q=%g, V=%d, D=%d)"
-                 (Tree.total_weight tree) (Tree.height tree) slt.Slt.q
-                 script_v script_d)))
+  let invariant cfg =
+    let g = cfg.Run.graph in
+    on_tree (fun tree ->
+        match check_spanning g tree with
+        | Error _ as e -> e
+        | Ok () -> (
+          let slt = Slt.build ?q:cfg.Run.q g ~root:cfg.Run.root in
+          match
+            first_failure (G.n g) (fun v ->
+                if Tree.parent tree v <> Tree.parent slt.Slt.tree v then
+                  Some
+                    (Printf.sprintf
+                       "vertex %d: parent differs from Slt.build's tree" v)
+                else None)
+          with
+          | Error _ as e -> e
+          | Ok () ->
+            let p = Csap_graph.Params.compute g in
+            let script_v = p.Csap_graph.Params.script_v
+            and script_d = p.Csap_graph.Params.script_d in
+            if Slt.is_shallow_light slt ~script_v ~script_d then Ok ()
+            else
+              Error
+                (Printf.sprintf
+                   "tree weight %d / height %d exceed the shallow-light \
+                    bounds (q=%g, V=%d, D=%d)"
+                   (Tree.total_weight tree) (Tree.height tree) slt.Slt.q
+                   script_v script_d)))
 end
 
 module Global_sum_p = struct
@@ -793,8 +776,11 @@ let sync_pulses cfg =
   | Some p -> p
   | None -> Csap_graph.Paths.eccentricity cfg.Run.graph cfg.Run.root + 1
 
-let sync_outcome ~name ~source ~pulses
-    (o : (Spt_synch.state, int) Synchronizer.outcome) =
+(* [states] are the wave's final states: [o.states] for alpha_w and
+   beta_w, extracted from the normalized network's for gamma_w, whose
+   [amortized_comm] is per transformed pulse and so not reported. *)
+let sync_outcome ~name ~source ~pulses ~amortized states
+    (o : (_, _) Synchronizer.outcome) =
   outcome ~name ~measures:o.Synchronizer.total
     ~transport:
       {
@@ -802,20 +788,21 @@ let sync_outcome ~name ~source ~pulses
         restarts = 0;
       }
     ~info:
-      [
-        ("ack_comm", string_of_int o.Synchronizer.ack_comm);
-        ("control_comm", string_of_int o.Synchronizer.control_comm);
-        ("amortized_comm", string_of_float o.Synchronizer.amortized_comm);
-      ]
+      ([
+         ("ack_comm", string_of_int o.Synchronizer.ack_comm);
+         ("control_comm", string_of_int o.Synchronizer.control_comm);
+       ]
+      @
+      if amortized then
+        [ ("amortized_comm", string_of_float o.Synchronizer.amortized_comm) ]
+      else [])
     (Outcome.Sync_states
-       {
-         source;
-         states = o.Synchronizer.states;
-         pulses;
-         proto_comm = o.Synchronizer.proto_comm;
-       })
+       { source; states; pulses; proto_comm = o.Synchronizer.proto_comm })
 
-let sync_invariant cfg (o : Outcome.t) =
+(* [comm]: also compare the protocol's communication with the reference
+   on clean runs (gamma_w's is measured on the normalized network, so
+   only its states are comparable). *)
+let sync_invariant ~comm cfg (o : Outcome.t) =
   match o.Outcome.payload with
   | Outcome.Sync_states { source; states; pulses; proto_comm } ->
     let reference =
@@ -826,7 +813,7 @@ let sync_invariant cfg (o : Outcome.t) =
     if states <> reference.Csap_dsim.Sync_runner.states then
       Error "states differ from the synchronous reference execution"
     else if
-      clean cfg
+      comm && clean cfg
       && proto_comm <> reference.Csap_dsim.Sync_runner.weighted_comm
     then
       Error
@@ -847,13 +834,15 @@ module Sync_alpha_p = struct
   let claimed = [ Claim.comm "D * E"; Claim.time "D * d" ]
   let run cfg =
     let source = cfg.Run.root and pulses = sync_pulses cfg in
-    sync_outcome ~name ~source ~pulses
-      (Synchronizer.run_alpha ?delay:cfg.Run.delay ?faults:cfg.Run.faults
-         ~reliable:cfg.Run.reliable cfg.Run.graph
-         (Spt_synch.protocol ~source)
-         ~pulses)
+    let o =
+      Synchronizer.run_alpha ?delay:cfg.Run.delay ?faults:cfg.Run.faults
+        ~reliable:cfg.Run.reliable cfg.Run.graph
+        (Spt_synch.protocol ~source)
+        ~pulses
+    in
+    sync_outcome ~name ~source ~pulses ~amortized:true o.Synchronizer.states o
 
-  let invariant = sync_invariant
+  let invariant = sync_invariant ~comm:true
 end
 
 module Sync_beta_p = struct
@@ -867,13 +856,15 @@ module Sync_beta_p = struct
 
   let run cfg =
     let source = cfg.Run.root and pulses = sync_pulses cfg in
-    sync_outcome ~name ~source ~pulses
-      (Synchronizer.run_beta ?delay:cfg.Run.delay ?faults:cfg.Run.faults
-         ~reliable:cfg.Run.reliable cfg.Run.graph
-         (Spt_synch.protocol ~source)
-         ~pulses)
+    let o =
+      Synchronizer.run_beta ?delay:cfg.Run.delay ?faults:cfg.Run.faults
+        ~reliable:cfg.Run.reliable cfg.Run.graph
+        (Spt_synch.protocol ~source)
+        ~pulses
+    in
+    sync_outcome ~name ~source ~pulses ~amortized:true o.Synchronizer.states o
 
-  let invariant = sync_invariant
+  let invariant = sync_invariant ~comm:true
 end
 
 module Sync_gamma_p = struct
@@ -896,33 +887,9 @@ module Sync_gamma_p = struct
         (Spt_synch.protocol ~source)
         ~pulses
     in
-    outcome ~name ~measures:o.Synchronizer.total
-      ~transport:
-        {
-          Net.retransmissions = o.Synchronizer.retransmissions;
-          restarts = 0;
-        }
-      ~info:
-        [
-          ("ack_comm", string_of_int o.Synchronizer.ack_comm);
-          ("control_comm", string_of_int o.Synchronizer.control_comm);
-        ]
-      (Outcome.Sync_states
-         { source; states; pulses; proto_comm = o.Synchronizer.proto_comm })
+    sync_outcome ~name ~source ~pulses ~amortized:false states o
 
-  let invariant cfg (o : Outcome.t) =
-    (* The transformed pipeline reports communication on the normalized
-       network; only the state comparison is meaningful here. *)
-    match o.Outcome.payload with
-    | Outcome.Sync_states { source; states; pulses; proto_comm = _ } ->
-      let reference =
-        Csap_dsim.Sync_runner.run cfg.Run.graph
-          (Spt_synch.protocol ~source)
-          ~pulses
-      in
-      if states = reference.Csap_dsim.Sync_runner.states then Ok ()
-      else Error "states differ from the synchronous reference execution"
-    | _ -> Error "unexpected payload"
+  let invariant = sync_invariant ~comm:false
 end
 
 (* ------------------------------------------------------------------ *)
@@ -957,13 +924,8 @@ module Lower_bound_p = struct
 
   (* The run ignores [cfg.graph]'s topology: G_n is rebuilt from its
      size parameters ([fixed_family]). *)
-  let params cfg =
-    let n = max 4 (G.n cfg.Run.graph) in
-    let x = max 2 (G.max_weight cfg.Run.graph) in
-    (n, x)
-
   let run cfg =
-    let n, x = params cfg in
+    let n, x = Lower_bound.gn_params cfg.Run.graph in
     let r = Lower_bound.run_on_gn ~n ~x in
     outcome ~name
       ~measures:

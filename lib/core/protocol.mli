@@ -60,11 +60,8 @@ end
 
 (** Uniform run outcome. *)
 module Outcome : sig
-  (** Protocol-specific payload, extensible for out-of-tree protocols. *)
-  type payload = ..
-
-  type payload +=
-    | No_payload
+  (** Protocol-specific payload. *)
+  type payload =
     | Spanning_tree of Csap_graph.Tree.t
     | Flood_wave of { tree : Csap_graph.Tree.t; arrival : float array }
     | Dfs_walk of { tree : Csap_graph.Tree.t; est_c : int; est_r : int }

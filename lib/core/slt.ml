@@ -86,3 +86,7 @@ let is_shallow_light t ~script_v ~script_d =
   <= weight_bound ~q:t.q ~script_v +. 1e-9
   && float_of_int (Tree.height t.tree)
      <= depth_bound ~q:t.q ~script_d +. 1e-9
+
+let centre_tree g =
+  let _, center = Csap_graph.Paths.radius_and_center g in
+  (build g ~root:center).tree

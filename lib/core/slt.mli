@@ -41,3 +41,8 @@ val depth_bound : q:float -> script_d:int -> float
 
 (** [is_shallow_light t ~script_v ~script_d] checks both guarantees. *)
 val is_shallow_light : t -> script_v:int -> script_d:int -> bool
+
+(** [centre_tree g] is the shallow-light tree ([q = 2]) rooted at a
+    centre of [g] ({!Csap_graph.Paths.radius_and_center}): the one global
+    tree of the beta synchronizers. *)
+val centre_tree : Csap_graph.Graph.t -> Csap_graph.Tree.t

@@ -306,14 +306,8 @@ let run_alpha ?delay ?faults ?reliable g protocol ~pulses =
 (* Ctrl encoding: 2p = Ready(p) upward, 2p+1 = Go(p) downward.         *)
 (* ------------------------------------------------------------------ *)
 
-let run_beta ?delay ?faults ?reliable ?tree g protocol ~pulses =
-  let tree =
-    match tree with
-    | Some t -> t
-    | None ->
-      let _, center = Csap_graph.Paths.radius_and_center g in
-      (Slt.build g ~root:center).Slt.tree
-  in
+let run_beta ?delay ?faults ?reliable g protocol ~pulses =
+  let tree = Slt.centre_tree g in
   let n = G.n g in
   let root = Csap_graph.Tree.root tree in
   let net = Net.make ?reliable ?delay ?faults g in

@@ -66,13 +66,12 @@ val run_alpha :
   pulses:int ->
   ('s, 'm) outcome
 
-(** [run_beta ?delay ?tree g p ~pulses] — synchronizer beta_w over [tree]
-    (default: shallow-light tree from a centre). *)
+(** [run_beta ?delay g p ~pulses] — synchronizer beta_w over
+    {!Slt.centre_tree}, a shallow-light tree rooted at a centre. *)
 val run_beta :
   ?delay:Csap_dsim.Delay.t ->
   ?faults:Csap_dsim.Fault.plan ->
   ?reliable:bool ->
-  ?tree:Csap_graph.Tree.t ->
   Csap_graph.Graph.t ->
   ('s, 'm) Csap_dsim.Sync_protocol.t ->
   pulses:int ->

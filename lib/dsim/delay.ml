@@ -76,17 +76,13 @@ let sample_into t ~edge_id ~dir ~nth ~w out =
 
 let oracle ~name fn = Oracle { name; fn }
 
-let slow_edge ?(slow = 1.0) ?(fast = epsilon) target =
-  if not (slow > 0.0 && slow <= 1.0) then
-    invalid_arg "Delay.slow_edge: slow must be in (0, 1]";
-  if not (fast > 0.0 && fast <= 1.0) then
-    invalid_arg "Delay.slow_edge: fast must be in (0, 1]";
+let slow_edge target =
   Oracle
     {
       name = Printf.sprintf "slow-edge-%d" target;
       fn =
         (fun ~edge_id ~dir:_ ~nth:_ ~w ->
-          if edge_id = target then slow *. float_of_int w else fast);
+          if edge_id = target then float_of_int w else epsilon);
     }
 
 let race_crossing =

@@ -104,11 +104,10 @@ val oracle :
 (** {2 Built-in oblivious adversaries} *)
 
 (** [slow_edge id] delays every message on edge [id] by its full weight
-    (times [slow], default 1) while all other edges deliver almost
-    instantly ([fast * w], default a tiny epsilon): the adversary that
-    races the rest of the network past one straggling link. Both factors
-    must lie in [(0, 1]]. *)
-val slow_edge : ?slow:float -> ?fast:float -> int -> t
+    while every other message takes the same tiny epsilon as
+    {!Near_zero}, whatever its edge's weight: the adversary that races
+    the rest of the network past one straggling link. *)
+val slow_edge : int -> t
 
 (** Direction-asymmetric schedule: messages from the smaller endpoint
     ([dir = 0]) take their full weight, replies cross almost instantly —

@@ -17,10 +17,6 @@ type 'msg event = {
   action : 'msg action;
 }
 
-type edge_lookup =
-  | Indexed
-  | Scan
-
 type event_queue =
   | Packed
   | Boxed
@@ -32,7 +28,6 @@ type 'msg queue =
 type 'msg t = {
   g : Csap_graph.Graph.t;
   mutable delay : Delay.t;
-  lookup : edge_lookup;
   queue : 'msg queue;
   handlers : (src:int -> 'msg -> unit) option array;
   metrics : Metrics.t;
@@ -123,8 +118,7 @@ let install_faults t = function
 
 let adaptive_of = function Delay.Adaptive a -> Some a | _ -> None
 
-let create ?(delay = Delay.Exact) ?faults ?(edge_lookup = Indexed)
-    ?(event_queue = Packed) g =
+let create ?(delay = Delay.Exact) ?faults ?(event_queue = Packed) g =
   let m = Csap_graph.Graph.m g in
   let queue =
     match event_queue with
@@ -141,7 +135,6 @@ let create ?(delay = Delay.Exact) ?faults ?(edge_lookup = Indexed)
     {
       g;
       delay;
-      lookup = edge_lookup;
       queue;
       handlers = Array.make (Csap_graph.Graph.n g) None;
       metrics = Metrics.create ();
@@ -292,11 +285,7 @@ let[@inline never] note_enqueue t ~slot =
    Runs before the handler, so the handler's own sends observe
    up-to-date state. *)
 let[@inline never] note_delivery t ~src ~dst =
-  let id =
-    match t.lookup with
-    | Indexed -> Csap_graph.Graph.edge_id_between t.g src dst
-    | Scan -> Csap_graph.Graph.edge_id_between_scan t.g src dst
-  in
+  let id = Csap_graph.Graph.edge_id_between t.g src dst in
   let e = Csap_graph.Graph.edge t.g id in
   let dir = if src = e.Csap_graph.Graph.u then 0 else 1 in
   let slot = (2 * id) + dir in
@@ -305,11 +294,7 @@ let[@inline never] note_delivery t ~src ~dst =
 let send t ~src ~dst payload =
   (* The per-message hot path: an O(1)-amortised indexed lookup (no
      allocation) instead of scanning the adjacency list of [src]. *)
-  let id =
-    match t.lookup with
-    | Indexed -> Csap_graph.Graph.edge_id_between t.g src dst
-    | Scan -> Csap_graph.Graph.edge_id_between_scan t.g src dst
-  in
+  let id = Csap_graph.Graph.edge_id_between t.g src dst in
   if id < 0 then
     invalid_arg
       (Printf.sprintf "Engine.send: no edge between %d and %d" src dst);
@@ -434,11 +419,7 @@ let delivery_dropped t = function
   | Local _ -> false
 
 let trace_deliver t tr seq ~dropped ~src ~dst =
-  let id =
-    match t.lookup with
-    | Indexed -> Csap_graph.Graph.edge_id_between t.g src dst
-    | Scan -> Csap_graph.Graph.edge_id_between_scan t.g src dst
-  in
+  let id = Csap_graph.Graph.edge_id_between t.g src dst in
   let e = Csap_graph.Graph.edge t.g id in
   let dir = if src = e.Csap_graph.Graph.u then 0 else 1 in
   let slot = (2 * id) + dir in
@@ -648,5 +629,3 @@ let run ?until ?(max_events = max_int) ?(comm_budget = max_int) t =
 let metrics t = t.metrics
 
 let edge_traffic t = Array.copy t.traffic
-
-let send_count t = t.metrics.Metrics.messages

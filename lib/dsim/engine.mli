@@ -14,14 +14,6 @@
 
 type 'msg t
 
-(** How [send] resolves [(src, dst)] to an edge. [Indexed] (the default)
-    uses the graph's O(1)-amortised edge index; [Scan] is the historical
-    O(degree) adjacency scan, kept so the microbenchmarks can measure the
-    before/after difference on send-heavy workloads. *)
-type edge_lookup =
-  | Indexed
-  | Scan
-
 (** Which priority queue backs the event loop. [Packed] (the default) is
     the structure-of-arrays heap of {!Event_queue} — pushing or popping
     a delivery allocates zero heap words; [Boxed] is the historical
@@ -39,7 +31,7 @@ type event_queue =
            and exists only to cross-check the packed SOA queue. Use the \
            default Packed queue."]
 
-(** [create ?delay ?faults ?edge_lookup ?event_queue g] builds an idle
+(** [create ?delay ?faults ?event_queue g] builds an idle
     engine over the network [g]; the default delay model is
     {!Delay.Exact}. [?faults] attaches a {!Fault.plan}: each send is
     assigned a disposition (pass / drop / duplicate) by the plan, and the
@@ -53,7 +45,6 @@ type event_queue =
 val create :
   ?delay:Delay.t ->
   ?faults:Fault.plan ->
-  ?edge_lookup:edge_lookup ->
   ?event_queue:event_queue ->
   Csap_graph.Graph.t ->
   'msg t
@@ -127,9 +118,6 @@ val metrics : 'msg t -> Metrics.t
 (** [edge_traffic t] maps edge id to the number of messages that crossed it
     (in either direction) so far. The returned array is a snapshot. *)
 val edge_traffic : 'msg t -> int array
-
-(** [send_count t] is the number of sends so far (= metrics messages). *)
-val send_count : 'msg t -> int
 
 (** {2:faults Faults}
 

@@ -122,7 +122,6 @@ module Pheap = struct
 
   let create () = Rows.create ()
   let is_empty (h : t) = h.Rows.len = 0
-  let clear = Rows.clear
 
   let less (h : t) i j =
     let ti = Array.unsafe_get h.Rows.times i in
@@ -282,7 +281,7 @@ type 'msg ctx = {
   (* Lookahead, read at the root (node 1): [[|la; la|]] when static; when
      pre-sampled, a min tournament tree over the owned outgoing cut slots
      (node [i] = min of [2i], [2i+1]; leaves [c .. 2c-1] the next delays). *)
-  mutable la_tree : float array;
+  la_tree : float array;
   mutable windows : int;
 }
 
@@ -290,12 +289,12 @@ and 'msg t = {
   g : G.t;
   part : Partition.t;
   k : int;
-  mutable delay : Delay.t;
+  delay : Delay.t;
   (* Static window width, or [None] for an oracle: pre-sampled windows. *)
-  mutable lookahead : float option;
+  lookahead : float option;
   (* Slot [2 * edge_id + dir] of an outgoing cut slot -> its leaf in the
      sender's [la_tree]; -1 elsewhere. Empty under a static lookahead. *)
-  mutable leaf_of : int array;
+  leaf_of : int array;
   handlers : ('msg ctx -> src:int -> 'msg -> unit) option array;
   (* Sender-owned directed-edge state, shared across domains without
      locks: slot [2 * edge_id + dir] is written only by the partition
@@ -329,41 +328,40 @@ and 'msg t = {
 
 let sender e dir = if dir = 0 then e.G.u else e.G.v
 
-(* Installs [delay] and its conservative lookahead. Static: messages
-   across the cut carry at least the minimum delay lower bound over the
-   cut edges, so a window of that width needs nothing from other
-   partitions. A cut edge without a static bound (an oracle) makes it
-   pre-sampled instead (Nicol): an oracle is a pure function of the
-   message identity, so each cut slot's next delay is known before the
-   message exists, and FIFO clamping keeps later messages on the slot
-   from arriving earlier. A partition whose earliest event is at [m]
-   sends nothing across the cut that arrives before [m + root]; here its
-   outgoing cut slots are numbered as tree leaves. *)
-let set_delay t delay =
-  t.delay <- delay;
-  t.lookahead <-
+(* [delay]'s conservative lookahead. Static: messages across the cut
+   carry at least the minimum delay lower bound over the cut edges, so a
+   window of that width needs nothing from other partitions. A cut edge
+   without a static bound (an oracle) makes it pre-sampled instead
+   (Nicol): an oracle is a pure function of the message identity, so
+   each cut slot's next delay is known before the message exists, and
+   FIFO clamping keeps later messages on the slot from arriving earlier.
+   A partition whose earliest event is at [m] sends nothing across the
+   cut that arrives before [m + root]; here its outgoing cut slots are
+   numbered as tree leaves, [counts.(p)] of them in partition [p].
+   Returns [(lookahead, leaf_of, counts)]; fixed for the engine's life,
+   since a Pengine serves one run. *)
+let plan_lookahead g part ~k delay =
+  let lookahead =
     Array.fold_left
       (fun la id ->
-        match (la, Delay.lower_bound delay ~w:(G.edge t.g id).G.w) with
+        match (la, Delay.lower_bound delay ~w:(G.edge g id).G.w) with
         | Some a, Some b -> Some (Float.min a b)
         | _ -> None)
-      (Some infinity) (Partition.cut_edges t.part);
-  let counts = Array.make t.k 0 in
-  let presampled = Option.is_none t.lookahead in
-  t.leaf_of <- (if presampled then Array.make (2 * G.m t.g) (-1) else [||]);
+      (Some infinity) (Partition.cut_edges part)
+  in
+  let counts = Array.make k 0 in
+  let presampled = Option.is_none lookahead in
+  let leaf_of = if presampled then Array.make (2 * G.m g) (-1) else [||] in
   if presampled then
     Array.iter
       (fun id ->
         for dir = 0 to 1 do
-          let p = Partition.part_of t.part (sender (G.edge t.g id) dir) in
-          t.leaf_of.((2 * id) + dir) <- counts.(p);
+          let p = Partition.part_of part (sender (G.edge g id) dir) in
+          leaf_of.((2 * id) + dir) <- counts.(p);
           counts.(p) <- counts.(p) + 1
         done)
-      (Partition.cut_edges t.part);
-  let fill = Option.value t.lookahead ~default:infinity in
-  Array.iteri
-    (fun p ctx -> ctx.la_tree <- Array.make (max 2 (2 * counts.(p))) fill)
-    t.ctxs
+      (Partition.cut_edges part);
+  (lookahead, leaf_of, counts)
 
 (* Re-sample leaf [slot] for its next message and repair the path to the
    root: O(log C), no allocation. A delay the oracle refuses ([Trace.recorded]
@@ -419,20 +417,21 @@ let create ?(delay = Delay.Exact) ?partition ~domains g =
     | None -> Partition.striped g ~k:domains
   in
   let k = domains in
+  let lookahead, leaf_of, counts = plan_lookahead g part ~k delay in
   let t =
     {
       g;
       part;
       k;
       delay;
-      lookahead = None;
+      lookahead;
       handlers = Array.make (G.n g) None;
       send_counts = Array.make (2 * G.m g) 0;
       last_delivery = Array.make (2 * G.m g) 0.0;
       metrics = Metrics.create ();
       ctxs = [||];
       mailboxes = Array.init k (fun _ -> Array.init k (fun _ -> Rows.create ()));
-      leaf_of = [||];
+      leaf_of;
       mins = Array.make k infinity;
       las = Array.make k infinity;
       pub_times = Array.make k [||];
@@ -459,10 +458,12 @@ let create ?(delay = Delay.Exact) ?partition ~domains g =
           kids = 0;
           rank_base = 0;
           processed = 0;
-          la_tree = [||];
+          la_tree =
+            Array.make
+              (max 2 (2 * counts.(p)))
+              (Option.value lookahead ~default:infinity);
           windows = 0;
         });
-  set_delay t delay;
   t
 
 let graph t = t.g
@@ -760,35 +761,3 @@ let run t =
     (function Some (e, bt) -> Printexc.raise_with_backtrace e bt | None -> ())
     t.fails;
   Array.fold_left (fun acc ctx -> acc + ctx.processed) 0 t.ctxs
-
-let reset ?delay t =
-  if t.running then invalid_arg "Pengine.reset: run in progress";
-  (match delay with
-  | Some d ->
-    check_delay d;
-    set_delay t d
-  | None -> ());
-  Array.fill t.handlers 0 (Array.length t.handlers) None;
-  Array.fill t.send_counts 0 (Array.length t.send_counts) 0;
-  Array.fill t.last_delivery 0 (Array.length t.last_delivery) 0.0;
-  Metrics.reset t.metrics;
-  Array.iter
-    (fun ctx ->
-      Pheap.clear ctx.heap;
-      Rows.clear ctx.batch;
-      Metrics.reset ctx.pmetrics;
-      ctx.clock <- 0.0;
-      ctx.cur_key <- Init 0;
-      ctx.kids <- 0;
-      ctx.rank_base <- 0;
-      ctx.processed <- 0)
-    t.ctxs;
-  Array.iter (fun row -> Array.iter Rows.clear row) t.mailboxes;
-  (* Publish snapshots: drop stale key references, keep the capacity. *)
-  for p = 0 to t.k - 1 do
-    Array.fill t.pub_keys.(p) 0 (Array.length t.pub_keys.(p)) Rows.dummy_key;
-    t.pub_lens.(p) <- 0
-  done;
-  Array.fill t.fails 0 t.k None;
-  t.inits <- [];
-  t.init_count <- 0

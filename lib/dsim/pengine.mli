@@ -86,12 +86,6 @@ val run : 'msg t -> int
     raises, all domains unwind and the exception is re-raised (for the
     lowest-numbered failing partition). *)
 
-val reset : ?delay:Delay.t -> 'msg t -> unit
-(** [reset ?delay t] clears handlers, queues, mailboxes, FIFO clamps,
-    send counters and metrics — same contract as {!Engine.reset}; the
-    partition is kept. A new [delay] must be order-independent and
-    recomputes the lookahead. *)
-
 val metrics : 'msg t -> Metrics.t
 (** Aggregated metrics, valid after {!run}: message and weighted-comm
     totals are summed across partitions, completion and last-delivery

@@ -31,82 +31,45 @@ let dummy_event =
     delay = 0.0;
   }
 
-(* [capacity = 0] is an unbounded append-only buffer (doubling array);
-   [capacity > 0] is a ring keeping the last [capacity] events, with the
-   overwritten prefix counted in [dropped]. *)
+(* An append-only buffer (doubling array). *)
 type t = {
-  capacity : int;
   mutable buf : event array;
   mutable len : int;
-  mutable start : int;
-  mutable dropped : int;
 }
 
-let create ?(capacity = 0) () =
-  if capacity < 0 then invalid_arg "Trace.create: negative capacity";
-  { capacity; buf = [||]; len = 0; start = 0; dropped = 0 }
+let create () = { buf = [||]; len = 0 }
 
 let clear t =
   Array.fill t.buf 0 (Array.length t.buf) dummy_event;
-  t.len <- 0;
-  t.start <- 0;
-  t.dropped <- 0
+  t.len <- 0
 
 let length t = t.len
-let dropped t = t.dropped
-let capacity t = t.capacity
 
 let add t ev =
-  if t.capacity > 0 then begin
-    if Array.length t.buf < t.capacity then begin
-      let buf = Array.make t.capacity dummy_event in
-      Array.blit t.buf 0 buf 0 t.len;
-      t.buf <- buf
-    end;
-    if t.len < t.capacity then begin
-      t.buf.((t.start + t.len) mod t.capacity) <- ev;
-      t.len <- t.len + 1
-    end
-    else begin
-      t.buf.(t.start) <- ev;
-      t.start <- (t.start + 1) mod t.capacity;
-      t.dropped <- t.dropped + 1
-    end
-  end
-  else begin
-    let cap = Array.length t.buf in
-    if t.len = cap then begin
-      let buf = Array.make (max 64 (2 * cap)) dummy_event in
-      Array.blit t.buf 0 buf 0 t.len;
-      t.buf <- buf
-    end;
-    t.buf.(t.len) <- ev;
-    t.len <- t.len + 1
-  end
+  let cap = Array.length t.buf in
+  if t.len = cap then begin
+    let buf = Array.make (max 64 (2 * cap)) dummy_event in
+    Array.blit t.buf 0 buf 0 t.len;
+    t.buf <- buf
+  end;
+  t.buf.(t.len) <- ev;
+  t.len <- t.len + 1
 
-(* The [i]th held event, oldest first. *)
-let get t i =
-  if t.capacity > 0 then t.buf.((t.start + i) mod t.capacity) else t.buf.(i)
-
-let events t = Array.init t.len (get t)
+let events t = Array.sub t.buf 0 t.len
 
 let iter f t =
   for i = 0 to t.len - 1 do
-    f (get t i)
+    f t.buf.(i)
   done
 
 let equal a b = a.len = b.len && events a = events b
 
 (* An adaptive run's trace interleaves Decision records with the events
    proper; its oblivious replay emits none, so replay comparisons strip
-   them first. Unbounded result: a stripped trace is a replay artifact,
-   not a live ring. *)
+   them first. *)
 let without_decisions t =
   let r = create () in
-  Array.iter
-    (fun ev -> match ev.kind with Decision -> () | _ -> add r ev)
-    (events t);
-  r.dropped <- t.dropped;
+  iter (fun ev -> match ev.kind with Decision -> () | _ -> add r ev) t;
   r
 
 let decisions t =
@@ -356,15 +319,9 @@ let load_jsonl path =
 
 (* ---- replay ----------------------------------------------------------- *)
 
-let recorded ?(name = "recorded") t =
-  if t.dropped > 0 then
-    invalid_arg
-      (Printf.sprintf
-         "Trace.recorded: trace is a ring that dropped %d events; replay \
-          needs a full (unbounded) trace"
-         t.dropped);
+let recorded t =
   let tbl = Hashtbl.create (max 16 t.len) in
-  Array.iter
+  iter
     (fun ev ->
       match ev.kind with
       (* Decision records (adaptive adversaries) carry the same delay as
@@ -377,8 +334,8 @@ let recorded ?(name = "recorded") t =
          their delay from the fault plan, so neither feeds the oracle:
          replaying under the same plan reproduces both without it. *)
       | Deliver | Local | Dropped | Dup -> ())
-    (events t);
-  Delay.oracle ~name (fun ~edge_id ~dir ~nth ~w:_ ->
+    t;
+  Delay.oracle ~name:"recorded" (fun ~edge_id ~dir ~nth ~w:_ ->
       match Hashtbl.find_opt tbl ((2 * edge_id) + dir, nth) with
       | Some d -> d
       | None ->
@@ -396,10 +353,7 @@ let recorded ?(name = "recorded") t =
    fresh buffer (see [Engine.create]) and the scope returns them in
    creation order. Domain-local (not global) so pool workers exploring
    different schedules never share a collector. *)
-type collector = {
-  cap : int option;
-  mutable traces : t list;  (* reverse creation order *)
-}
+type collector = { mutable traces : t list (* reverse creation order *) }
 
 let collector_key : collector option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
@@ -409,14 +363,14 @@ let register () =
   match !slot with
   | None -> None
   | Some c ->
-    let tr = create ?capacity:c.cap () in
+    let tr = create () in
     c.traces <- tr :: c.traces;
     Some tr
 
-let with_collector ?capacity f =
+let with_collector f =
   let slot = Domain.DLS.get collector_key in
   let prev = !slot in
-  let c = { cap = capacity; traces = [] } in
+  let c = { traces = [] } in
   slot := Some c;
   match f () with
   | r ->

@@ -43,23 +43,14 @@ type event = {
 
 type t
 
-(** [create ()] is an unbounded trace; [create ~capacity ()] is a ring
-    keeping only the last [capacity] events (older ones are dropped and
-    counted — cheap enough to leave on in long sweeps, but not
-    replayable). *)
-val create : ?capacity:int -> unit -> t
+(** [create ()] is an empty trace; it grows without bound. *)
+val create : unit -> t
 
-(** Empty the buffer (capacity and ring/unbounded mode are kept). *)
+(** Empty the buffer (its grown capacity is kept). *)
 val clear : t -> unit
 
-(** Number of events currently held. *)
+(** Number of events held. *)
 val length : t -> int
-
-(** Events overwritten by the ring so far; [0] for unbounded traces. *)
-val dropped : t -> int
-
-(** The configured ring capacity; [0] means unbounded. *)
-val capacity : t -> int
 
 (** Append one event (the engine's hook; exposed for tests). *)
 val add : t -> event -> unit
@@ -112,10 +103,10 @@ val load_jsonl : string -> t
     in [t]: the [nth] send on a directed edge gets exactly the delay that
     was sampled for it in the recorded run, so replaying the same
     deterministic protocol reproduces the original execution — identical
-    event order and identical metrics. Raises [Invalid_argument] if [t]
-    is a ring that dropped events, or (at sample time) if the replayed
-    execution asks for a send the recording never made. *)
-val recorded : ?name:string -> t -> Delay.t
+    event order and identical metrics. Raises [Invalid_argument] (at
+    sample time) if the replayed execution asks for a send the recording
+    never made. The oracle's name is ["recorded"]. *)
+val recorded : t -> Delay.t
 
 (** {2 Ambient collection}
 
@@ -127,9 +118,9 @@ val recorded : ?name:string -> t -> Delay.t
     restored on exit), so pool workers exploring schedules in parallel
     never mix their traces. *)
 
-(** [with_collector ?capacity f] runs [f], collecting a trace per engine
-    created within. *)
-val with_collector : ?capacity:int -> (unit -> 'a) -> 'a * t list
+(** [with_collector f] runs [f], collecting a trace per engine created
+    within. *)
+val with_collector : (unit -> 'a) -> 'a * t list
 
 (** Called by [Engine.create]: a fresh registered trace when a collector
     is active on this domain, [None] otherwise. *)

@@ -213,6 +213,31 @@ let delay_of_spec spec =
                 | seeded:N | slow-edge:ID)"
                spec))))
 
+(* Checks loss and dup as well: [csap_cli submit] spools a cell only
+   when this passes, so no spooled cell fails [run] on its delay,
+   adversary or fault spec. *)
+let delay_model c =
+  let spec =
+    if c.loss < 0.0 || c.loss >= 1.0 then
+      Error "loss must be a probability in [0, 1)"
+    else if c.dup < 0.0 || c.dup >= 1.0 then
+      Error "dup must be a probability in [0, 1)"
+    else
+      match c.delay with
+      | None -> Ok None
+      | Some spec -> Result.map Option.some (delay_of_spec spec)
+  in
+  (* The adversary spec is the cell's adaptive delay model, so the two
+     fields are alternatives. *)
+  match (spec, c.adversary) with
+  | (Error _ as e), _ | e, None -> e
+  | Ok delay, Some a -> (
+    match (delay, Csap_dsim.Delay.adaptive_of_spec a) with
+    | _, (Error _ as e) -> e
+    | Some _, Ok _ ->
+      Error (c.protocol ^ ": adversary: conflicts with an explicit delay model")
+    | None, Ok d -> Ok (Some d))
+
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
 
@@ -252,30 +277,7 @@ let run ?graph:pre ?trace_prefix c =
   match P.find c.protocol with
   | None -> finish (Error (Unknown_protocol c.protocol))
   | Some entry -> (
-    let spec =
-      if c.loss < 0.0 || c.loss >= 1.0 then
-        Error "loss must be a probability in [0, 1)"
-      else if c.dup < 0.0 || c.dup >= 1.0 then
-        Error "dup must be a probability in [0, 1)"
-      else
-        match c.delay with
-        | None -> Ok None
-        | Some spec -> Result.map Option.some (delay_of_spec spec)
-    in
-    let spec =
-      (* The adversary spec is the cell's adaptive delay model, so the
-         two fields are alternatives. *)
-      match (spec, c.adversary) with
-      | (Error _ as e), _ | e, None -> e
-      | Ok delay, Some a -> (
-        match (delay, Csap_dsim.Delay.adaptive_of_spec a) with
-        | _, (Error _ as e) -> e
-        | Some _, Ok _ ->
-          Error
-            (c.protocol ^ ": adversary: conflicts with an explicit delay model")
-        | None, Ok d -> Ok (Some d))
-    in
-    match spec with
+    match delay_model c with
     | Error msg -> finish (Error (Bad_spec msg))
     | Ok delay -> (
       match (match pre with Some g -> g | None -> graph c) with

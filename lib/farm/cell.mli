@@ -90,6 +90,15 @@ val delay_of_spec : string -> (Csap_dsim.Delay.t, string) result
 (** Parse a [--delay]-style spec: [exact], [near-zero], [race],
     [scaled:C], [seeded:N], [slow-edge:ID]. *)
 
+val delay_model : t -> (Csap_dsim.Delay.t option, string) result
+(** The cell's delay model: [Ok None] for the default (exact), the
+    parsed [delay] spec, or the adaptive model its [adversary] spec
+    names. [Error] names the first problem, checked in this order: a
+    [loss] or [dup] outside [[0, 1)], a malformed delay spec, a
+    malformed adversary spec, and an adversary set together with a
+    delay. {!run} and the CLI's [submit] both check a cell through
+    this. *)
+
 (** Why a cell failed, classified for exit codes (see
     {!error_exit_code}). *)
 type error =

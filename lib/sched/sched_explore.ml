@@ -118,7 +118,7 @@ let target_suffix ~needs_root root strip =
   | _ -> "")
   ^ match strip with Some s -> Printf.sprintf "-s%d" s | None -> ""
 
-let target_for ?root ?pulses ?strip ?k ?q name =
+let target_for ?root ?strip name =
   let entry = Protocol.find_exn name in
   let (module P : Protocol.S) = entry in
   {
@@ -128,8 +128,7 @@ let target_for ?root ?pulses ?strip ?k ?q name =
       (fun g delay faults ->
         let reliable = faults <> None in
         let cfg =
-          Protocol.Run.make ?root ~delay ?faults ~reliable ?pulses ?strip ?k
-            ?q g
+          Protocol.Run.make ?root ~delay ?faults ~reliable ?strip g
         in
         let o = Protocol.execute entry cfg in
         match P.invariant cfg o with
@@ -143,7 +142,8 @@ let target_for ?root ?pulses ?strip ?k ?q name =
 
 (* The sweep roster: one target per trade-off family, cheap enough for
    every (schedule x target) pair of a sweep. *)
-let registry_targets ?(root = 0) () =
+let registry_targets () =
+  let root = 0 in
   [
     target_for ~root "flood";
     target_for "mst-ghs";
@@ -154,7 +154,8 @@ let registry_targets ?(root = 0) () =
 
 (* The fault-sweep roster: every registry protocol that supports both a
    raw fault plan and the reliable shim and is cheap enough to sweep. *)
-let registry_fault_targets ?(root = 0) () =
+let registry_fault_targets () =
+  let root = 0 in
   List.map
     (fun t -> { t with name = "rel-" ^ t.name })
     [

@@ -84,23 +84,22 @@ type target = {
     a sweep target: the run goes through {!Csap.Protocol.execute} with
     the schedule's delay model, and the invariant is the entry's own oracle
     check. Given a plan, the run is behind the reliable shim; without
-    one, it is not. Knobs ([root], [pulses], [strip], [k], [q]) are
-    forwarded into the {!Csap.Protocol.Run.cfg}. Raises
+    one, it is not. [root] and [strip] are forwarded into the
+    {!Csap.Protocol.Run.cfg} and named in the target's name. Raises
     [Invalid_argument] on an unknown protocol. *)
-val target_for :
-  ?root:int -> ?pulses:int -> ?strip:int -> ?k:int -> ?q:float -> string
-  -> target
+val target_for : ?root:int -> ?strip:int -> string -> target
 
 (** The standard sweep roster — one registry target per trade-off family
     (flood, GHS, both SPT constructions, synchronizer alpha), cheap
-    enough for a full (schedule x target) sweep. *)
-val registry_targets : ?root:int -> unit -> target list
+    enough for a full (schedule x target) sweep. Rooted protocols start
+    at vertex 0. *)
+val registry_targets : unit -> target list
 
 (** The standard fault roster: every registry protocol that supports
     both raw fault plans and the reliable shim and is cheap enough to
     sweep (flood, DFS, MST_centr, GHS, SPT_synch, global-sum), named
-    [rel-<protocol>]. *)
-val registry_fault_targets : ?root:int -> unit -> target list
+    [rel-<protocol>]. Rooted protocols start at vertex 0. *)
+val registry_fault_targets : unit -> target list
 
 (** One (target, schedule[, plan]) run. *)
 type run_result = {

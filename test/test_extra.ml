@@ -49,8 +49,8 @@ let test_traffic_vs_messages () =
       done);
   ignore (E.run eng);
   let total_traffic = Array.fold_left ( + ) 0 (E.edge_traffic eng) in
-  Alcotest.(check int) "traffic sums to messages" (E.send_count eng)
-    total_traffic
+  Alcotest.(check int) "traffic sums to messages"
+    (E.metrics eng).Csap_dsim.Metrics.messages total_traffic
 
 let prop_euler_tour_properties =
   QCheck.Test.make ~count:80 ~name:"euler tour: closed, 2n-1, edges twice"

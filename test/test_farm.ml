@@ -159,6 +159,17 @@ let test_cell_error_classification () =
     Alcotest.(check string) "adversary/delay conflict message"
       "flood: adversary: conflicts with an explicit delay model" msg
   | _ -> Alcotest.fail "adversary/delay conflict must be a bad spec");
+  (* [delay_model] is the check [submit] spools through: it rejects the
+     same conflict, here under a seeded delay, before any run. *)
+  (match
+     Cell.delay_model (Cell.make ~delay:"seeded:1" ~adversary:"greedy" "flood")
+   with
+  | Error msg ->
+    Alcotest.(check string) "seeded delay + adversary rejected"
+      "flood: adversary: conflicts with an explicit delay model" msg
+  | Ok _ -> Alcotest.fail "delay_model accepted a delay with an adversary");
+  Alcotest.(check bool) "adversary alone resolves" true
+    (Result.is_ok (Cell.delay_model (Cell.make ~adversary:"greedy" "flood")));
   Alcotest.(check string) "bad family" "3"
     (classify (Cell.make ~family:"nope" "flood"));
   Alcotest.(check string) "bad loss" "3"

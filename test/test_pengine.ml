@@ -73,7 +73,7 @@ let prop_spt_async_identical =
             [ 1; 2; 4 ])
         (delays seed))
 
-(* ---- direct engine use: reset semantics, exceptions, rejections ------- *)
+(* ---- direct engine use: lookahead, exceptions, rejections ------------- *)
 
 (* A four-hop echo from vertex 0: enough traffic to cross partitions in
    both directions. Returns the event count, the metrics and each
@@ -115,28 +115,17 @@ let prop_bfs_partition_identical =
       in
       striped = one && bfs = one)
 
-let test_reset_reproduces () =
-  let g = Gen.path 8 ~w:2 in
-  let eng = Pengine.create ~domains:3 g in
-  let first = echo_run eng g in
-  Pengine.reset eng;
-  let second = echo_run eng g in
-  Alcotest.(check bool) "reset reproduces the run" true (first = second);
-  (* A reset engine carries nothing over: a no-op run processes zero
-     events and reports zero metrics. *)
-  Pengine.reset eng;
-  Alcotest.(check int) "empty run" 0 (Pengine.run eng);
-  Alcotest.(check int) "no messages" 0
-    (Pengine.metrics eng).Csap_dsim.Metrics.messages
-
-let test_reset_changes_delay_and_lookahead () =
+let test_delay_sets_lookahead () =
   let g = Gen.path 6 ~w:4 in
-  let eng = Pengine.create ~domains:2 g in
-  Alcotest.(check (float 1e-9)) "exact lookahead" 4.0 (Pengine.lookahead eng);
-  Pengine.reset ~delay:(Delay.Scaled 0.5) eng;
-  Alcotest.(check (float 1e-9)) "scaled lookahead" 2.0 (Pengine.lookahead eng);
+  let create delay = Pengine.create ~delay ~domains:2 g in
+  Alcotest.(check (float 1e-9))
+    "exact lookahead" 4.0
+    (Pengine.lookahead (create Delay.Exact));
+  Alcotest.(check (float 1e-9))
+    "scaled lookahead" 2.0
+    (Pengine.lookahead (create (Delay.Scaled 0.5)));
   let delay = Delay.seeded 3 in
-  Pengine.reset ~delay eng;
+  let eng = create delay in
   (* The cut is edge {2, 3}: the lookahead is the smaller of its two
      directions' first pre-sampled delays. *)
   let edge_id = G.edge_id_between g 2 3 in
@@ -236,16 +225,10 @@ let test_seeded_windows_counted () =
 
 let test_order_dependent_delay_rejected () =
   let g = Gen.path 4 ~w:1 in
-  let uniform () = Delay.Uniform (Csap_graph.Rng.create 1) in
+  let uniform = Delay.Uniform (Csap_graph.Rng.create 1) in
   Alcotest.(check bool)
     "create rejects Uniform" true
-    (match Pengine.create ~delay:(uniform ()) ~domains:2 g with
-    | exception Invalid_argument _ -> true
-    | _ -> false);
-  let eng = Pengine.create ~domains:2 g in
-  Alcotest.(check bool)
-    "reset rejects Uniform" true
-    (match Pengine.reset ~delay:(uniform ()) eng with
+    (match Pengine.create ~delay:uniform ~domains:2 g with
     | exception Invalid_argument _ -> true
     | _ -> false)
 
@@ -381,9 +364,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_flood_identical;
     QCheck_alcotest.to_alcotest prop_spt_async_identical;
     QCheck_alcotest.to_alcotest prop_bfs_partition_identical;
-    Alcotest.test_case "reset reproduces a run" `Quick test_reset_reproduces;
-    Alcotest.test_case "reset recomputes delay and lookahead" `Quick
-      test_reset_changes_delay_and_lookahead;
+    Alcotest.test_case "create derives lookahead from the delay" `Quick
+      test_delay_sets_lookahead;
     Alcotest.test_case "empty window rejected" `Quick
       test_empty_window_rejected;
     Alcotest.test_case "zero-delay oracle rejected across a cut" `Quick

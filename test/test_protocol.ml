@@ -305,6 +305,34 @@ let test_slt_dist_rejects_spt () =
   | Error _ -> ()
   | Ok () -> Alcotest.fail "a shortest-path tree passed as the SLT"
 
+(* The SPT and flood invariants name the first vertex off its shortest
+   distance. On the cycle 0-1 (2), 1-2 (2), 0-2 (3) rooted at 0 the MST
+   path puts vertex 2 at depth 4, one more than its distance 3. *)
+let test_tree_invariants_reject () =
+  let g = G.create ~n:3 [ (0, 1, 2); (1, 2, 2); (0, 2, 3) ] in
+  let mst = Tree.of_parents ~root:0 ~parents:[| -1; 0; 1 |] ~weights:[| 0; 2; 2 |] in
+  let cfg = P.Run.make g in
+  let invariant name payload =
+    let entry = P.find_exn name in
+    let (module M : P.S) = entry in
+    let o = P.execute entry cfg in
+    match M.invariant cfg { o with P.Outcome.payload } with
+    | Ok () -> "ok"
+    | Error e -> e
+  in
+  Alcotest.(check string) "spt-synch, MST in place of the SPT"
+    "vertex 2: tree distance 4 <> shortest distance 3"
+    (invariant "spt-synch" (P.Outcome.Spanning_tree mst));
+  let wave arrival = P.Outcome.Flood_wave { tree = mst; arrival } in
+  Alcotest.(check string) "flood, late arrival"
+    "vertex 2: arrival 5 vs shortest distance 3"
+    (invariant "flood" (wave [| 0.0; 2.0; 5.0 |]));
+  Alcotest.(check string) "flood, early arrival under exact delays"
+    "vertex 2: arrival 2.5 vs shortest distance 3"
+    (invariant "flood" (wave [| 0.0; 2.0; 2.5 |]));
+  Alcotest.(check string) "flood, shortest arrivals" "ok"
+    (invariant "flood" (wave [| 0.0; 2.0; 3.0 |]))
+
 let suite =
   [
     Alcotest.test_case "registry is complete" `Quick test_completeness;
@@ -328,4 +356,6 @@ let suite =
       test_slt_dist_seed1;
     Alcotest.test_case "slt-dist rejects a shortest-path tree" `Quick
       test_slt_dist_rejects_spt;
+    Alcotest.test_case "tree invariants name the first vertex off its distance"
+      `Quick test_tree_invariants_reject;
   ]

@@ -147,8 +147,8 @@ let test_jsonl_file_roundtrip () =
       Alcotest.(check bool) "file round-trips" true
         (T.equal t (T.load_jsonl path)))
 
-(* A dump longer than one 64 KB chunk, a wrapped ring and an empty trace
-   all come back equal through the file. *)
+(* A dump longer than one 64 KB chunk and an empty trace both come back
+   equal through the file; a cleared trace holds nothing. *)
 let test_save_jsonl_streams () =
   let through_file t =
     let path = Filename.temp_file "csap-trace-stream" ".jsonl" in
@@ -158,21 +158,19 @@ let test_save_jsonl_streams () =
         T.save_jsonl t path;
         ((Unix.stat path).Unix.st_size, T.load_jsonl path))
   in
-  let big = T.create () and ring = T.create ~capacity:1000 () in
+  let big = T.create () in
   for i = 0 to 59_999 do
-    let e =
-      ev ~time:(float_of_int (i / 3) /. 7.0) ~seq:i ~edge:(i mod 97)
-        ~nth:(i / 97) ~delay:(float_of_int (i mod 11) *. 0.1) ()
-    in
-    T.add big e;
-    T.add ring e
+    T.add big
+      (ev ~time:(float_of_int (i / 3) /. 7.0) ~seq:i ~edge:(i mod 97)
+         ~nth:(i / 97) ~delay:(float_of_int (i mod 11) *. 0.1) ())
   done;
   let size, loaded = through_file big in
   Alcotest.(check bool) "more than one chunk" true (size > 2 * 65536);
   Alcotest.(check int) "byte count" (String.length (T.to_jsonl big)) size;
   Alcotest.(check bool) "long dump round-trips" true (T.equal big loaded);
-  Alcotest.(check bool) "wrapped ring round-trips" true
-    (T.equal ring (snd (through_file ring)));
+  T.clear big;
+  Alcotest.(check int) "clear empties the trace" 0 (T.length big);
+  Alcotest.(check string) "a cleared trace dumps nothing" "" (T.to_jsonl big);
   let size, loaded = through_file (T.create ()) in
   Alcotest.(check int) "empty trace, empty file" 0 size;
   Alcotest.(check int) "empty file, empty trace" 0 (T.length loaded)
@@ -203,22 +201,6 @@ let test_golden_dumps () =
       ( "trace-grid16-flood-seeded1.jsonl",
         Csap_farm.Cell.make ~family:"grid" ~n:16 ~delay:"seeded:1" "flood" );
     ]
-
-let test_ring_drops_oldest () =
-  let t = T.create ~capacity:3 () in
-  for i = 0 to 9 do
-    T.add t (ev ~seq:i ())
-  done;
-  Alcotest.(check int) "length capped" 3 (T.length t);
-  Alcotest.(check int) "dropped counted" 7 (T.dropped t);
-  Alcotest.(check (list int)) "last three kept" [ 7; 8; 9 ]
-    (Array.to_list (Array.map (fun e -> e.T.seq) (T.events t)));
-  (match T.recorded t with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "recorded on a lossy ring must raise");
-  T.clear t;
-  Alcotest.(check int) "clear resets length" 0 (T.length t);
-  Alcotest.(check int) "clear resets dropped" 0 (T.dropped t)
 
 let test_collector_scopes () =
   (* Engines created inside a collector scope register traces, in creation
@@ -419,13 +401,11 @@ let suite =
       test_jsonl_error_context;
     Alcotest.test_case "JSONL file parse errors name the file" `Quick
       test_jsonl_file_error_names_file;
-    Alcotest.test_case "save_jsonl streams long, ring and empty traces"
+    Alcotest.test_case "save_jsonl streams long and empty traces"
       `Quick test_save_jsonl_streams;
     Alcotest.test_case "dumps match the committed golden files" `Quick
       test_golden_dumps;
     QCheck_alcotest.to_alcotest prop_jsonl_matches_printf;
-    Alcotest.test_case "ring keeps the newest events" `Quick
-      test_ring_drops_oldest;
     Alcotest.test_case "collector scopes are nested and isolated" `Quick
       test_collector_scopes;
     Alcotest.test_case "replay reproduces the recorded run" `Quick
