@@ -33,9 +33,8 @@ let sparse256 =
        ~wmax:32)
 
 (* Instances for the later before/after pairs: the CSR relaxation scan
-   (flat rows vs boxed tuples) at n = 256, the extrema at n = 512
-   (all-sources sweep vs eccentricity-bound sweep), and the engine
-   reset-vs-recreate multi-seed trial loop. *)
+   (flat rows vs boxed tuples) at n = 256 and the extrema at n = 512
+   (all-sources sweep vs eccentricity-bound sweep). *)
 let sparse512 =
   lazy
     (Gen.random_connected (Csap_graph.Rng.create 13) 512 ~extra_edges:1024
@@ -67,29 +66,13 @@ let flood_with queue g =
       forward 0 ~except:(-1));
   ignore (E.run eng)
 
-(* The reset-vs-recreate trial loop: [trials] floods over the same graph
-   under per-trial seeded delays. The reset path reuses one engine
-   (rewound between trials); the recreate path rebuilds the O(n + m)
-   engine state every trial — the before/after pair for Engine.reset. *)
-let trials = 8
-
-let flood_trials ~reuse g =
-  let engine = if reuse then Some (Csap.Flood.make_engine g) else None in
-  let acc = ref 0 in
-  for seed = 1 to trials do
-    let delay = Csap_dsim.Delay.Uniform (Csap_graph.Rng.create seed) in
-    let r = Csap.Flood.run ~delay ?engine g ~source:0 in
-    acc := !acc + r.Csap.Flood.measures.Csap.Measures.comm
-  done;
-  !acc
-
 (* One-shot allocation gauge for the send path: arm and run a flood
    once to warm the engine (queue capacity grown, handler tables
-   filled), reset, re-arm, then measure minor-heap bytes across the
-   second run and divide by its message count. With growth pre-paid the
-   quotient is the true per-message footprint of [Engine.send] plus the
-   queue push/pop — ~0 B for the packed SOA queue, ~10 words for the
-   boxed oracle. *)
+   filled), re-arm, then measure minor-heap bytes across the second run
+   on the same engine and divide by that run's message count. With
+   growth pre-paid the quotient is the true per-message footprint of
+   [Engine.send] plus the queue push/pop — ~0 B for the packed SOA
+   queue, ~10 words for the boxed oracle. *)
 let flood_bytes_per_msg queue g =
   let n = G.n g in
   let eng = E.create ~event_queue:queue g in
@@ -113,12 +96,12 @@ let flood_bytes_per_msg queue g =
   in
   arm ();
   ignore (E.run eng);
-  E.reset eng;
   arm ();
+  let msgs0 = (E.metrics eng).Csap_dsim.Metrics.messages in
   let w0 = Gc.minor_words () in
   ignore (E.run eng);
   let w1 = Gc.minor_words () in
-  let msgs = (E.metrics eng).Csap_dsim.Metrics.messages in
+  let msgs = (E.metrics eng).Csap_dsim.Metrics.messages - msgs0 in
   (w1 -. w0) *. 8.0 /. float_of_int (max 1 msgs)
 
 (* [find g u v] for every ordered pair of distinct vertices: the edge
@@ -250,14 +233,6 @@ let tests =
     Test.make ~name:"extrema: n512 bounded"
       (Staged.stage (fun () ->
            ignore (Csap_graph.Paths.extrema (Lazy.force sparse512))));
-    (* Before/after: multi-seed trial loops — fresh engine per trial vs
-       one engine rewound by Engine.reset. *)
-    Test.make ~name:"engine: trial-loop recreate"
-      (Staged.stage (fun () ->
-           ignore (flood_trials ~reuse:false (Lazy.force dense96))));
-    Test.make ~name:"engine: trial-loop reset"
-      (Staged.stage (fun () ->
-           ignore (flood_trials ~reuse:true (Lazy.force dense96))));
     (* Before/after: JSONL trace dumps — Printf per record vs the direct
        writer. *)
     Test.make ~name:"trace: to_jsonl n~20k printf"
@@ -316,8 +291,6 @@ let run () =
       ( "speedup: extrema n512 (all-sources/bounded)",
         find_ns rows "extrema: n512 all-sources"
         /. find_ns rows "extrema: n512 bounded" );
-      ( "speedup: engine trial-loop (recreate/reset)",
-        find_ns rows "trial-loop recreate" /. find_ns rows "trial-loop reset" );
       ( "speedup: engine send-path (boxed/soa)",
         find_ns rows "send-path boxed" /. find_ns rows "send-path soa" );
       ( "speedup: trace to_jsonl n~20k (printf/direct)",

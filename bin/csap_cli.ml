@@ -29,6 +29,10 @@ module Cell = Csap_farm.Cell
 module Farm = Csap_farm.Farm
 module Manifest = Csap_farm.Manifest
 
+let unknown_protocol name =
+  Format.eprintf "unknown protocol %S; try `csap_cli list`@." name;
+  2
+
 (* ---- list -------------------------------------------------------------- *)
 
 let list_protocols names_only =
@@ -57,12 +61,10 @@ let run_protocol name family n w seed root delay adversary loss dup fault_seed
     reliable pulses strip k q domains trace check gc_stats =
   let cell =
     Cell.make ~family ~n ~w ~seed ~root ?delay ?adversary ~loss ~dup
-      ~fault_seed ~reliable ?pulses ?strip ?k ?q ?domains ~check name
+      ~fault_seed ~reliable ?pulses ?strip ?k ?q ?domains ?trace ~check name
   in
   match P.find name with
-  | None ->
-    Format.eprintf "unknown protocol %S; try `csap_cli list`@." name;
-    2
+  | None -> unknown_protocol name
   | Some _ -> (
     match Cell.graph cell with
     | exception Invalid_argument msg ->
@@ -77,7 +79,7 @@ let run_protocol name family n w seed root delay adversary loss dup fault_seed
       let g0 =
         if gc_stats then Some (Gc.quick_stat (), Gc.minor_words ()) else None
       in
-      let outcome = Cell.run ~graph:g ?trace_prefix:trace cell in
+      let outcome = Cell.run ~graph:g cell in
       match outcome.Cell.result with
       | Error (Cell.Invariant_failed _ as err) ->
         Format.eprintf "%s@." (Cell.error_message err);
@@ -226,23 +228,19 @@ let sweep_farm dir workers queue_cap resume quiet cells_file protocols delays
 
 let submit_cell name dir family n w seed root delay adversary loss dup
     fault_seed reliable pulses strip k q domains trace check =
-  match P.find name with
-  | None ->
-    Format.eprintf "unknown protocol %S; try `csap_cli list`@." name;
-    2
-  | Some _ -> (
-    let cell =
-      Cell.make ~family ~n ~w ~seed ~root ?delay ?adversary ~loss ~dup
-        ~fault_seed ~reliable ?pulses ?strip ?k ?q ?domains ?trace ~check name
-    in
-    match Cell.delay_model cell with
-    | Error msg ->
-      Format.eprintf "error: %s@." msg;
-      3
-    | Ok _ ->
-      let file = Farm.submit ~dir cell in
-      Format.printf "submitted %s (digest %s)@." file (Cell.digest cell);
-      0)
+  let cell =
+    Cell.make ~family ~n ~w ~seed ~root ?delay ?adversary ~loss ~dup
+      ~fault_seed ~reliable ?pulses ?strip ?k ?q ?domains ?trace ~check name
+  in
+  match Cell.prepare cell with
+  | Error (Cell.Unknown_protocol _) -> unknown_protocol name
+  | Error err ->
+    Format.eprintf "error: %s@." (Cell.error_message err);
+    Cell.error_exit_code err
+  | Ok _ ->
+    let file = Farm.submit ~dir cell in
+    Format.printf "submitted %s (digest %s)@." file (Cell.digest cell);
+    0
 
 let status_farm dir assert_done =
   let path = Farm.manifest_path ~dir in
@@ -286,9 +284,7 @@ let show_bounds name_opt names_only check =
       match P.find name with Some e -> Ok [ e ] | None -> Error name)
   in
   match entries with
-  | Error name ->
-    Format.eprintf "unknown protocol %S; try `csap_cli list`@." name;
-    2
+  | Error name -> unknown_protocol name
   | Ok entries ->
     if names_only then begin
       List.iter (fun (module M : P.S) -> print_endline M.name) entries;

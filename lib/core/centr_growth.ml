@@ -247,7 +247,6 @@ let run mode ?delay ?faults ?reliable g ~root =
       (Printf.sprintf "Centr_growth.run: root %d out of range [0, %d)" root
          (G.n g));
   let net = Net.make ?reliable ?delay ?faults g in
-  let stats = Net.monitor net in
   let t =
     create ~net ~inject:Fun.id ~mode ~root ~on_done:(fun () -> ()) ()
   in
@@ -261,7 +260,7 @@ let run mode ?delay ?faults ?reliable g ~root =
     grown_tree = tree t;
     measures = Measures.of_metrics (net.Net.metrics ());
     phases = t.phases;
-    transport = stats ();
+    transport = net.Net.stats ();
   }
 
 let run_mst ?delay ?faults ?reliable g ~root =

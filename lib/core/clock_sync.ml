@@ -12,8 +12,9 @@ type result = {
   transport : Net.stats;
 }
 
-let summarise g ~metrics ~transport ~pulses pulse_times =
+let summarise g net ~pulses pulse_times =
   let n = G.n g in
+  let metrics = net.Net.metrics () in
   let max_delay = ref 0.0 and sum = ref 0.0 and count = ref 0 in
   for v = 0 to n - 1 do
     for p = 1 to pulses do
@@ -33,7 +34,7 @@ let summarise g ~metrics ~transport ~pulses pulse_times =
       float_of_int metrics.Csap_dsim.Metrics.weighted_comm
       /. float_of_int (max 1 pulses);
     measures = Measures.of_metrics metrics;
-    transport;
+    transport = net.Net.stats ();
   }
 
 (* ------------------------------------------------------------------ *)
@@ -45,18 +46,11 @@ type alpha_msg = Pulse of int
 let run_alpha ?delay ?faults ?reliable g ~pulses =
   let n = G.n g in
   let net = Net.make ?reliable ?delay ?faults g in
-  let stats = Net.monitor net in
   let pulse_times = Array.make_matrix n (pulses + 1) nan in
   let current = Array.make n (-1) in
-  (* heard.(v).(i) = highest pulse number received from neighbour i. *)
+  (* heard.(v).(i): highest pulse number received from v's i-th
+     neighbour in CSR row order ([G.neighbor_index]). *)
   let heard = Array.init n (fun v -> Array.make (G.degree g v) (-1)) in
-  let neighbor_index = Array.init n (fun _ -> Hashtbl.create 4) in
-  for v = 0 to n - 1 do
-    let i = ref 0 in
-    G.iter_neighbors g v (fun u _ _ ->
-        Hashtbl.replace neighbor_index.(v) u !i;
-        incr i)
-  done;
   let rec try_pulse v =
     let p = current.(v) + 1 in
     if p <= pulses then
@@ -71,7 +65,7 @@ let run_alpha ?delay ?faults ?reliable g ~pulses =
   in
   for v = 0 to n - 1 do
     net.Net.set_handler v (fun ~src (Pulse p) ->
-        let i = Hashtbl.find neighbor_index.(v) src in
+        let i = G.neighbor_index g v src in
         heard.(v).(i) <- max heard.(v).(i) p;
         try_pulse v)
   done;
@@ -80,8 +74,7 @@ let run_alpha ?delay ?faults ?reliable g ~pulses =
         try_pulse v
       done);
   ignore (net.Net.run ());
-  summarise g ~metrics:(net.Net.metrics ()) ~transport:(stats ()) ~pulses
-    pulse_times
+  summarise g net ~pulses pulse_times
 
 (* ------------------------------------------------------------------ *)
 (* Synchronizer beta*: one global tree with a leader.                  *)
@@ -96,7 +89,6 @@ let run_beta ?delay ?faults ?reliable g ~pulses =
   let n = G.n g in
   let root = Csap_graph.Tree.root tree in
   let net = Net.make ?reliable ?delay ?faults g in
-  let stats = Net.monitor net in
   let pulse_times = Array.make_matrix n (pulses + 1) nan in
   let n_children =
     Array.init n (fun v -> List.length (Csap_graph.Tree.children tree v))
@@ -145,8 +137,7 @@ let run_beta ?delay ?faults ?reliable g ~pulses =
         do_pulse v 0
       done);
   ignore (net.Net.run ());
-  summarise g ~metrics:(net.Net.metrics ()) ~transport:(stats ()) ~pulses
-    pulse_times
+  summarise g net ~pulses pulse_times
 
 (* ------------------------------------------------------------------ *)
 (* Synchronizer gamma*: beta inside each cover tree, alpha among trees. *)
@@ -192,7 +183,6 @@ let run_gamma ?delay ?faults ?reliable ?(neighbor_phase = true) g ~pulses =
     (fun (_, b) _ -> neighbor_count.(b) <- neighbor_count.(b) + 1)
     relay;
   let net = Net.make ?reliable ?delay ?faults g in
-  let stats = Net.monitor net in
   let pulse_times = Array.make_matrix n (pulses + 1) nan in
   let current = Array.make n (-1) in
   (* go.(v).(tid): the latest pulse this vertex knows tree [tid] released.
@@ -305,8 +295,7 @@ let run_gamma ?delay ?faults ?reliable ?(neighbor_phase = true) g ~pulses =
         node_try_pulse v
       done);
   ignore (net.Net.run ());
-  summarise g ~metrics:(net.Net.metrics ()) ~transport:(stats ()) ~pulses
-    pulse_times
+  summarise g net ~pulses pulse_times
 
 let check_causality g r =
   let ok = ref true in

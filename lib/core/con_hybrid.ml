@@ -24,7 +24,6 @@ let run ?delay ?faults ?reliable g ~root =
       (Printf.sprintf "Con_hybrid.run: root %d out of range [0, %d)" root
          (G.n g));
   let net = Net.make ?reliable ?delay ?faults g in
-  let stats = Net.monitor net in
   (* The root's view of each algorithm's spending (W_a, W_b) and the switch
      deciding which one currently holds the permit. *)
   let w_a = ref 0 and w_b = ref 0 in
@@ -90,5 +89,5 @@ let run ?delay ?faults ?reliable g ~root =
       measures = Measures.of_metrics (net.Net.metrics ());
       dfs_estimate = !w_a;
       mst_estimate = !w_b;
-      transport = stats ();
+      transport = net.Net.stats ();
     }

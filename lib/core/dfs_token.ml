@@ -189,7 +189,6 @@ let run ?delay ?faults ?reliable g ~root =
       (Printf.sprintf "Dfs_token.run: root %d out of range [0, %d)" root
          (G.n g));
   let net = Net.make ?reliable ?delay ?faults g in
-  let stats = Net.monitor net in
   let t = create ~net ~inject:Fun.id ~root ~on_done:(fun () -> ()) () in
   for v = 0 to G.n g - 1 do
     net.Net.set_handler v (fun ~src m -> handle t ~me:v ~src m)
@@ -202,5 +201,5 @@ let run ?delay ?faults ?reliable g ~root =
     measures = Measures.of_metrics (net.Net.metrics ());
     final_center_estimate = center_estimate t;
     final_root_estimate = root_estimate t;
-    transport = stats ();
+    transport = net.Net.stats ();
   }

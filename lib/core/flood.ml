@@ -1,4 +1,3 @@
-module Engine = Csap_dsim.Engine
 module Net = Csap_dsim.Net
 module G = Csap_graph.Graph
 
@@ -11,21 +10,6 @@ type result = {
 
 type msg = Wave
 
-type engine = msg Engine.t
-
-let make_engine ?delay g = Engine.create ?delay g
-
-let net_of ?delay ?faults ?reliable ?domains ?engine g =
-  match engine with
-  | None -> Net.make ?reliable ?delay ?faults ?domains g
-  | Some eng ->
-    if G.id (Engine.graph eng) <> G.id g then
-      invalid_arg "Flood.run: engine built over a different graph";
-    if reliable = Some true || Option.value domains ~default:1 > 1 then
-      invalid_arg "Flood.run: a reused engine is sequential and shimless";
-    Engine.reset ?delay ?faults eng;
-    Net.of_engine eng
-
 (* The wave state lives in stable storage: a crashed vertex keeps what it
    learned, and a restart only rebuilds transport state. Resetting
    [reached] instead would be unsound: copies delivered before the crash
@@ -33,10 +17,9 @@ let net_of ?delay ?faults ?reliable ?domains ?engine g =
    cycle. On the partitioned backend the per-vertex arrays are safe to
    share unlocked — vertex [v]'s slots are written only inside [v]'s
    handler, on [v]'s owning domain, and read here only after the run. *)
-let run ?delay ?faults ?reliable ?domains ?engine g ~source =
+let run ?delay ?faults ?reliable ?domains g ~source =
   let n = G.n g in
-  let net = net_of ?delay ?faults ?reliable ?domains ?engine g in
-  let stats = Net.monitor net in
+  let net = Net.make ?reliable ?delay ?faults ?domains g in
   let send = net.Net.send in
   let parent = Array.make n (-1) in
   let parent_w = Array.make n 0 in
@@ -76,4 +59,4 @@ let run ?delay ?faults ?reliable ?domains ?engine g ~source =
       Measures.time = completion;
     }
   in
-  { tree; arrival; measures; transport = stats () }
+  { tree; arrival; measures; transport = net.Net.stats () }

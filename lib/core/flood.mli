@@ -15,15 +15,7 @@ type result = {
       (** shim retransmissions and crash-restart events *)
 }
 
-(** A reusable engine for multi-trial flood loops; see {!make_engine}. *)
-type engine
-
-(** [make_engine ?delay g] builds the engine [run ~engine] reuses across
-    trials on the same [g] — one allocation of the per-vertex and
-    per-edge state per (instance) point instead of one per trial. *)
-val make_engine : ?delay:Csap_dsim.Delay.t -> Csap_graph.Graph.t -> engine
-
-(** [run ?delay ?faults ?reliable ?domains ?engine g ~source] floods
+(** [run ?delay ?faults ?reliable ?domains g ~source] floods
     from [source] over [Net.make ?reliable ?domains ?delay ?faults g]
     ({!Csap_dsim.Net.make}); requires a connected graph.
 
@@ -37,21 +29,12 @@ val make_engine : ?delay:Csap_dsim.Delay.t -> Csap_graph.Graph.t -> engine
     - With [domains > 1] the wave runs on the partitioned engine, with a
       result bit-identical to the sequential run's: same tree, arrival
       times and measures. The delay model must be order-independent
-      ({!Csap_dsim.Delay.order_independent}).
-
-    When [engine] is given it must have been built over [g] (checked by
-    graph identity) and the run must be sequential and shimless
-    ([Invalid_argument] otherwise); it is {!Csap_dsim.Engine.reset} —
-    installing [delay] and [faults] if provided, clearing any previous
-    plan otherwise — and reused instead of creating a fresh engine,
-    which multi-seed trial loops exploit to skip per-trial
-    reconstruction. *)
+      ({!Csap_dsim.Delay.order_independent}). *)
 val run :
   ?delay:Csap_dsim.Delay.t ->
   ?faults:Csap_dsim.Fault.plan ->
   ?reliable:bool ->
   ?domains:int ->
-  ?engine:engine ->
   Csap_graph.Graph.t ->
   source:int ->
   result

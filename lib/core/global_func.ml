@@ -30,7 +30,6 @@ let run ?delay ?faults ?reliable g ~tree ~values spec =
   if not (Tree.is_spanning_tree_of g tree) then
     invalid_arg "Global_func.run: not a spanning tree of the graph";
   let net = Net.make ?reliable ?delay ?faults g in
-  let stats = Net.monitor net in
   let outputs = Array.map (fun v -> v) values in
   let produced = Array.make n false in
   let acc = Array.copy values in
@@ -71,7 +70,7 @@ let run ?delay ?faults ?reliable g ~tree ~values spec =
   {
     outputs;
     measures = Measures.of_metrics (net.Net.metrics ());
-    transport = stats ();
+    transport = net.Net.stats ();
   }
 
 let run_optimal ?delay ?faults ?reliable ?q g ~root ~values spec =

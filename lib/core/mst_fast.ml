@@ -45,7 +45,6 @@ let run ?delay ?faults ?reliable g =
   if n < 2 then invalid_arg "Mst_fast.run: n >= 2 required";
   if not (G.is_connected g) then invalid_arg "Mst_fast.run: disconnected";
   let net = Net.make ?reliable ?delay ?faults g in
-  let stats = Net.monitor net in
   (* Per-port state is kept aligned with [v]'s CSR row: port [i] is slot
      [off.(v) + i]. *)
   let off = G.csr_offsets g and nbr = G.csr_neighbors g in
@@ -371,5 +370,5 @@ let run ?delay ?faults ?reliable g =
     measures = Measures.of_metrics (net.Net.metrics ());
     phases = !phases_run;
     scan_rounds = !scan_rounds;
-    transport = stats ();
+    transport = net.Net.stats ();
   }

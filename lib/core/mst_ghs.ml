@@ -276,7 +276,6 @@ let create g ~send:send_fn ~on_done =
    hence no [?domains]. *)
 let run ?delay ?faults ?reliable g =
   let net = Net.make ?reliable ?delay ?faults g in
-  let stats = Net.monitor net in
   let t = create g ~send:net.Net.send ~on_done:(fun () -> ()) in
   for v = 0 to G.n g - 1 do
     net.Net.set_handler v (fun ~src m -> handle t ~me:v ~src m)
@@ -291,5 +290,5 @@ let run ?delay ?faults ?reliable g =
     mst = mst t;
     measures = Measures.of_metrics (net.Net.metrics ());
     max_level = max_level t;
-    transport = stats ();
+    transport = net.Net.stats ();
   }

@@ -782,11 +782,7 @@ let sync_pulses cfg =
 let sync_outcome ~name ~source ~pulses ~amortized states
     (o : (_, _) Synchronizer.outcome) =
   outcome ~name ~measures:o.Synchronizer.total
-    ~transport:
-      {
-        Net.retransmissions = o.Synchronizer.retransmissions;
-        restarts = 0;
-      }
+    ~transport:o.Synchronizer.transport
     ~info:
       ([
          ("ack_comm", string_of_int o.Synchronizer.ack_comm);

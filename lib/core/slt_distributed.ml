@@ -20,7 +20,6 @@ type walk_msg = Step of { index : int; mileage : int; last_bp : int }
 
 let token_walk ?delay ?faults ?reliable g ~mst ~spt ~q =
   let net = Net.make ?reliable ?delay ?faults g in
-  let stats = Net.monitor net in
   let line = Tree.euler_tour mst in
   let len = Array.length line in
   let mileage_of = Array.make len 0 in
@@ -63,7 +62,7 @@ let token_walk ?delay ?faults ?reliable g ~mst ~spt ~q =
   ( List.rev !breakpoints,
     line,
     Measures.of_metrics (net.Net.metrics ()),
-    stats () )
+    net.Net.stats () )
 
 let run ?delay ?faults ?reliable ?(q = 2.0) g ~root =
   if q <= 0.0 then invalid_arg "Slt_distributed.run: q must be positive";

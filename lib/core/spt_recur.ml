@@ -36,7 +36,6 @@ let try_run ?delay ?faults ?reliable ?(comm_budget = max_int) g ~source
     invalid_arg
       (Printf.sprintf "Spt_recur.run: root %d out of range [0, %d)" source n);
   let net = Net.make ?reliable ?delay ?faults g in
-  let stats = Net.monitor net in
   let dist = Array.make n max_int in
   let parent = Array.make n (-1) in
   let children = Array.make n [] in
@@ -193,7 +192,7 @@ let try_run ?delay ?faults ?reliable ?(comm_budget = max_int) g ~source
         strips = !strips;
         offer_comm = !offer_comm;
         sync_comm = !sync_comm;
-        transport = stats ();
+        transport = net.Net.stats ();
       }
   end
 

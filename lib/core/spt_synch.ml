@@ -94,12 +94,7 @@ let try_run ?delay ?faults ?reliable ?comm_budget ?k g ~source =
         overhead_comm =
           outcome.Synchronizer.ack_comm + outcome.Synchronizer.control_comm;
         transformed_pulses = outcome.Synchronizer.pulses;
-        transport =
-          {
-            Csap_dsim.Net.retransmissions =
-              outcome.Synchronizer.retransmissions;
-            restarts = 0;
-          };
+        transport = outcome.Synchronizer.transport;
       }
 
 let run ?delay ?faults ?reliable ?k g ~source =

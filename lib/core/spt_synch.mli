@@ -35,8 +35,7 @@ type result = {
   overhead_comm : int;  (** acks + synchronizer control *)
   transformed_pulses : int;
   transport : Csap_dsim.Net.stats;
-      (** shim retransmissions; restarts are not surfaced by the
-          synchronizer pipeline (always [0]) *)
+      (** shim retransmissions and crash-restart events *)
 }
 
 (** [run ?delay ?faults ?reliable ?k g ~source] — the full asynchronous

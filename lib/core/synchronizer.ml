@@ -12,7 +12,7 @@ type ('s, 'm) outcome = {
   total : Measures.t;
   amortized_comm : float;
   amortized_time : float;
-  retransmissions : int;
+  transport : Net.stats;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -265,7 +265,7 @@ let finish ?comm_budget c start_all =
       float_of_int (c.ack_comm + control_comm)
       /. float_of_int (max 1 c.pulses);
     amortized_time = total.Measures.time /. float_of_int (max 1 c.pulses);
-    retransmissions = c.net.Net.retransmissions ();
+    transport = c.net.Net.stats ();
   }
 
 (* ------------------------------------------------------------------ *)

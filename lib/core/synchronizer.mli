@@ -42,8 +42,8 @@ type ('s, 'm) outcome = {
   total : Measures.t;
   amortized_comm : float;  (** (ack + control) / pulses — the paper's C_p *)
   amortized_time : float;  (** completion time / pulses — the paper's T_p *)
-  retransmissions : int;
-      (** transport-level retransmissions ([0] on a plain transport) *)
+  transport : Csap_dsim.Net.stats;
+      (** shim retransmissions and crash-restart events *)
 }
 
 (** Every synchronizer below accepts [?faults] (a {!Csap_dsim.Fault.plan}
@@ -53,7 +53,7 @@ type ('s, 'm) outcome = {
     loss only with [~reliable:true]: its safety detection assumes
     exactly-once links, which the shim restores at the cost of
     transport-level acks and retransmissions (reported in
-    [control_comm] / [retransmissions]). *)
+    [control_comm] / [transport]). *)
 
 (** [run_alpha ?delay g p ~pulses] — synchronizer alpha_w. Works on any
     weighted network and synchronous protocol. *)

@@ -27,7 +27,7 @@ type 'msg queue =
 
 type 'msg t = {
   g : Csap_graph.Graph.t;
-  mutable delay : Delay.t;
+  delay : Delay.t;
   queue : 'msg queue;
   handlers : (src:int -> 'msg -> unit) option array;
   metrics : Metrics.t;
@@ -41,7 +41,7 @@ type 'msg t = {
   (* Messages delivered so far per directed edge; only advanced while a
      trace is attached (FIFO links make the nth delivery the nth send). *)
   deliver_counts : int array;
-  mutable trace : Trace.t option;
+  trace : Trace.t option;
   (* The simulation clock, in a one-slot float array rather than a
      mutable float field: a float stored into a mixed record is boxed
      (one minor allocation per store), a float-array write is not — and
@@ -54,16 +54,17 @@ type 'msg t = {
   mutable seq : int;
   (* Fault layer; [faults = None] keeps the historical reliable-network
      semantics bit-for-bit (down/epoch stay all-false/zero). *)
-  mutable faults : Fault.plan option;
+  faults : Fault.plan option;
   down : bool array;
   epoch : int array;
   restart_handlers : (unit -> unit) option array;
+  mutable restarts : int;
   (* [delay]'s adaptive model, cached so the send path branches on one
      word. [adaptive = None] (every oblivious model) keeps the send path
      exactly on the historical zero-allocation route: the observation
      state below is then never read and only the [inflight] maintenance
      sites — each a one-word match on [t.adaptive] — are crossed. *)
-  mutable adaptive : Delay.adaptive option;
+  adaptive : Delay.adaptive option;
   obs : Delay.Obs.t;
   (* Deliveries currently queued per directed edge (2 * id + dir);
      maintained only while an adaptive model is installed. *)
@@ -93,10 +94,10 @@ let push_local t time f =
 
 (* Crash-restart events run as ordinary local events: at [at] the vertex
    goes down and its epoch advances (dropping every pending delivery); at
-   [restart] it comes back up and its restart handler — looked up at fire
-   time, so handlers installed after [create] are seen — runs. Installed
-   at create/reset time, so they take the lowest sequence numbers and win
-   same-time ties against protocol bootstraps. *)
+   [restart] it comes back up, the restart is counted, and its restart
+   handler — looked up at fire time, so handlers installed after [create]
+   are seen — runs. Installed by [create], so they take the lowest
+   sequence numbers and win same-time ties against protocol bootstraps. *)
 let install_faults t = function
   | None -> ()
   | Some plan ->
@@ -111,12 +112,11 @@ let install_faults t = function
             t.epoch.(v) <- t.epoch.(v) + 1);
         push_local t restart (fun () ->
             t.down.(v) <- false;
+            t.restarts <- t.restarts + 1;
             match t.restart_handlers.(v) with
             | Some f -> f ()
             | None -> ()))
       plan.Fault.crashes
-
-let adaptive_of = function Delay.Adaptive a -> Some a | _ -> None
 
 let create ?(delay = Delay.Exact) ?faults ?(event_queue = Packed) g =
   let m = Csap_graph.Graph.m g in
@@ -150,7 +150,8 @@ let create ?(delay = Delay.Exact) ?faults ?(event_queue = Packed) g =
       down = Array.make (Csap_graph.Graph.n g) false;
       epoch = Array.make (Csap_graph.Graph.n g) 0;
       restart_handlers = Array.make (Csap_graph.Graph.n g) None;
-      adaptive = adaptive_of delay;
+      restarts = 0;
+      adaptive = (match delay with Delay.Adaptive a -> Some a | _ -> None);
       obs = Delay.Obs.make ~m ~clock ~inflight;
       inflight;
     }
@@ -158,50 +159,16 @@ let create ?(delay = Delay.Exact) ?faults ?(event_queue = Packed) g =
   install_faults t faults;
   t
 
-(* Rewinds the engine to its just-created state without reallocating any
-   of the per-vertex / per-edge arrays (handlers, traffic, FIFO stamps)
-   or shedding the event queue's grown capacity — multi-seed trial loops
-   reuse one engine per instance instead of rebuilding O(n + m) state
-   per trial. *)
-let reset ?delay ?faults t =
-  (match delay with
-  | Some d ->
-    t.delay <- d;
-    t.adaptive <- adaptive_of d
-  | None -> ());
-  Array.fill t.inflight 0 (Array.length t.inflight) 0;
-  (match t.queue with
-  | Q_packed q -> Event_queue.clear q
-  | Q_boxed q -> Csap_graph.Heap.clear q);
-  Array.fill t.handlers 0 (Array.length t.handlers) None;
-  Metrics.reset t.metrics;
-  Array.fill t.traffic 0 (Array.length t.traffic) 0;
-  Array.fill t.last_delivery 0 (Array.length t.last_delivery) 0.0;
-  Array.fill t.send_counts 0 (Array.length t.send_counts) 0;
-  Array.fill t.deliver_counts 0 (Array.length t.deliver_counts) 0;
-  (match t.trace with Some tr -> Trace.clear tr | None -> ());
-  t.clock.(0) <- 0.0;
-  t.seq <- 0;
-  (* Fault state never leaks between trials: the plan, down flags, crash
-     epochs and restart handlers are all cleared; [?faults] installs a
-     fresh plan (and its crash events) for the next trial. *)
-  t.faults <- faults;
-  Array.fill t.down 0 (Array.length t.down) false;
-  Array.fill t.epoch 0 (Array.length t.epoch) 0;
-  Array.fill t.restart_handlers 0 (Array.length t.restart_handlers) None;
-  install_faults t faults
-
 let graph t = t.g
 let now t = t.clock.(0)
 
-let set_trace t trace = t.trace <- trace
 let trace t = t.trace
 
 let set_handler t v f = t.handlers.(v) <- Some f
 
 let set_restart_handler t v f = t.restart_handlers.(v) <- Some f
 let is_down t v = t.down.(v)
-let faults t = t.faults
+let restarts t = t.restarts
 
 let queue_empty t =
   match t.queue with

@@ -37,7 +37,9 @@ type event_queue =
     assigned a disposition (pass / drop / duplicate) by the plan, and the
     plan's crash events are scheduled (see {2:faults Faults} below).
     Without a plan — or under {!Fault.none} — behaviour is bit-identical
-    to the historical reliable network.
+    to the historical reliable network. The delay model, the plan and
+    the trace (see the tracing section below) are fixed for the
+    engine's lifetime: a run under other ones builds another engine.
 
     A {!Delay.Adaptive} model is consulted at every send with the
     engine's {!Delay.Obs} view (see the adaptive models section below);
@@ -48,26 +50,6 @@ val create :
   ?event_queue:event_queue ->
   Csap_graph.Graph.t ->
   'msg t
-
-(** [reset ?delay ?faults t] rewinds [t] to the state [create] left it
-    in — clock and send counter to zero, metrics and per-edge traffic
-    zeroed, FIFO delivery stamps and per-edge send/delivery ordinals
-    cleared, any attached trace emptied (kept attached), every handler
-    uninstalled and
-    the event queue emptied — without reallocating any per-vertex or
-    per-edge array (the event queue also keeps its grown capacity).
-    [?delay] optionally installs a new delay model, so multi-seed trial
-    loops can reuse one engine per instance, swapping the seeded model
-    each trial; without it the current model stays. Fault state is never
-    carried across trials: the previous plan, down flags, crash epochs,
-    pending crash events and restart handlers are all cleared, and
-    [?faults] (absent by default — a reset engine is clean) installs a
-    fresh plan. The observation counters an adaptive model reads are
-    zeroed. A run after [reset] is indistinguishable from a run on a
-    freshly created engine with the same models (an adaptive model's own
-    state, such as {!Delay.time_stretcher}'s frontier, is the model's:
-    pass a fresh one to start it over). *)
-val reset : ?delay:Delay.t -> ?faults:Fault.plan -> 'msg t -> unit
 
 val graph : 'msg t -> Csap_graph.Graph.t
 
@@ -131,37 +113,34 @@ val edge_traffic : 'msg t -> int array
     it). Crash events take a vertex down at a plan-specified time: its
     pending deliveries are dropped (crash-epoch stamping — nothing scans
     the queue), deliveries and sends while down are dropped, and at the
-    restart time the vertex's restart handler runs. Every fault shows up
+    restart time the restart is counted ({!restarts}) and the vertex's
+    restart handler runs. Every fault shows up
     in an attached trace as a {!Trace.Dropped} or {!Trace.Dup} record,
     and a faulty execution replays exactly by re-running under the
     recorded delays ({!Trace.recorded}) and the same plan. *)
 
 (** [set_restart_handler t v f] installs [f] to run when [v] restarts
     after a crash — the hook the reliable-delivery shim uses to re-arm
-    retransmission timers and call the protocol's [on_restart]. *)
+    its retransmission timers. *)
 val set_restart_handler : 'msg t -> int -> (unit -> unit) -> unit
 
 (** [is_down t v] is true while [v] is crashed. *)
 val is_down : 'msg t -> int -> bool
 
-(** The attached fault plan, if any. *)
-val faults : 'msg t -> Fault.plan option
+(** Crash-restart events fired so far: one per plan crash whose restart
+    time the run has reached. *)
+val restarts : 'msg t -> int
 
 (** {2 Tracing}
 
     With a trace attached the engine appends a {!Trace.event} for every
     send and every dispatched event (deliveries and locals), enough to
     export the schedule and replay it via {!Trace.recorded}. [create]
-    attaches a trace automatically when an ambient {!Trace.with_collector}
-    scope is active on the current domain; [set_trace] attaches or
-    detaches one by hand. Tracing is off ([None]) otherwise and costs
-    nothing on the hot path. *)
+    attaches a trace when an ambient {!Trace.with_collector} scope is
+    active on the current domain, and only then. Tracing is off ([None])
+    otherwise and costs nothing on the hot path. *)
 
-(** [set_trace t tr] attaches ([Some]) or detaches ([None]) a trace;
-    subsequent events are appended to it. *)
-val set_trace : 'msg t -> Trace.t option -> unit
-
-(** The currently attached trace, if any. *)
+(** The trace [create] attached, if any. *)
 val trace : 'msg t -> Trace.t option
 
 (** {2:adversaries Adaptive models}

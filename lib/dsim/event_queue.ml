@@ -58,16 +58,6 @@ let create ?(capacity = 16) () =
 let size t = t.len
 let is_empty t = t.len = 0
 
-(* Keeps the grown capacity, so a reused queue never re-pays the doubling
-   copies; payload and closure slots are wiped so popped values don't
-   leak. *)
-let clear t =
-  Array.fill t.data 0 t.len filler;
-  Array.fill t.locals 0 t.nlocals no_local;
-  t.len <- 0;
-  t.nfree <- 0;
-  t.nlocals <- 0
-
 let[@inline never] grow t =
   let cap = Array.length t.seqs in
   let cap' = max 16 (2 * cap) in

@@ -25,11 +25,6 @@ val create : ?capacity:int -> unit -> 'msg t
 val size : 'msg t -> int
 val is_empty : 'msg t -> bool
 
-(** [clear t] empties the queue in O(size), keeping the grown capacity —
-    a reused queue never re-pays the doubling copies. Payload and
-    closure slots are wiped so popped values can be collected. *)
-val clear : 'msg t -> unit
-
 (** [push_deliver t ~time ~seq ~src ~dst ~epoch payload] enqueues a
     delivery. [seq] values must be distinct across both push functions
     (the engine uses its send counter), making the pop order total.

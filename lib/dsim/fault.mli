@@ -13,10 +13,11 @@
     its incoming deliveries and outgoing sends, deliveries pending at the
     crash are lost, and on restart the engine invokes the vertex's
     restart handler (see {!Engine.set_restart_handler} — the
-    reliable-delivery shim hooks it to re-arm retransmission timers and
-    run the protocol-supplied [on_restart]).
+    reliable-delivery shim hooks it to re-arm retransmission timers) and
+    counts the restart ({!Engine.restarts}).
 
-    Attach a plan with [Engine.create ?faults] / [Engine.reset ?faults].
+    Attach a plan with [Engine.create ?faults]; it stays with that
+    engine.
     A run under {!none} is bit-identical — same metrics, same trace — to
     a run with no plan attached. *)
 

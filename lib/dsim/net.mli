@@ -10,11 +10,20 @@
     over a clean engine, a faulty engine, a faulty engine behind the
     reliable shim, or the partitioned engine across several domains. *)
 
+(** Transport-level bookkeeping of one run: retransmissions performed by
+    the {!Reliable} shim (always [0] on a plain transport) and the
+    crash-restart events the engine fired ({!Engine.restarts}). *)
+type stats = {
+  retransmissions : int;
+  restarts : int;
+}
+
+val no_stats : stats
+
 type 'm t = {
   graph : Csap_graph.Graph.t;
   send : src:int -> dst:int -> 'm -> unit;
   set_handler : int -> (src:int -> 'm -> unit) -> unit;
-  set_on_restart : int -> (unit -> unit) -> unit;
   schedule : int -> (unit -> unit) -> unit;
       (** [schedule v f] runs [f] at time 0 acting for vertex [v] — the
           bootstrap. The partitioned backend runs it on [v]'s domain;
@@ -25,22 +34,14 @@ type 'm t = {
           sequential ones ignore [v]). *)
   run : ?until:float -> ?max_events:int -> ?comm_budget:int -> unit -> int;
   metrics : unit -> Metrics.t;
-  retransmissions : unit -> int;  (** [0] without the shim *)
+  stats : unit -> stats;
+      (** the run's transport bookkeeping so far; {!no_stats} on the
+          partitioned backend *)
 }
-
-(** Transport-level bookkeeping of one run: retransmissions performed by
-    the {!Reliable} shim (always [0] on a plain transport) and observed
-    crash-restart events. *)
-type stats = {
-  retransmissions : int;
-  restarts : int;
-}
-
-val no_stats : stats
 
 (** [of_engine eng] wraps an existing engine as a plain (shimless)
     endpoint — for protocols that share one engine with engine-bound
-    machinery (e.g. the {!Controller}) or reuse it across trials. *)
+    machinery (e.g. the {!Controller}). *)
 val of_engine : 'm Engine.t -> 'm t
 
 (** [make ?reliable ?domains ?delay ?faults g] picks the transport:
@@ -64,10 +65,3 @@ val make :
   ?faults:Fault.plan ->
   Csap_graph.Graph.t ->
   'm t
-
-(** [monitor net] installs a restart counter on every vertex (via
-    [set_on_restart]) and returns a closure producing the run's
-    transport {!stats}. Call before the protocol installs its own
-    restart handlers only if it has none — the counter replaces any
-    previously installed handler and vice versa. *)
-val monitor : 'm t -> unit -> stats

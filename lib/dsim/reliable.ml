@@ -22,7 +22,6 @@ type 'm t = {
   ooo : (int * int, 'm) Hashtbl.t;  (* (slot, seqno) -> buffered payload *)
   (* Application layer: *)
   handlers : (src:int -> 'm -> unit) option array;
-  on_restart : (unit -> unit) option array;
   mutable retransmissions : int;
   mutable acks_sent : int;
   mutable delivered : int;
@@ -153,14 +152,12 @@ let handle_ack t ~me ~src cum =
   if !popped then t.rto.(slot) <- base_rto t slot
 
 let set_handler t v f = t.handlers.(v) <- Some f
-let set_on_restart t v f = t.on_restart.(v) <- Some f
 
 (* Crash-restart recovery (stable-storage model, see DESIGN.md §11): the
    shim's link state survives the crash; what died with the node are its
    in-flight messages and pending timers. On restart, every outgoing link
    with unacked data gets its backoff reset and a fresh timer (stale ones
-   are invalidated via the epoch), then the protocol's own [on_restart]
-   runs. *)
+   are invalidated via the epoch). *)
 let handle_restart t v =
   G.iter_neighbors t.g v (fun u _ _ ->
       let slot = slot_of t ~src:v ~dst:u in
@@ -169,8 +166,7 @@ let handle_restart t v =
       if not (Queue.is_empty t.unacked.(slot)) then begin
         t.rto.(slot) <- base_rto t slot;
         ensure_timer t slot
-      end);
-  match t.on_restart.(v) with Some f -> f () | None -> ()
+      end)
 
 let create ?(rto = 3.0) ?(max_rto = 64.0) eng =
   if not (rto > 0.0 && rto < infinity) then
@@ -193,7 +189,6 @@ let create ?(rto = 3.0) ?(max_rto = 64.0) eng =
       expected = Array.make slots 0;
       ooo = Hashtbl.create 64;
       handlers = Array.make (G.n g) None;
-      on_restart = Array.make (G.n g) None;
       retransmissions = 0;
       acks_sent = 0;
       delivered = 0;

@@ -21,11 +21,11 @@
     loses its in-flight messages and pending timers but keeps its link
     state (sequence numbers, unacked buffers, expected counters) and its
     application state. On restart the shim re-arms a fresh timer for
-    every outgoing link with unacked data (stale timers are invalidated),
-    then calls the protocol's {!set_on_restart} hook so it can rebuild
-    any volatile state of its own. With the guarantee restored, a clean
+    every outgoing link with unacked data (stale timers are invalidated).
+    Protocols get no restart hook: with the guarantee restored a clean
     protocol needs no crash-specific logic — which is what lets the
-    paper's protocols run unmodified through the shim. *)
+    paper's protocols run unmodified through the shim — and the engine
+    counts the restarts itself ({!Engine.restarts}). *)
 
 (** The wire format the engine carries for a shimmed protocol. *)
 type 'm packet =
@@ -35,8 +35,8 @@ type 'm packet =
 type 'm t
 
 (** [create ?rto ?max_rto eng] wraps [eng], installing a packet handler
-    and a restart handler on every vertex (protocols register through
-    {!set_handler} / {!set_on_restart} instead of the engine). [rto]
+    and a restart handler on every vertex (protocols register their
+    handlers through {!set_handler} instead of the engine). [rto]
     (default 3) and [max_rto] (default 64) are per-weight factors: a
     link of weight [w] times out after [rto * w], backing off by
     doubling up to [max_rto * w]. Raises [Invalid_argument] unless
@@ -52,10 +52,6 @@ val send : 'm t -> src:int -> dst:int -> 'm -> unit
     each payload exactly once, in per-link FIFO order. Payloads arriving
     at a vertex without a handler raise [Failure]. *)
 val set_handler : 'm t -> int -> (src:int -> 'm -> unit) -> unit
-
-(** [set_on_restart t v f] runs [f] when [v] restarts after a crash,
-    after the shim has re-armed its retransmission timers. *)
-val set_on_restart : 'm t -> int -> (unit -> unit) -> unit
 
 (** The wrapped engine. *)
 val engine : 'm t -> 'm packet Engine.t

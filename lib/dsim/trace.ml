@@ -39,10 +39,6 @@ type t = {
 
 let create () = { buf = [||]; len = 0 }
 
-let clear t =
-  Array.fill t.buf 0 (Array.length t.buf) dummy_event;
-  t.len <- 0
-
 let length t = t.len
 
 let add t ev =

@@ -2,8 +2,8 @@
 
     A trace is a buffer of [Send]/[Deliver]/[Local] records stamped with
     simulated times, event sequence numbers, edge ids and per-directed-edge
-    ordinals. The engine appends to an attached trace as it executes (see
-    {!Engine.set_trace} and the ambient {!with_collector}); a completed
+    ordinals. An engine created inside a {!with_collector} scope appends
+    to its own trace as it executes; a completed
     trace can be exported as JSONL — the artifact the CI schedule-sweep
     uploads on failure — and turned back into a {!Delay.t} oracle with
     {!recorded}, which replays the exact recorded schedule: re-running the
@@ -45,9 +45,6 @@ type t
 
 (** [create ()] is an empty trace; it grows without bound. *)
 val create : unit -> t
-
-(** Empty the buffer (its grown capacity is kept). *)
-val clear : t -> unit
 
 (** Number of events held. *)
 val length : t -> int

@@ -177,6 +177,7 @@ let graph c =
   | "bkj" -> Csap_graph.Generators.bkj_star_cycle n ~heavy:w
   | _ -> invalid_arg ("unknown family: " ^ c.family)
 
+(* A [--delay]-style spec. *)
 let delay_of_spec spec =
   let prefixed p =
     let lp = String.length p in
@@ -213,9 +214,8 @@ let delay_of_spec spec =
                 | seeded:N | slow-edge:ID)"
                spec))))
 
-(* Checks loss and dup as well: [csap_cli submit] spools a cell only
-   when this passes, so no spooled cell fails [run] on its delay,
-   adversary or fault spec. *)
+(* The cell's delay model, or the first problem with its loss, dup,
+   delay or adversary spec. *)
 let delay_model c =
   let spec =
     if c.loss < 0.0 || c.loss >= 1.0 then
@@ -264,24 +264,17 @@ type outcome = {
   wall_ms : float;
 }
 
-let run ?graph:pre ?trace_prefix c =
-  let t0 = Unix.gettimeofday () in
-  let finish result =
-    { result; wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0 }
-  in
-  (* An explicit [trace_prefix] (the CLI's [--trace] on a direct run)
-     wins over the path baked into the cell. *)
-  let trace_prefix =
-    match trace_prefix with Some _ -> trace_prefix | None -> c.trace
-  in
+(* Everything [run] checks before executing: [csap_cli submit] spools a
+   cell only when this passes, so no spooled cell fails on its spec. *)
+let prepare ?graph:pre c =
   match P.find c.protocol with
-  | None -> finish (Error (Unknown_protocol c.protocol))
+  | None -> Error (Unknown_protocol c.protocol)
   | Some entry -> (
     match delay_model c with
-    | Error msg -> finish (Error (Bad_spec msg))
+    | Error msg -> Error (Bad_spec msg)
     | Ok delay -> (
       match (match pre with Some g -> g | None -> graph c) with
-      | exception Invalid_argument msg -> finish (Error (Bad_spec msg))
+      | exception Invalid_argument msg -> Error (Bad_spec msg)
       | g -> (
         let faults =
           if c.loss > 0.0 || c.dup > 0.0 then
@@ -289,21 +282,32 @@ let run ?graph:pre ?trace_prefix c =
           else None
         in
         let cfg =
-          P.Run.make ~root:c.root ?delay ?faults
-            ~reliable:c.reliable ?trace:trace_prefix ?pulses:c.pulses
-            ?strip:c.strip ?k:c.k ?q:c.q ?domains:c.domains g
+          P.Run.make ~root:c.root ?delay ?faults ~reliable:c.reliable
+            ?trace:c.trace ?pulses:c.pulses ?strip:c.strip ?k:c.k ?q:c.q
+            ?domains:c.domains g
         in
-        match P.execute entry cfg with
         (* [validate] rejects roots out of range and capability
            mismatches with [Invalid_argument]: a bad spec, not a bug. *)
-        | exception Invalid_argument msg -> finish (Error (Bad_spec msg))
+        match P.validate entry cfg with
+        | () -> Ok (entry, cfg)
+        | exception Invalid_argument msg -> Error (Bad_spec msg))))
+
+let run ?graph c =
+  let t0 = Unix.gettimeofday () in
+  let finish result =
+    { result; wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0 }
+  in
+  match prepare ?graph c with
+  | Error e -> finish (Error e)
+  | Ok (entry, cfg) -> (
+    match P.execute entry cfg with
+    | exception Invalid_argument msg -> finish (Error (Bad_spec msg))
+    | exception e -> finish (Error (Execution_error (Printexc.to_string e)))
+    | o ->
+      if c.check then
+        let (module M : P.S) = entry in
+        match M.invariant cfg o with
+        | Ok () -> finish (Ok o)
+        | Error msg -> finish (Error (Invariant_failed msg))
         | exception e -> finish (Error (Execution_error (Printexc.to_string e)))
-        | o ->
-          if c.check then
-            let (module M : P.S) = entry in
-            match M.invariant cfg o with
-            | Ok () -> finish (Ok o)
-            | Error msg -> finish (Error (Invariant_failed msg))
-            | exception e ->
-              finish (Error (Execution_error (Printexc.to_string e)))
-          else finish (Ok o))))
+      else finish (Ok o))

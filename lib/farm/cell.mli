@@ -86,19 +86,6 @@ val graph : t -> Csap_graph.Graph.t
 (** Build the cell's graph. Raises [Invalid_argument] on an unknown
     family. *)
 
-val delay_of_spec : string -> (Csap_dsim.Delay.t, string) result
-(** Parse a [--delay]-style spec: [exact], [near-zero], [race],
-    [scaled:C], [seeded:N], [slow-edge:ID]. *)
-
-val delay_model : t -> (Csap_dsim.Delay.t option, string) result
-(** The cell's delay model: [Ok None] for the default (exact), the
-    parsed [delay] spec, or the adaptive model its [adversary] spec
-    names. [Error] names the first problem, checked in this order: a
-    [loss] or [dup] outside [[0, 1)], a malformed delay spec, a
-    malformed adversary spec, and an adversary set together with a
-    delay. {!run} and the CLI's [submit] both check a cell through
-    this. *)
-
 (** Why a cell failed, classified for exit codes (see
     {!error_exit_code}). *)
 type error =
@@ -121,10 +108,26 @@ type outcome = {
   wall_ms : float;  (** wall-clock of the execute (+ invariant) call *)
 }
 
-val run : ?graph:Csap_graph.Graph.t -> ?trace_prefix:string -> t -> outcome
-(** Build the graph, resolve delay, adversary and faults, execute
-    through the registry and (when [t.check]) check the invariant. Never
-    raises: every failure is classified into [error]. [graph], when
-    given, must be [graph t] — callers that already built it (to print
-    its parameters) skip the rebuild. [trace_prefix] overrides the
-    cell's own [trace] field; with neither, no traces are dumped. *)
+val prepare :
+  ?graph:Csap_graph.Graph.t ->
+  t ->
+  (Csap.Protocol.entry * Csap.Protocol.Run.cfg, error) result
+(** Every check {!run} makes before executing: look the protocol up
+    ([Unknown_protocol]), resolve the delay model (a [--delay]-style
+    spec: [exact], [near-zero], [race], [scaled:C], [seeded:N],
+    [slow-edge:ID], or the [adversary] spec), build the graph and
+    the fault plan, and {!Csap.Protocol.validate} the run configuration
+    ([Bad_spec] for the rest). The spec errors come in this order: a
+    [loss] or [dup] outside [[0, 1)], a malformed delay spec, a
+    malformed adversary spec, an adversary set together with a delay,
+    an unknown family, then [validate]'s checks (root range,
+    capabilities). The CLI's [submit] spools a cell only when this
+    passes. [graph], when given, must be [graph t]. *)
+
+val run : ?graph:Csap_graph.Graph.t -> t -> outcome
+(** {!prepare}, execute through the registry and (when [t.check]) check
+    the invariant. Never raises: every failure is classified into
+    [error]. [graph], when given, must be [graph t] — callers that
+    already built it (to print its parameters) skip the rebuild. The
+    cell's [trace] field, when set, is the prefix of the dumped
+    traces. *)

@@ -6,12 +6,11 @@
 
    The filler matters for retention, not speed: the engine's boxed
    event queue parks [Local] closures and message payloads in here, and
-   a popped slot that keeps its old pointer would hold the previous
-   trial's closures (and everything they capture) live until the slot
-   happens to be overwritten. Every vacated slot — on [pop_min], on
-   [to_sorted_list]'s drain and on [clear] — is therefore nulled back
-   to the filler; [clear] keeps the grown capacity so a reused heap
-   never re-pays the doubling copies. *)
+   a popped slot that keeps its old pointer would hold those closures
+   (and everything they capture) live until the slot happens to be
+   overwritten. Every vacated slot — on [pop_min] and on
+   [to_sorted_list]'s drain — is therefore nulled back to the
+   filler. *)
 
 type 'a t = {
   cmp : 'a -> 'a -> int;
@@ -83,12 +82,6 @@ let pop_min t =
     if t.len > 0 then sift_down t 0;
     Some min
   end
-
-let clear t =
-  (* Keep the grown capacity; wipe the occupied prefix so cleared
-     elements can be collected (slots >= len are already filler). *)
-  Array.fill t.data 0 t.len filler;
-  t.len <- 0
 
 let of_list ~cmp xs =
   match xs with

@@ -2,7 +2,7 @@
 
     Used by Dijkstra / Prim (with [(priority, vertex)] pairs and lazy
     deletion) and by the discrete-event simulator's boxed oracle event
-    queue. Vacated slots are nulled on {!pop_min} and {!clear}, so
+    queue. Vacated slots are nulled on {!pop_min}, so
     popped elements — engine [Local] closures in the oracle queue, and
     whatever they capture — never stay reachable through the heap's
     backing array. *)
@@ -24,11 +24,6 @@ val peek_min : 'a t -> 'a option
 (** [pop_min t] removes and returns the minimum element; O(log n). The
     vacated slot is nulled, so the heap keeps no reference to it. *)
 val pop_min : 'a t -> 'a option
-
-(** [clear t] removes every element, nulling the occupied slots while
-    keeping the grown capacity (a reused heap never re-pays the
-    doubling copies). *)
-val clear : 'a t -> unit
 
 (** [of_list ~cmp xs] heapifies [xs]; O(n). *)
 val of_list : cmp:('a -> 'a -> int) -> 'a list -> 'a t

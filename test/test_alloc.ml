@@ -15,40 +15,37 @@ module G = Csap_graph.Graph
 module Gen = Csap_graph.Generators
 
 (* Ping-pong [n] messages over one edge and return the minor-heap words
-   allocated by [E.run]. The handlers are allocation-free themselves
-   (int payload, int-ref countdown), so the delta is the engine's own
-   per-message cost plus a small per-[run] constant ([Gc.quick_stat]
-   snapshots, loop-local refs). *)
+   allocated by [E.run] with the messages it sent. The handlers are
+   allocation-free themselves (int payload, int-ref countdown), so the
+   delta is the engine's own per-message cost plus a small per-[run]
+   constant ([Gc.quick_stat] snapshots, loop-local refs). *)
 let pingpong_words queue n =
   let g = Gen.path 2 ~w:3 in
   let eng = E.create ~event_queue:queue g in
   let remaining = ref 0 in
-  let install () =
-    E.set_handler eng 0 (fun ~src:_ (_ : int) ->
-        if !remaining > 0 then begin
-          decr remaining;
-          E.send eng ~src:0 ~dst:1 0
-        end);
-    E.set_handler eng 1 (fun ~src:_ (_ : int) ->
-        if !remaining > 0 then begin
-          decr remaining;
-          E.send eng ~src:1 ~dst:0 0
-        end)
-  in
+  E.set_handler eng 0 (fun ~src:_ (_ : int) ->
+      if !remaining > 0 then begin
+        decr remaining;
+        E.send eng ~src:0 ~dst:1 0
+      end);
+  E.set_handler eng 1 (fun ~src:_ (_ : int) ->
+      if !remaining > 0 then begin
+        decr remaining;
+        E.send eng ~src:1 ~dst:0 0
+      end);
   let round k =
-    install ();
     remaining := k;
     E.schedule eng ~delay:0.0 (fun () ->
         decr remaining;
         E.send eng ~src:0 ~dst:1 0);
+    let msgs0 = (E.metrics eng).M.messages in
     let before = Gc.minor_words () in
     ignore (E.run eng);
     let words = Gc.minor_words () -. before in
-    (words, (E.metrics eng).M.messages)
+    (words, (E.metrics eng).M.messages - msgs0)
   in
-  (* Warm-up round: handler installation, queue growth, first-touch. *)
+  (* Warm-up round on the same engine: queue growth, first-touch. *)
   ignore (round 64);
-  E.reset eng;
   round n
 
 let test_packed_send_path_alloc_free () =
@@ -79,13 +76,13 @@ let test_boxed_oracle_allocates () =
     (words > 2.0 *. float_of_int n)
 
 (* ---- retention audit ---------------------------------------------------- *)
-(* Popped/cleared payload and closure slots must be nulled: a trial loop
-   reusing one engine must not keep the previous trial's closures (and
-   anything they capture) live. The probe is a large array reachable
+(* Popped payload and closure slots must be nulled: an engine kept
+   alive after its run must not keep the run's closures (and anything
+   they capture) live. The probe is a large array reachable
    ONLY through queue-internal references — a timer closure and a
    delivery payload — watched through a [Weak] pointer while the engine
    itself stays reachable. This held for the packed SOA queue
-   ([Event_queue.drop_min]/[clear] null their slots) and was a real leak
+   ([Event_queue.drop_min] nulls its slots) and was a real leak
    in the boxed oracle's [Heap], whose [pop_min] left popped events —
    closures included — in the backing array. *)
 
@@ -113,7 +110,6 @@ let check_collected ~what w =
 
 let test_packed_queue_releases_popped () =
   let eng, w = retention_probe E.Packed in
-  (* No reset: popped slots alone must not retain the trial's data. *)
   check_collected ~what:"packed popped closure+payload" w;
   ignore (Sys.opaque_identity eng)
 
@@ -121,25 +117,6 @@ let test_boxed_queue_releases_popped () =
   let eng, w = retention_probe E.Boxed in
   check_collected ~what:"boxed popped closure+payload" w;
   ignore (Sys.opaque_identity eng)
-
-let test_reset_releases_pending () =
-  (* Events still queued (not popped) at [reset] time: [clear] must null
-     them too. [~until:0.5] stops before the 1.0-delayed timer fires. *)
-  List.iter
-    (fun queue ->
-      let g = Gen.path 2 ~w:2 in
-      let eng : float array E.t = E.create ~event_queue:queue g in
-      E.set_handler eng 0 (fun ~src:_ (_ : float array) -> ());
-      E.set_handler eng 1 (fun ~src:_ (_ : float array) -> ());
-      let w = Weak.create 1 in
-      (let big = Array.make 4096 0.0 in
-       Weak.set w 0 (Some big);
-       E.schedule eng ~delay:1.0 (fun () -> big.(0) <- 1.0));
-      ignore (E.run ~until:0.5 eng);
-      E.reset eng;
-      check_collected ~what:"pending closure after reset" w;
-      ignore (Sys.opaque_identity eng))
-    [ E.Packed; E.Boxed ]
 
 let test_heap_pop_releases () =
   (* The raw generic heap: popped elements must leave no reference in
@@ -218,29 +195,28 @@ let execute queue ~gseed ~delay_ix ~fault_ix =
              ]
            (gseed + 5))
   in
-  let tr = Trace.create () in
-  let eng = E.create ~delay ?faults ~event_queue:queue g in
-  E.set_trace eng (Some tr);
-  let seen = Array.make (G.n g) false in
-  let log = ref [] in
-  for v = 0 to G.n g - 1 do
-    E.set_restart_handler eng v (fun () -> log := (-1, v, -1) :: !log);
-    E.set_handler eng v (fun ~src k ->
-        log := (v, src, k) :: !log;
-        if not seen.(v) then begin
-          seen.(v) <- true;
-          G.iter_neighbors g v (fun u _ _ ->
-              if u <> src then E.send eng ~src:v ~dst:u (k + 1))
-        end)
-  done;
-  E.schedule eng ~delay:0.0 (fun () ->
-      seen.(0) <- true;
-      G.iter_neighbors g 0 (fun u _ _ -> E.send eng ~src:0 ~dst:u 0));
-  ignore (E.run ~max_events:200_000 eng);
-  ( List.rev !log,
-    E.metrics eng,
-    Array.to_list (E.edge_traffic eng),
-    Trace.to_jsonl tr )
+  let run () =
+    let eng = E.create ~delay ?faults ~event_queue:queue g in
+    let seen = Array.make (G.n g) false in
+    let log = ref [] in
+    for v = 0 to G.n g - 1 do
+      E.set_restart_handler eng v (fun () -> log := (-1, v, -1) :: !log);
+      E.set_handler eng v (fun ~src k ->
+          log := (v, src, k) :: !log;
+          if not seen.(v) then begin
+            seen.(v) <- true;
+            G.iter_neighbors g v (fun u _ _ ->
+                if u <> src then E.send eng ~src:v ~dst:u (k + 1))
+          end)
+    done;
+    E.schedule eng ~delay:0.0 (fun () ->
+        seen.(0) <- true;
+        G.iter_neighbors g 0 (fun u _ _ -> E.send eng ~src:0 ~dst:u 0));
+    ignore (E.run ~max_events:200_000 eng);
+    (List.rev !log, E.metrics eng, Array.to_list (E.edge_traffic eng))
+  in
+  let (log, metrics, traffic), traces = Trace.with_collector run in
+  (log, metrics, traffic, List.map Trace.to_jsonl traces)
 
 let prop_packed_equals_boxed =
   QCheck.Test.make ~count:60
@@ -261,8 +237,6 @@ let suite =
       test_packed_queue_releases_popped;
     Alcotest.test_case "boxed queue releases popped slots" `Quick
       test_boxed_queue_releases_popped;
-    Alcotest.test_case "reset releases still-queued closures" `Quick
-      test_reset_releases_pending;
     Alcotest.test_case "heap pop releases elements" `Quick
       test_heap_pop_releases;
     Alcotest.test_case "gamma_w control path words/msg budget" `Quick

@@ -192,76 +192,6 @@ let test_event_queue_equivalence () =
   Alcotest.(check int) "same weighted comm" comm_b comm_p;
   Alcotest.(check (float 1e-9)) "same completion time" t_b t_p
 
-(* A full execution after [reset] must be indistinguishable from one on
-   a freshly created engine: same delivery trace, metrics and per-edge
-   traffic, with clock, queue and handlers all rewound. *)
-let flood_trace g eng =
-  let seen = Array.make (G.n g) false in
-  let log = ref [] in
-  for v = 0 to G.n g - 1 do
-    E.set_handler eng v (fun ~src (Ping k) ->
-        log := (v, src, k, E.now eng) :: !log;
-        if not seen.(v) then begin
-          seen.(v) <- true;
-          G.iter_neighbors g v (fun u _ _ ->
-              if u <> src then E.send eng ~src:v ~dst:u (Ping (k + 1)))
-        end)
-  done;
-  E.schedule eng ~delay:0.0 (fun () ->
-      seen.(0) <- true;
-      G.iter_neighbors g 0 (fun u _ _ -> E.send eng ~src:0 ~dst:u (Ping 0)));
-  ignore (E.run eng);
-  let m = E.metrics eng in
-  ( List.rev !log,
-    m.Csap_dsim.Metrics.messages,
-    m.Csap_dsim.Metrics.weighted_comm,
-    m.Csap_dsim.Metrics.completion_time,
-    Array.copy (E.edge_traffic eng) )
-
-let test_reset_equals_fresh () =
-  let g =
-    Gen.random_connected (Csap_graph.Rng.create 21) 16 ~extra_edges:20 ~wmax:6
-  in
-  let eng = E.create g in
-  let first = flood_trace g eng in
-  E.reset eng;
-  Alcotest.(check bool) "quiescent after reset" true (E.quiescent eng);
-  Alcotest.(check (float 0.0)) "clock rewound" 0.0 (E.now eng);
-  let m = E.metrics eng in
-  Alcotest.(check int) "metrics rewound" 0 m.Csap_dsim.Metrics.messages;
-  Alcotest.(check int) "traffic rewound" 0
-    (Array.fold_left ( + ) 0 (E.edge_traffic eng));
-  let again = flood_trace g eng in
-  let fresh = flood_trace g (E.create g) in
-  Alcotest.(check bool) "reset rerun = fresh engine" true (again = fresh);
-  Alcotest.(check bool) "reset rerun = first run" true (again = first)
-
-let test_reset_boxed_queue () =
-  (* The boxed event queue must rewind too. *)
-  let g = Gen.grid 3 3 ~w:2 in
-  let eng = E.create ~event_queue:E.Boxed g in
-  let first = flood_trace g eng in
-  E.reset eng;
-  let again = flood_trace g eng in
-  Alcotest.(check bool) "boxed reset rerun = first run" true (again = first)
-
-let test_reset_swaps_delay () =
-  (* [reset ~delay] installs the new model for the next run. *)
-  let g = Gen.path 2 ~w:10 in
-  let eng = E.create g in
-  let one_send () =
-    E.set_handler eng 0 (fun ~src:_ _ -> ());
-    E.set_handler eng 1 (fun ~src:_ _ -> ());
-    E.schedule eng ~delay:0.0 (fun () -> E.send eng ~src:0 ~dst:1 (Ping 0));
-    ignore (E.run eng);
-    (E.metrics eng).Csap_dsim.Metrics.completion_time
-  in
-  Alcotest.(check (float 1e-9)) "exact delay" 10.0 (one_send ());
-  E.reset ~delay:(Csap_dsim.Delay.Scaled 0.25) eng;
-  Alcotest.(check (float 1e-9)) "scaled delay installed" 2.5 (one_send ());
-  E.reset eng;
-  Alcotest.(check (float 1e-9)) "delay kept when not given" 2.5 (one_send ())
-
 (* Regression: [run ~until] used to leave the clock at the last event on
    quiescence, so a timer scheduled between slices fired earlier than in a
    continuous run. *)
@@ -390,12 +320,6 @@ let suite =
       test_delay_models_bounds;
     Alcotest.test_case "packed and boxed event queues agree" `Quick
       test_event_queue_equivalence;
-    Alcotest.test_case "reset rewinds to a fresh engine" `Quick
-      test_reset_equals_fresh;
-    Alcotest.test_case "reset rewinds the boxed queue" `Quick
-      test_reset_boxed_queue;
-    Alcotest.test_case "reset swaps the delay model" `Quick
-      test_reset_swaps_delay;
     Alcotest.test_case "run ~until advances on quiescence" `Quick
       test_until_advances_on_quiescence;
     Alcotest.test_case "run ~until never moves the clock back" `Quick

@@ -58,8 +58,8 @@ let test_min_fields_track_min () =
 
 let test_local_slots_recycle () =
   (* Local closures live in the side slot table; popping releases the
-     slot, clear wipes it, and interleaved deliver/local pops keep the
-     (time, seq) order. *)
+     slot, and interleaved deliver/local pops keep the (time, seq)
+     order. *)
   let q : int Q.t = Q.create () in
   let fired = ref [] in
   let mark k () = fired := k :: !fired in
@@ -84,8 +84,8 @@ let test_local_slots_recycle () =
   done;
   Alcotest.(check int) "all rounds fired" 102 (List.length !fired);
   Q.push_local q ~time:0.0 ~seq:0 (mark (-1));
-  Q.clear q;
-  Alcotest.(check bool) "cleared" true (Q.is_empty q)
+  Q.drop_min q;
+  Alcotest.(check bool) "drained" true (Q.is_empty q)
 
 (* Random keys with possibly-duplicate times; distinct seqs. *)
 let entries_arb =
@@ -107,16 +107,15 @@ let prop_pop_order =
       fill q entries;
       drain q (List.length entries) = sorted_oracle entries)
 
-let prop_pop_order_after_clear =
-  (* A cleared, reused queue behaves exactly like a fresh one. *)
-  QCheck.Test.make ~count:300 ~name:"pop order after clear and reuse"
+let prop_pop_order_after_drain =
+  (* A drained, reused queue behaves exactly like a fresh one. *)
+  QCheck.Test.make ~count:300 ~name:"pop order after drain and reuse"
     QCheck.(pair entries_arb entries_arb)
     (fun (first, second) ->
       let q = Q.create () in
       fill q first;
-      ignore (drain q (List.length first / 2));
-      Q.clear q;
-      Alcotest.(check bool) "cleared" true (Q.is_empty q);
+      ignore (drain q (List.length first));
+      Alcotest.(check bool) "drained" true (Q.is_empty q);
       fill q second;
       drain q (List.length second) = sorted_oracle second)
 
@@ -165,6 +164,6 @@ let suite =
       test_min_fields_track_min;
     Alcotest.test_case "local slots recycle" `Quick test_local_slots_recycle;
     QCheck_alcotest.to_alcotest prop_pop_order;
-    QCheck_alcotest.to_alcotest prop_pop_order_after_clear;
+    QCheck_alcotest.to_alcotest prop_pop_order_after_drain;
     QCheck_alcotest.to_alcotest prop_interleaved;
   ]

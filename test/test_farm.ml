@@ -159,17 +159,31 @@ let test_cell_error_classification () =
     Alcotest.(check string) "adversary/delay conflict message"
       "flood: adversary: conflicts with an explicit delay model" msg
   | _ -> Alcotest.fail "adversary/delay conflict must be a bad spec");
-  (* [delay_model] is the check [submit] spools through: it rejects the
-     same conflict, here under a seeded delay, before any run. *)
+  (* [prepare] is the check [submit] spools through: it rejects the same
+     conflict, here under a seeded delay, before any run — and every
+     other cell that could only fail. *)
   (match
-     Cell.delay_model (Cell.make ~delay:"seeded:1" ~adversary:"greedy" "flood")
+     Cell.prepare (Cell.make ~delay:"seeded:1" ~adversary:"greedy" "flood")
    with
-  | Error msg ->
+  | Error (Cell.Bad_spec msg) ->
     Alcotest.(check string) "seeded delay + adversary rejected"
       "flood: adversary: conflicts with an explicit delay model" msg
-  | Ok _ -> Alcotest.fail "delay_model accepted a delay with an adversary");
-  Alcotest.(check bool) "adversary alone resolves" true
-    (Result.is_ok (Cell.delay_model (Cell.make ~adversary:"greedy" "flood")));
+  | _ -> Alcotest.fail "prepare accepted a delay with an adversary");
+  let prepared cell =
+    match Cell.prepare cell with
+    | Ok _ -> "ok"
+    | Error e -> string_of_int (Cell.error_exit_code e)
+  in
+  Alcotest.(check string) "adversary alone resolves" "ok"
+    (prepared (Cell.make ~adversary:"greedy" "flood"));
+  Alcotest.(check string) "prepare: unknown protocol" "2"
+    (prepared (Cell.make "nosuch"));
+  Alcotest.(check string) "prepare: bad family" "3"
+    (prepared (Cell.make ~family:"nope" "flood"));
+  Alcotest.(check string) "prepare: root out of range" "3"
+    (prepared (Cell.make ~n:9 ~root:999 "flood"));
+  Alcotest.(check string) "prepare: domains exclude the shim" "3"
+    (prepared (Cell.make ~domains:2 ~reliable:true "spt-async"));
   Alcotest.(check string) "bad family" "3"
     (classify (Cell.make ~family:"nope" "flood"));
   Alcotest.(check string) "bad loss" "3"

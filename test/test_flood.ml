@@ -67,33 +67,6 @@ let prop_flood_spans =
       Csap_graph.Tree.is_spanning_tree_of g r.F.tree
       && r.F.measures.Csap.Measures.comm <= 2 * G.total_weight g)
 
-let result_fingerprint r =
-  ( Csap_graph.Tree.edges r.F.tree,
-    Array.to_list r.F.arrival,
-    r.F.measures )
-
-let test_engine_reuse_matches_fresh () =
-  (* A trial loop over one reused engine must reproduce the fresh-engine
-     runs seed for seed. *)
-  let g = Gen.grid 4 4 ~w:3 in
-  let engine = F.make_engine g in
-  List.iter
-    (fun seed ->
-      let delay () = Csap_dsim.Delay.Uniform (Csap_graph.Rng.create seed) in
-      let fresh = F.run ~delay:(delay ()) g ~source:0 in
-      let reused = F.run ~delay:(delay ()) ~engine g ~source:0 in
-      Alcotest.(check bool)
-        (Printf.sprintf "seed %d" seed)
-        true
-        (result_fingerprint fresh = result_fingerprint reused))
-    [ 1; 2; 3 ]
-
-let test_engine_graph_mismatch_rejected () =
-  let engine = F.make_engine (Gen.path 3 ~w:1) in
-  Alcotest.check_raises "identity checked"
-    (Invalid_argument "Flood.run: engine built over a different graph")
-    (fun () -> ignore (F.run ~engine (Gen.path 3 ~w:1) ~source:0))
-
 let suite =
   [
     Alcotest.test_case "tree and arrival times" `Quick test_tree_and_times;
@@ -104,8 +77,4 @@ let suite =
     Alcotest.test_case "adversarial delays" `Quick
       test_adversarial_delays_still_span;
     QCheck_alcotest.to_alcotest prop_flood_spans;
-    Alcotest.test_case "reused engine matches fresh runs" `Quick
-      test_engine_reuse_matches_fresh;
-    Alcotest.test_case "engine over another graph rejected" `Quick
-      test_engine_graph_mismatch_rejected;
   ]

@@ -25,12 +25,6 @@ let test_of_list () =
   Alcotest.(check int) "size" 5 (Csap_graph.Heap.size h);
   Alcotest.(check (option int)) "min" (Some 0) (Csap_graph.Heap.peek_min h)
 
-let test_clear () =
-  let h = int_heap () in
-  List.iter (Csap_graph.Heap.add h) [ 1; 2; 3 ];
-  Csap_graph.Heap.clear h;
-  Alcotest.(check bool) "cleared" true (Csap_graph.Heap.is_empty h)
-
 let test_interleaved () =
   let h = int_heap () in
   Csap_graph.Heap.add h 10;
@@ -62,7 +56,6 @@ let suite =
     Alcotest.test_case "drains in order" `Quick test_order;
     Alcotest.test_case "keeps duplicates" `Quick test_duplicates;
     Alcotest.test_case "of_list heapifies" `Quick test_of_list;
-    Alcotest.test_case "clear empties" `Quick test_clear;
     Alcotest.test_case "interleaved add/pop" `Quick test_interleaved;
     QCheck_alcotest.to_alcotest prop_heap_sort;
     QCheck_alcotest.to_alcotest prop_heap_min;

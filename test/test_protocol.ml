@@ -193,6 +193,21 @@ let test_plain_restarts_counted () =
   Alcotest.(check int) "plain flood counts the same" (restarts "dfs-token")
     (restarts "flood")
 
+(* The synchronizer entries report their transport like the others: one
+   crash behind the shim is one restart. *)
+let test_sync_restarts_counted () =
+  let g = Gen.grid 3 3 ~w:4 in
+  let faults =
+    Csap_dsim.Fault.seeded
+      ~crashes:[ { Csap_dsim.Fault.vertex = 4; at = 1.0; restart = 5.0 } ]
+      1
+  in
+  List.iter
+    (fun name ->
+      let o = P.run ~faults ~reliable:true (P.find_exn name) g in
+      Alcotest.(check int) (name ^ " restarts") 1 o.P.Outcome.restarts)
+    [ "spt-synch"; "sync-alpha"; "sync-beta"; "sync-gamma-w" ]
+
 (* cfg.trace dumps one parseable JSONL trace per engine run. *)
 let test_trace_dump () =
   let g = Gen.complete 4 ~w:3 in
@@ -351,6 +366,8 @@ let suite =
       test_reliable_under_loss;
     Alcotest.test_case "plain runs count restarts" `Quick
       test_plain_restarts_counted;
+    Alcotest.test_case "synchronizer entries count restarts" `Quick
+      test_sync_restarts_counted;
     Alcotest.test_case "traces dumped and parseable" `Quick test_trace_dump;
     Alcotest.test_case "slt-dist passes on random n=32 seed 1" `Quick
       test_slt_dist_seed1;

@@ -243,7 +243,7 @@ let test_spt_synch_pinned () =
     let m = o.Sync.total in
     Printf.sprintf "messages=%d comm=%d time=%h retrans=%d control=%d"
       m.Csap.Measures.messages m.Csap.Measures.comm m.Csap.Measures.time
-      o.Sync.retransmissions o.Sync.control_comm
+      o.Sync.transport.Csap_dsim.Net.retransmissions o.Sync.control_comm
   in
   Alcotest.(check string) "clean-reliable"
     "messages=109234 comm=324718 time=0x1.0fp+11 retrans=7743 control=316414"
