@@ -1,17 +1,17 @@
 (* Bench CT: the controller's overhead envelope and containment
    (Section 5, Corollary 5.1). *)
 
-module E = Csap_dsim.Engine
+module Net = Csap_dsim.Net
 module G = Csap_graph.Graph
 module Gen = Csap_graph.Generators
 
 type fmsg = Wave
 
 let controlled_flood g ~threshold ~buggy =
-  let eng = E.create g in
+  let net = Net.make g in
   let aborted = ref false in
   let ctl =
-    Csap.Controller.create ~engine:eng ~inject:Fun.id ~initiator:0 ~threshold
+    Csap.Controller.create ~net ~inject:Fun.id ~initiator:0 ~threshold
       ~on_abort:(fun () -> aborted := true)
       ()
   in
@@ -21,7 +21,7 @@ let controlled_flood g ~threshold ~buggy =
         if u <> except then Csap.Controller.send ctl ~src:v ~dst:u Wave)
   in
   for v = 0 to G.n g - 1 do
-    E.set_handler eng v (fun ~src wire ->
+    net.Net.set_handler v (fun ~src wire ->
         match Csap.Controller.handle ctl ~me:v ~src wire with
         | None -> ()
         | Some Wave ->
@@ -31,11 +31,11 @@ let controlled_flood g ~threshold ~buggy =
             forward v ~except:src
           end)
   done;
-  E.schedule eng ~delay:0.0 (fun () ->
+  net.Net.schedule 0 (fun () ->
       seen.(0) <- true;
       forward 0 ~except:(-1));
-  let _ = E.run ~max_events:500_000 eng in
-  (E.metrics eng, ctl, !aborted)
+  let _ = net.Net.run ~max_events:500_000 () in
+  (net.Net.metrics (), ctl, !aborted)
 
 let ct () =
   let envelope_jobs =

@@ -46,8 +46,8 @@ let list_protocols names_only =
         let (module M : P.S) = entry in
         Format.printf "%-14s %-13s %-6s %-4s %-4s %-4s %s@." M.name
           (P.category_name M.category)
-          (if M.caps.P.supports_faults then "yes" else "no")
-          (if M.caps.P.supports_reliable then "yes" else "no")
+          (if M.caps.P.fixed_family then "no" else "yes")
+          (if M.caps.P.fixed_family then "no" else "yes")
           (if M.caps.P.supports_domains then "yes" else "no")
           (if M.caps.P.supports_adaptive then "yes" else "no")
           M.summary)
@@ -57,12 +57,8 @@ let list_protocols names_only =
 
 (* ---- run --------------------------------------------------------------- *)
 
-let run_protocol name family n w seed root delay adversary loss dup fault_seed
-    reliable pulses strip k q domains trace check gc_stats =
-  let cell =
-    Cell.make ~family ~n ~w ~seed ~root ?delay ?adversary ~loss ~dup
-      ~fault_seed ~reliable ?pulses ?strip ?k ?q ?domains ?trace ~check name
-  in
+let run_protocol (cell : Cell.t) gc_stats =
+  let name = cell.Cell.protocol in
   match P.find name with
   | None -> unknown_protocol name
   | Some _ -> (
@@ -118,7 +114,7 @@ let run_protocol name family n w seed root delay adversary loss dup fault_seed
         List.iter
           (fun (key, v) -> Format.printf "%s: %s@." key v)
           o.P.Outcome.info;
-        if check then Format.printf "invariant: ok@.";
+        if cell.Cell.check then Format.printf "invariant: ok@.";
         0))
 
 (* ---- params ------------------------------------------------------------ *)
@@ -226,14 +222,9 @@ let sweep_farm dir workers queue_cap resume quiet cells_file protocols delays
       3
     | s -> summary_exit s)
 
-let submit_cell name dir family n w seed root delay adversary loss dup
-    fault_seed reliable pulses strip k q domains trace check =
-  let cell =
-    Cell.make ~family ~n ~w ~seed ~root ?delay ?adversary ~loss ~dup
-      ~fault_seed ~reliable ?pulses ?strip ?k ?q ?domains ?trace ~check name
-  in
+let submit_cell dir (cell : Cell.t) =
   match Cell.prepare cell with
-  | Error (Cell.Unknown_protocol _) -> unknown_protocol name
+  | Error (Cell.Unknown_protocol _) -> unknown_protocol cell.Cell.protocol
   | Error err ->
     Format.eprintf "error: %s@." (Cell.error_message err);
     Cell.error_exit_code err
@@ -458,6 +449,26 @@ let quiet =
   Arg.(
     value & flag & info [ "quiet" ] ~doc:"Suppress per-event progress lines.")
 
+(* The one cell spec of [run] and [submit]: protocol name, graph,
+   schedule, faults, knobs and the trace prefix, whose meaning differs
+   only in [trace_doc]. *)
+let cell_term ~trace_doc =
+  let trace =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "trace" ] ~docv:"PREFIX" ~doc:trace_doc)
+  in
+  let make name family n w seed root delay adversary loss dup fault_seed
+      reliable pulses strip k q domains trace check =
+    Cell.make ~family ~n ~w ~seed ~root ?delay ?adversary ~loss ~dup
+      ~fault_seed ~reliable ?pulses ?strip ?k ?q ?domains ?trace ~check name
+  in
+  Term.(
+    const make $ pname $ family $ n $ w $ seed $ root $ delay $ adversary
+    $ loss $ dup $ fault_seed $ reliable $ pulses $ strip $ k_arg $ q_arg
+    $ domains $ trace $ check)
+
 let list_cmd =
   let names_only =
     Arg.(
@@ -469,13 +480,6 @@ let list_cmd =
     Term.(const list_protocols $ names_only)
 
 let run_cmd =
-  let trace =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"PREFIX"
-          ~doc:"Dump engine traces as PREFIX--<name>--<i>.jsonl.")
-  in
   let gc_stats =
     Arg.(
       value & flag
@@ -489,9 +493,9 @@ let run_cmd =
     (Cmd.info "run" ~exits
        ~doc:"Run one registered protocol on a generated graph.")
     Term.(
-      const run_protocol $ pname $ family $ n $ w $ seed $ root $ delay
-      $ adversary $ loss $ dup $ fault_seed $ reliable $ pulses $ strip
-      $ k_arg $ q_arg $ domains $ trace $ check $ gc_stats)
+      const run_protocol
+      $ cell_term ~trace_doc:"Dump engine traces as PREFIX--<name>--<i>.jsonl."
+      $ gc_stats)
 
 let serve_cmd =
   let poll =
@@ -570,22 +574,14 @@ let sweep_cmd =
       $ root $ loss $ dup $ fault_seed $ reliable $ no_check)
 
 let submit_cmd =
-  let trace =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"PREFIX"
-          ~doc:
-            "Bake a trace-dump prefix into the cell: the worker that \
-             runs it dumps replayable JSONL as PREFIX--<name>--<i>.jsonl.")
+  let trace_doc =
+    "Bake a trace-dump prefix into the cell: the worker that runs it \
+     dumps replayable JSONL as PREFIX--<name>--<i>.jsonl."
   in
   Cmd.v
     (Cmd.info "submit" ~exits
        ~doc:"Spool one cell into a farm directory for a running server.")
-    Term.(
-      const submit_cell $ pname $ farm_dir $ family $ n $ w $ seed $ root
-      $ delay $ adversary $ loss $ dup $ fault_seed $ reliable $ pulses
-      $ strip $ k_arg $ q_arg $ domains $ trace $ check)
+    Term.(const submit_cell $ farm_dir $ cell_term ~trace_doc)
 
 let status_cmd =
   let assert_done =

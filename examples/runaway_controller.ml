@@ -4,7 +4,7 @@
 
    Run with: dune exec examples/runaway_controller.exe *)
 
-module E = Csap_dsim.Engine
+module Net = Csap_dsim.Net
 module G = Csap_graph.Graph
 
 type msg = Gossip of int
@@ -14,10 +14,10 @@ type msg = Gossip of int
 let run ~buggy ~controlled () =
   let g = Csap_graph.Generators.grid 4 4 ~w:3 in
   let c_pi = 2 * G.total_weight g in
-  let eng = E.create g in
+  let net = Net.make g in
   let aborted = ref false in
   let ctl =
-    Csap.Controller.create ~engine:eng ~inject:Fun.id ~initiator:0
+    Csap.Controller.create ~net ~inject:Fun.id ~initiator:0
       ~threshold:(2 * c_pi)
       ~on_abort:(fun () -> aborted := true)
       ()
@@ -27,7 +27,7 @@ let run ~buggy ~controlled () =
     G.iter_neighbors g v (fun u _ _ ->
         if u <> except then
           if controlled then Csap.Controller.send ctl ~src:v ~dst:u (Gossip x)
-          else E.send eng ~src:v ~dst:u (Csap.Controller.Payload (Gossip x)))
+          else net.Net.send ~src:v ~dst:u (Csap.Controller.Payload (Gossip x)))
   in
   let deliver v src (Gossip x) =
     if buggy && x = 42 then forward v ~except:(-1) x (* echo storm *)
@@ -37,7 +37,7 @@ let run ~buggy ~controlled () =
     end
   in
   for v = 0 to G.n g - 1 do
-    E.set_handler eng v (fun ~src m ->
+    net.Net.set_handler v (fun ~src m ->
         if controlled then
           match Csap.Controller.handle ctl ~me:v ~src m with
           | Some payload -> deliver v src payload
@@ -47,11 +47,11 @@ let run ~buggy ~controlled () =
           | Csap.Controller.Payload p -> deliver v src p
           | Csap.Controller.Request _ | Csap.Controller.Grant _ -> ())
   done;
-  E.schedule eng ~delay:0.0 (fun () ->
+  net.Net.schedule 0 (fun () ->
       seen.(0) <- true;
       forward 0 ~except:(-1) (if buggy then 42 else 7));
-  let events = E.run ~max_events:100_000 eng in
-  let m = E.metrics eng in
+  let events = net.Net.run ~max_events:100_000 () in
+  let m = net.Net.metrics () in
   Format.printf
     "  %-12s %-10s comm=%-8d events=%-7d %s@."
     (if buggy then "buggy" else "correct")

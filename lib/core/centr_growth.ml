@@ -241,11 +241,8 @@ type result = {
   transport : Net.stats;
 }
 
-let run mode ?delay ?faults ?reliable g ~root =
-  if root < 0 || root >= G.n g then
-    invalid_arg
-      (Printf.sprintf "Centr_growth.run: root %d out of range [0, %d)" root
-         (G.n g));
+let run fn mode ?delay ?faults ?reliable g ~root =
+  G.check_root fn g root;
   let net = Net.make ?reliable ?delay ?faults g in
   let t =
     create ~net ~inject:Fun.id ~mode ~root ~on_done:(fun () -> ()) ()
@@ -264,7 +261,7 @@ let run mode ?delay ?faults ?reliable g ~root =
   }
 
 let run_mst ?delay ?faults ?reliable g ~root =
-  run Mst ?delay ?faults ?reliable g ~root
+  run "Centr_growth.run_mst" Mst ?delay ?faults ?reliable g ~root
 
 let run_spt ?delay ?faults ?reliable g ~root =
-  run Spt ?delay ?faults ?reliable g ~root
+  run "Centr_growth.run_spt" Spt ?delay ?faults ?reliable g ~root

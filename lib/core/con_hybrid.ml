@@ -19,10 +19,7 @@ type msg =
   | B of Centr_growth.msg
 
 let run ?delay ?faults ?reliable g ~root =
-  if root < 0 || root >= G.n g then
-    invalid_arg
-      (Printf.sprintf "Con_hybrid.run: root %d out of range [0, %d)" root
-         (G.n g));
+  G.check_root "Con_hybrid.run" g root;
   let net = Net.make ?reliable ?delay ?faults g in
   (* The root's view of each algorithm's spending (W_a, W_b) and the switch
      deciding which one currently holds the permit. *)

@@ -1,4 +1,4 @@
-module Engine = Csap_dsim.Engine
+module Net = Csap_dsim.Net
 module G = Csap_graph.Graph
 
 type 'm wire =
@@ -7,7 +7,7 @@ type 'm wire =
   | Grant of int
 
 type ('m, 'outer) t = {
-  engine : 'outer Engine.t;
+  send : src:int -> dst:int -> 'outer -> unit;
   inject : 'm wire -> 'outer;
   g : G.t;
   is_root : bool array;  (* the initiators, each rooting its own tree *)
@@ -26,9 +26,9 @@ type ('m, 'outer) t = {
   mutable aborted : bool;
 }
 
-let create_multi ~engine ~inject ~initiators ?(suspend = false)
+let create_multi ~net ~inject ~initiators ?(suspend = false)
     ?(on_abort = fun () -> ()) () =
-  let g = Engine.graph engine in
+  let g = net.Net.graph in
   let n = G.n g in
   if initiators = [] then invalid_arg "Controller.create_multi: no initiators";
   let is_root = Array.make n false in
@@ -43,7 +43,7 @@ let create_multi ~engine ~inject ~initiators ?(suspend = false)
       threshold_at.(root) <- threshold)
     initiators;
   {
-    engine;
+    send = net.Net.send;
     inject;
     g;
     is_root;
@@ -63,9 +63,9 @@ let create_multi ~engine ~inject ~initiators ?(suspend = false)
 (* Roots mint permits lazily via [root_grant], so the per-root counters
    cover every permit in circulation. *)
 
-let create ~engine ~inject ~initiator ~threshold ?(suspend = false)
+let create ~net ~inject ~initiator ~threshold ?(suspend = false)
     ?(on_abort = fun () -> ()) () =
-  create_multi ~engine ~inject ~initiators:[ (initiator, threshold) ]
+  create_multi ~net ~inject ~initiators:[ (initiator, threshold) ]
     ~suspend ~on_abort ()
 
 (* Flush v's buffered protocol sends while the bank covers them. *)
@@ -79,7 +79,7 @@ let rec flush t v =
     let dst, msg, cost = Queue.pop t.queue.(v) in
     t.bank.(v) <- t.bank.(v) - cost;
     t.spent <- t.spent + cost;
-    Engine.send t.engine ~src:v ~dst (t.inject (Payload msg))
+    t.send ~src:v ~dst (t.inject (Payload msg))
   done;
   if not (Queue.is_empty t.queue.(v)) then request_more t v
 
@@ -98,7 +98,7 @@ and serve_children t v =
     let child, amount = Queue.pop t.child_requests.(v) in
     let give = min t.bank.(v) (2 * amount) in
     t.bank.(v) <- t.bank.(v) - give;
-    Engine.send t.engine ~src:v ~dst:child (t.inject (Grant give))
+    t.send ~src:v ~dst:child (t.inject (Grant give))
   done;
   if not (Queue.is_empty t.child_requests.(v)) then request_more t v
 
@@ -119,8 +119,7 @@ and request_more t v =
       if t.is_root.(v) then root_grant t v deficit
       else begin
         t.outstanding.(v) <- true;
-        Engine.send t.engine ~src:v ~dst:t.exec_parent.(v)
-          (t.inject (Request deficit))
+        t.send ~src:v ~dst:t.exec_parent.(v) (t.inject (Request deficit))
       end
     end
   end

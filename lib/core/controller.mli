@@ -29,16 +29,18 @@ type 'm wire =
 
 type ('m, 'outer) t
 
-(** [create ~engine ~inject ~initiator ~threshold ()] installs controller
-    state over an engine whose message type embeds ['m wire] via [inject]
-    (pass [Fun.id] when the controller owns the engine).
+(** [create ~net ~inject ~initiator ~threshold ()] installs controller
+    state over a network whose message type embeds ['m wire] via [inject]
+    (pass [Fun.id] when the controller owns the network). It reads only
+    the network's graph and [send]; the caller installs the handlers
+    and routes incoming wire messages through {!handle}.
 
     With [~suspend:true] the controller parks over-threshold demand instead
     of aborting; {!raise_threshold} resumes it — the metering mechanism of
     the hybrid algorithms (Sections 7-8). [on_abort] fires at the root
     whenever demand first exceeds the threshold. *)
 val create :
-  engine:'outer Csap_dsim.Engine.t ->
+  net:'outer Csap_dsim.Net.t ->
   inject:('m wire -> 'outer) ->
   initiator:int ->
   threshold:int ->
@@ -55,7 +57,7 @@ val create :
     root. An exhausted root stops minting, stalling its own tree, while
     the other sources keep their trees growing. *)
 val create_multi :
-  engine:'outer Csap_dsim.Engine.t ->
+  net:'outer Csap_dsim.Net.t ->
   inject:('m wire -> 'outer) ->
   initiators:(int * int) list ->
   ?suspend:bool ->

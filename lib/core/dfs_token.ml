@@ -184,10 +184,7 @@ type result = {
 }
 
 let run ?delay ?faults ?reliable g ~root =
-  if root < 0 || root >= G.n g then
-    invalid_arg
-      (Printf.sprintf "Dfs_token.run: root %d out of range [0, %d)" root
-         (G.n g));
+  G.check_root "Dfs_token.run" g root;
   let net = Net.make ?reliable ?delay ?faults g in
   let t = create ~net ~inject:Fun.id ~root ~on_done:(fun () -> ()) () in
   for v = 0 to G.n g - 1 do

@@ -18,6 +18,7 @@ type msg = Wave
    share unlocked — vertex [v]'s slots are written only inside [v]'s
    handler, on [v]'s owning domain, and read here only after the run. *)
 let run ?delay ?faults ?reliable ?domains g ~source =
+  G.check_root "Flood.run" g source;
   let n = G.n g in
   let net = Net.make ?reliable ?delay ?faults ?domains g in
   let send = net.Net.send in

@@ -74,10 +74,12 @@ let run ?delay ?faults ?reliable g ~tree ~values spec =
   }
 
 let run_optimal ?delay ?faults ?reliable ?q g ~root ~values spec =
+  Csap_graph.Graph.check_root "Global_func.run_optimal" g root;
   let slt = Slt.build ?q g ~root in
   run ?delay ?faults ?reliable g ~tree:slt.Slt.tree ~values spec
 
 let broadcast ?delay ?q g ~source ~payload =
+  Csap_graph.Graph.check_root "Global_func.broadcast" g source;
   let values =
     Array.init (Csap_graph.Graph.n g) (fun v ->
         if v = source then payload else min_int)

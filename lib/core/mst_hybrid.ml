@@ -1,4 +1,4 @@
-module Engine = Csap_dsim.Engine
+module Net = Csap_dsim.Net
 module G = Csap_graph.Graph
 
 type winner =
@@ -11,17 +11,18 @@ type result = {
   measures : Measures.t;
   ghs_demand : int;
   centr_estimate : int;
+  transport : Net.stats;
 }
 
 type msg =
   | A of Mst_ghs.msg Controller.wire
   | B of Centr_growth.msg
 
-let run ?delay g ~root =
-  let eng = Engine.create ?delay g in
+let run ?delay ?faults ?reliable g ~root =
+  G.check_root "Mst_hybrid.run" g root;
+  let net = Net.make ?reliable ?delay ?faults g in
   let w_b = ref 0 in
   let outcome = ref None in
-  let ghs_ref = ref None in
   let ctl_ref = ref None in
   let centr_ref = ref None in
   (* GHS runs while its demand does not exceed MST_centr's estimate. *)
@@ -32,8 +33,8 @@ let run ?delay g ~root =
   in
   let rebalance () =
     if !outcome = None then begin
-      (match (!ctl_ref, !centr_ref) with
-      | Some ctl, _ when Controller.demand ctl <= !w_b ->
+      (match !ctl_ref with
+      | Some ctl when Controller.demand ctl <= !w_b ->
         (* Fund GHS with slack (2x demand) so the controller's root
            padding has headroom and refill chains amortize. *)
         let target = 2 * Controller.demand ctl in
@@ -47,7 +48,7 @@ let run ?delay g ~root =
     end
   in
   let ctl =
-    Controller.create ~engine:eng
+    Controller.create ~net
       ~inject:(fun w -> A w)
       ~initiator:root ~threshold:1 ~suspend:true
       ~on_abort:(fun () -> rebalance ())
@@ -59,9 +60,8 @@ let run ?delay g ~root =
       ~send:(fun ~src ~dst m -> Controller.send ctl ~src ~dst m)
       ~on_done:(fun () -> if !outcome = None then outcome := Some Ghs)
   in
-  ghs_ref := Some ghs;
   let centr =
-    Centr_growth.create ~net:(Csap_dsim.Net.of_engine eng)
+    Centr_growth.create ~net
       ~inject:(fun m -> B m)
       ~mode:Centr_growth.Mst ~root ~may_proceed:permit_centr
       ~on_root_estimate:(fun est ->
@@ -72,7 +72,7 @@ let run ?delay g ~root =
   in
   centr_ref := Some centr;
   for v = 0 to G.n g - 1 do
-    Engine.set_handler eng v (fun ~src m ->
+    net.Net.set_handler v (fun ~src m ->
         if !outcome = None then
           match m with
           | A wire -> (
@@ -81,9 +81,9 @@ let run ?delay g ~root =
             | None -> ())
           | B m -> Centr_growth.handle centr ~me:v ~src m)
   done;
-  Engine.schedule eng ~delay:0.0 (fun () -> Mst_ghs.wake ghs root);
+  net.Net.schedule root (fun () -> Mst_ghs.wake ghs root);
   Centr_growth.start centr;
-  ignore (Engine.run eng);
+  ignore (net.Net.run ());
   match !outcome with
   | None -> failwith "Mst_hybrid.run: neither algorithm terminated"
   | Some winner ->
@@ -95,7 +95,8 @@ let run ?delay g ~root =
     {
       mst;
       winner;
-      measures = Measures.of_metrics (Engine.metrics eng);
+      measures = Measures.of_metrics (net.Net.metrics ());
       ghs_demand = Controller.demand ctl;
       centr_estimate = !w_b;
+      transport = net.Net.stats ();
     }

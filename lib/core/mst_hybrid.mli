@@ -26,6 +26,19 @@ type result = {
   measures : Measures.t;
   ghs_demand : int;  (** final W_a *)
   centr_estimate : int;  (** final W_b *)
+  transport : Csap_dsim.Net.stats;
 }
 
-val run : ?delay:Csap_dsim.Delay.t -> Csap_graph.Graph.t -> root:int -> result
+(** [run ?delay ?faults ?reliable g ~root] runs the hybrid to completion
+    over [Net.make ?reliable ?delay ?faults g], composed as
+    {!Con_hybrid.run} is; [~reliable:true] routes both component
+    algorithms and the controller's traffic through the
+    {!Csap_dsim.Reliable} shim. Raises [Invalid_argument] when [root] is
+    outside [0, n). *)
+val run :
+  ?delay:Csap_dsim.Delay.t ->
+  ?faults:Csap_dsim.Fault.plan ->
+  ?reliable:bool ->
+  Csap_graph.Graph.t ->
+  root:int ->
+  result

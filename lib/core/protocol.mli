@@ -103,9 +103,10 @@ val category_name : category -> string
 (** Capability flags consulted by {!execute} and the sweep builders. *)
 type caps = {
   needs_root : bool;  (** validates [cfg.root] against [0, n) *)
-  supports_faults : bool;  (** accepts a raw {!Csap_dsim.Fault.plan} *)
-  supports_reliable : bool;  (** accepts [reliable = true] *)
-  fixed_family : bool;  (** builds its own graph from size parameters *)
+  fixed_family : bool;
+      (** builds its own graph from size parameters, so it has no
+          transport to give a fault plan or the reliable shim; every
+          other entry runs over {!Csap_dsim.Net.make} and accepts both *)
   supports_domains : bool;
       (** passes [cfg.domains] to {!Csap_dsim.Net.make}, running on the
           partitioned engine when [> 1] *)
@@ -176,8 +177,10 @@ val find : string -> entry option
 val find_exn : string -> entry
 
 (** Uniform validation: root range ([Invalid_argument] with
-    ["<name>: root <r> out of range [0, <n>)"]), fault/reliable/domains/
-    adaptive support against {!caps}. Capability rejections involving a
+    ["<name>: root <r> out of range [0, <n>)"]), fault plans and the
+    reliable shim for {!caps.fixed_family} entries (["<name>: fault
+    plans not supported"], ["<name>: reliable transport not
+    supported"]), domains/adaptive support against {!caps}. Capability rejections involving a
     knob name it uniformly — ["<name>: <knob>: <reason>"] for the
     [domains] knob and for an adaptive delay model, which is named
     [adversary] after the CLI flag and cell field that set it.

@@ -66,10 +66,7 @@ let token_walk ?delay ?faults ?reliable g ~mst ~spt ~q =
 
 let run ?delay ?faults ?reliable ?(q = 2.0) g ~root =
   if q <= 0.0 then invalid_arg "Slt_distributed.run: q must be positive";
-  if root < 0 || root >= G.n g then
-    invalid_arg
-      (Printf.sprintf "Slt_distributed.run: root %d out of range [0, %d)"
-         root (G.n g));
+  G.check_root "Slt_distributed.run" g root;
   (* Stage 1-2: full-information MST and SPT. *)
   let mst_r = Centr_growth.run_mst ?delay ?faults ?reliable g ~root in
   let spt_r = Centr_growth.run_spt ?delay ?faults ?reliable g ~root in

@@ -5,17 +5,17 @@ type result = {
   tree : Csap_graph.Tree.t;
   dist : int array;
   measures : Measures.t;
+  transport : Net.stats;
 }
 
 (* Messages carry the full candidate distance for the receiver (sender's
    distance plus the edge weight), so the handler needs no edge lookup to
    evaluate an improvement. *)
 
-let run ?delay ?domains g ~source =
+let run ?delay ?faults ?reliable ?domains g ~source =
+  G.check_root "Spt_async.run" g source;
   let n = G.n g in
-  if source < 0 || source >= n then
-    invalid_arg "Spt_async.run: source out of range";
-  let net = Net.make ?delay ?domains g in
+  let net = Net.make ?reliable ?delay ?faults ?domains g in
   let send = net.Net.send in
   let dist = Array.make n max_int in
   let parent = Array.make n (-1) in
@@ -44,7 +44,7 @@ let run ?delay ?domains g ~source =
       announce source ~except:(-1) ~d:0);
   ignore (net.Net.run ());
   if Array.exists (fun d -> d = max_int) dist then
-    invalid_arg "Spt_async: graph is disconnected";
+    invalid_arg "Spt_async.run: the wave did not cover the graph";
   let tree =
     Csap_graph.Tree.of_parents ~root:source ~parents:parent ~weights:parent_w
   in
@@ -55,4 +55,4 @@ let run ?delay ?domains g ~source =
       Measures.time = completion;
     }
   in
-  { tree; dist; measures }
+  { tree; dist; measures; transport = net.Net.stats () }

@@ -21,15 +21,28 @@ type result = {
   tree : Csap_graph.Tree.t;  (** parents = last improving announcement *)
   dist : int array;  (** true weighted distances at quiescence *)
   measures : Measures.t;
+  transport : Csap_dsim.Net.stats;
+      (** shim retransmissions and crash-restart events *)
 }
 
-(** [run ?delay ?domains g ~source] runs over
-    [Net.make ?domains ?delay g] ({!Csap_dsim.Net.make}); requires a
-    connected graph. With [domains > 1] it runs on the partitioned
-    engine, bit-identical to the sequential run under any
-    order-independent delay model. *)
+(** [run ?delay ?faults ?reliable ?domains g ~source] runs over
+    [Net.make ?reliable ?domains ?delay ?faults g]
+    ({!Csap_dsim.Net.make}); requires a connected graph, and raises
+    [Invalid_argument] when [source] is outside [0, n).
+
+    - Distances and parents live in stable storage, as in {!Flood.run}:
+      a crash-restart keeps what the vertex learned.
+    - Without the shim a dropped announcement can leave a distance
+      above the true one, or a vertex unreached ([Invalid_argument]).
+    - With [~reliable:true], under any survivable fault plan, every
+      relaxation eventually happens and the distances are exact.
+    - With [domains > 1] it runs on the partitioned engine,
+      bit-identical to the sequential run under any order-independent
+      delay model. *)
 val run :
   ?delay:Csap_dsim.Delay.t ->
+  ?faults:Csap_dsim.Fault.plan ->
+  ?reliable:bool ->
   ?domains:int ->
   Csap_graph.Graph.t ->
   source:int ->

@@ -14,10 +14,7 @@ type result = {
 }
 
 let run ?delay ?faults ?reliable ?k ?strip g ~source =
-  if source < 0 || source >= G.n g then
-    invalid_arg
-      (Printf.sprintf "Spt_hybrid.run: root %d out of range [0, %d)" source
-         (G.n g));
+  G.check_root "Spt_hybrid.run" g source;
   let strip =
     match strip with Some s -> s | None -> Spt_recur.default_strip g
   in

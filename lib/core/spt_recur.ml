@@ -31,10 +31,8 @@ let default_strip g =
 let try_run ?delay ?faults ?reliable ?(comm_budget = max_int) g ~source
     ~strip =
   if strip < 1 then invalid_arg "Spt_recur.run: strip >= 1 required";
+  G.check_root "Spt_recur.run" g source;
   let n = G.n g in
-  if source < 0 || source >= n then
-    invalid_arg
-      (Printf.sprintf "Spt_recur.run: root %d out of range [0, %d)" source n);
   let net = Net.make ?reliable ?delay ?faults g in
   let dist = Array.make n max_int in
   let parent = Array.make n (-1) in

@@ -41,6 +41,7 @@ let protocol ~source =
   }
 
 let run_synchronous g ~source =
+  G.check_root "Spt_synch.run_synchronous" g source;
   let d = Csap_graph.Paths.diameter g in
   let outcome =
     Csap_dsim.Sync_runner.run g (protocol ~source) ~pulses:(d + 1)
@@ -75,6 +76,7 @@ let tree_of_states g ~source states =
   Csap_graph.Tree.of_parents ~root:source ~parents ~weights
 
 let try_run ?delay ?faults ?reliable ?comm_budget ?k g ~source =
+  G.check_root "Spt_synch.run" g source;
   let d = Csap_graph.Paths.diameter g in
   let inner, outcome =
     Synchronizer.run_transformed ?delay ?faults ?reliable ?comm_budget ?k g

@@ -38,7 +38,7 @@ let sequential eng ~send ~set_handler ~retransmissions =
         });
   }
 
-let of_engine eng =
+let plain eng =
   sequential eng
     ~send:(fun ~src ~dst m -> Engine.send eng ~src ~dst m)
     ~set_handler:(fun v f -> Engine.set_handler eng v f)
@@ -85,4 +85,4 @@ let make ?reliable:(r = false) ?(domains = 1) ?delay ?faults g =
     partitioned ?delay ~domains g
   end
   else if r then shim (Engine.create ?delay ?faults g)
-  else of_engine (Engine.create ?delay ?faults g)
+  else plain (Engine.create ?delay ?faults g)

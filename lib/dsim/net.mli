@@ -39,11 +39,6 @@ type 'm t = {
           partitioned backend *)
 }
 
-(** [of_engine eng] wraps an existing engine as a plain (shimless)
-    endpoint — for protocols that share one engine with engine-bound
-    machinery (e.g. the {!Controller}). *)
-val of_engine : 'm Engine.t -> 'm t
-
 (** [make ?reliable ?domains ?delay ?faults g] picks the transport:
     - [domains > 1]: the partitioned engine ({!Pengine}) across that
       many domains. The delay model must be order-independent; the

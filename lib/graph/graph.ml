@@ -195,6 +195,10 @@ let of_stream ~n iter =
 
 let n t = t.n
 let m t = Array.length t.edges
+
+let check_root fn t r =
+  if r < 0 || r >= t.n then
+    invalid_arg (Printf.sprintf "%s: root %d out of range [0, %d)" fn r t.n)
 let id t = t.id
 let edges t = t.edges
 let edge t id = t.edges.(id)

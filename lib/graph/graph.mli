@@ -44,6 +44,11 @@ val n : t -> int
 (** Number of edges. *)
 val m : t -> int
 
+(** [check_root fn g r] raises [Invalid_argument
+    "<fn>: root <r> out of range [0, <n>)"] unless [r] is a vertex of
+    [g] — the one range check of every run taking a root or source. *)
+val check_root : string -> t -> int -> unit
+
 (** A unique identity for this graph value, assigned at construction.
     Monotonically increasing and domain-safe; used to key per-instance
     memoization caches (see {!Params.compute}). *)

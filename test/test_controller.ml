@@ -1,5 +1,5 @@
 module C = Csap.Controller
-module E = Csap_dsim.Engine
+module Net = Csap_dsim.Net
 module G = Csap_graph.Graph
 module Gen = Csap_graph.Generators
 
@@ -9,10 +9,10 @@ type fmsg = Wave
 
 let run_controlled_flood ?delay g ~source ~threshold =
   let n = G.n g in
-  let eng = E.create ?delay g in
+  let net = Net.make ?delay g in
   let aborted_flag = ref false in
   let ctl =
-    C.create ~engine:eng ~inject:Fun.id ~initiator:source ~threshold
+    C.create ~net ~inject:Fun.id ~initiator:source ~threshold
       ~on_abort:(fun () -> aborted_flag := true)
       ()
   in
@@ -22,7 +22,7 @@ let run_controlled_flood ?delay g ~source ~threshold =
         if u <> except then C.send ctl ~src:v ~dst:u Wave)
   in
   for v = 0 to n - 1 do
-    E.set_handler eng v (fun ~src wire ->
+    net.Net.set_handler v (fun ~src wire ->
         match C.handle ctl ~me:v ~src wire with
         | None -> ()
         | Some Wave ->
@@ -31,34 +31,34 @@ let run_controlled_flood ?delay g ~source ~threshold =
             forward v ~except:src
           end)
   done;
-  E.schedule eng ~delay:0.0 (fun () ->
+  net.Net.schedule source (fun () ->
       reached.(source) <- true;
       forward source ~except:(-1));
-  ignore (E.run eng);
-  (reached, ctl, E.metrics eng, !aborted_flag)
+  ignore (net.Net.run ());
+  (reached, ctl, net.Net.metrics (), !aborted_flag)
 
 (* A runaway protocol: two nodes ping-pong forever (diverged execution). *)
 type rmsg = Ping
 
 let run_runaway g ~threshold =
-  let eng = E.create g in
+  let net = Net.make g in
   let aborted_flag = ref false in
   let ctl =
-    C.create ~engine:eng ~inject:Fun.id ~initiator:0 ~threshold
+    C.create ~net ~inject:Fun.id ~initiator:0 ~threshold
       ~on_abort:(fun () -> aborted_flag := true)
       ()
   in
   for v = 0 to G.n g - 1 do
-    E.set_handler eng v (fun ~src wire ->
+    net.Net.set_handler v (fun ~src wire ->
         match C.handle ctl ~me:v ~src wire with
         | None -> ()
         | Some Ping ->
           (* Echo forever. *)
           C.send ctl ~src:v ~dst:src Ping)
   done;
-  E.schedule eng ~delay:0.0 (fun () -> C.send ctl ~src:0 ~dst:1 Ping);
-  let events = E.run ~max_events:200_000 eng in
-  (ctl, events, !aborted_flag, E.metrics eng)
+  net.Net.schedule 0 (fun () -> C.send ctl ~src:0 ~dst:1 Ping);
+  let events = net.Net.run ~max_events:200_000 () in
+  (ctl, events, !aborted_flag, net.Net.metrics ())
 
 let flood_cost g = 2 * G.total_weight g
 
@@ -104,11 +104,11 @@ let test_runaway_unbounded_without_controller () =
   (* The same protocol without the controller runs forever (cut by the
      event cap) — the controller is doing real work. *)
   let g = Gen.path 2 ~w:5 in
-  let eng = E.create g in
-  E.set_handler eng 0 (fun ~src:_ Ping -> E.send eng ~src:0 ~dst:1 Ping);
-  E.set_handler eng 1 (fun ~src:_ Ping -> E.send eng ~src:1 ~dst:0 Ping);
-  E.schedule eng ~delay:0.0 (fun () -> E.send eng ~src:0 ~dst:1 Ping);
-  let events = E.run ~max_events:5_000 eng in
+  let net = Net.make g in
+  net.Net.set_handler 0 (fun ~src:_ Ping -> net.Net.send ~src:0 ~dst:1 Ping);
+  net.Net.set_handler 1 (fun ~src:_ Ping -> net.Net.send ~src:1 ~dst:0 Ping);
+  net.Net.schedule 0 (fun () -> net.Net.send ~src:0 ~dst:1 Ping);
+  let events = net.Net.run ~max_events:5_000 () in
   Alcotest.(check int) "hits the cap" 5_000 events
 
 let test_doubling_discipline_per_edge () =
@@ -149,10 +149,10 @@ type cmsg = Spark
 
 let run_multi_source_flood g ~t0 ~t1 =
   let n = G.n g in
-  let eng = E.create g in
+  let net = Net.make g in
   let aborts = ref 0 in
   let ctl =
-    C.create_multi ~engine:eng ~inject:Fun.id
+    C.create_multi ~net ~inject:Fun.id
       ~initiators:[ (0, t0); (n - 1, t1) ]
       ~suspend:false
       ~on_abort:(fun () -> incr aborts)
@@ -164,7 +164,7 @@ let run_multi_source_flood g ~t0 ~t1 =
         if u <> except then C.send ctl ~src:v ~dst:u Spark)
   in
   for v = 0 to n - 1 do
-    E.set_handler eng v (fun ~src wire ->
+    net.Net.set_handler v (fun ~src wire ->
         match C.handle ctl ~me:v ~src wire with
         | None -> ()
         | Some Spark ->
@@ -173,12 +173,12 @@ let run_multi_source_flood g ~t0 ~t1 =
             forward v ~except:src
           end)
   done;
-  E.schedule eng ~delay:0.0 (fun () ->
+  net.Net.schedule 0 (fun () ->
       seen.(0) <- true;
       forward 0 ~except:(-1);
       seen.(n - 1) <- true;
       forward (n - 1) ~except:(-1));
-  ignore (E.run ~max_events:300_000 eng);
+  ignore (net.Net.run ~max_events:300_000 ());
   (seen, ctl, !aborts)
 
 let test_multi_initiator_completes () =

@@ -112,18 +112,18 @@ let test_validation () =
           (Invalid_argument expected)
           (fun () -> ignore (P.run ~root:99 entry g))
       end;
-      if not M.caps.P.supports_faults then
+      if M.caps.P.fixed_family then begin
         Alcotest.check_raises
           (M.name ^ ": faults rejected")
           (Invalid_argument (M.name ^ ": fault plans not supported"))
           (fun () ->
             ignore
               (P.run ~faults:(Csap_dsim.Fault.seeded ~loss:0.1 1) entry g));
-      if not M.caps.P.supports_reliable then
         Alcotest.check_raises
           (M.name ^ ": reliable rejected")
           (Invalid_argument (M.name ^ ": reliable transport not supported"))
-          (fun () -> ignore (P.run ~reliable:true entry g));
+          (fun () -> ignore (P.run ~reliable:true entry g))
+      end;
       (* Adversary rejections name their knob uniformly, like domains. *)
       if not M.caps.P.supports_adaptive then
         Alcotest.check_raises
@@ -145,9 +145,9 @@ let test_validation () =
         M.caps.P.supports_adaptive)
     P.registry
 
-(* Every fault-capable entry survives seeded loss behind the shim and
-   still passes its invariant — the fault roster extends registry-wide,
-   not just to the original hand-wired three. *)
+(* Every entry but the fixed-family one runs over [Net.make], so every
+   one survives seeded loss behind the shim and still passes its
+   invariant. *)
 let test_reliable_under_loss () =
   let g = Gen.grid 3 3 ~w:4 in
   let faults = Csap_dsim.Fault.seeded ~loss:0.1 5 in
@@ -155,11 +155,13 @@ let test_reliable_under_loss () =
     List.filter
       (fun entry ->
         let (module M : P.S) = entry in
-        M.caps.P.supports_faults && M.caps.P.supports_reliable)
+        not M.caps.P.fixed_family)
       P.registry
   in
-  Alcotest.(check bool) "strictly more than three fault targets" true
-    (List.length covered > 3);
+  Alcotest.(check (list string))
+    "every entry but lower-bound-gn"
+    (List.filter (fun n -> n <> "lower-bound-gn") expected_names)
+    (List.map (fun (module M : P.S) -> M.name) covered);
   List.iter
     (fun entry ->
       let (module M : P.S) = entry in
@@ -188,10 +190,10 @@ let test_plain_restarts_counted () =
   let restarts name =
     (P.run ~faults (P.find_exn name) g).P.Outcome.restarts
   in
-  Alcotest.(check int) "dfs-token counts both restarts" 2
-    (restarts "dfs-token");
-  Alcotest.(check int) "plain flood counts the same" (restarts "dfs-token")
-    (restarts "flood")
+  List.iter
+    (fun name ->
+      Alcotest.(check int) (name ^ " counts both restarts") 2 (restarts name))
+    [ "dfs-token"; "flood"; "mst-hybrid"; "spt-async" ]
 
 (* The synchronizer entries report their transport like the others: one
    crash behind the shim is one restart. *)
@@ -207,6 +209,43 @@ let test_sync_restarts_counted () =
       let o = P.run ~faults ~reliable:true (P.find_exn name) g in
       Alcotest.(check int) (name ^ " restarts") 1 o.P.Outcome.restarts)
     [ "spt-synch"; "sync-alpha"; "sync-beta"; "sync-gamma-w" ]
+
+(* Every standalone run taking a root or source checks its range with
+   one message shape, before building anything. *)
+let test_standalone_root_checked () =
+  let g = Gen.grid 3 3 ~w:4 and r = 99 in
+  let values = Array.make 9 0 in
+  List.iter
+    (fun (fn, run) ->
+      Alcotest.check_raises fn
+        (Invalid_argument (fn ^ ": root 99 out of range [0, 9)"))
+        run)
+    Csap.
+      [
+        ("Flood.run", fun () -> ignore (Flood.run g ~source:r));
+        ("Dfs_token.run", fun () -> ignore (Dfs_token.run g ~root:r));
+        ("Con_hybrid.run", fun () -> ignore (Con_hybrid.run g ~root:r));
+        ( "Centr_growth.run_mst",
+          fun () -> ignore (Centr_growth.run_mst g ~root:r) );
+        ( "Centr_growth.run_spt",
+          fun () -> ignore (Centr_growth.run_spt g ~root:r) );
+        ("Mst_hybrid.run", fun () -> ignore (Mst_hybrid.run g ~root:r));
+        ("Spt_synch.run", fun () -> ignore (Spt_synch.run g ~source:r));
+        ( "Spt_synch.run_synchronous",
+          fun () -> ignore (Spt_synch.run_synchronous g ~source:r) );
+        ( "Spt_recur.run",
+          fun () -> ignore (Spt_recur.run g ~source:r ~strip:2) );
+        ("Spt_hybrid.run", fun () -> ignore (Spt_hybrid.run g ~source:r));
+        ("Spt_async.run", fun () -> ignore (Spt_async.run g ~source:r));
+        ( "Slt_distributed.run",
+          fun () -> ignore (Slt_distributed.run g ~root:r) );
+        ( "Global_func.run_optimal",
+          fun () ->
+            ignore (Global_func.run_optimal g ~root:r ~values Global_func.sum)
+        );
+        ( "Global_func.broadcast",
+          fun () -> ignore (Global_func.broadcast g ~source:r ~payload:1) );
+      ]
 
 (* cfg.trace dumps one parseable JSONL trace per engine run. *)
 let test_trace_dump () =
@@ -368,6 +407,8 @@ let suite =
       test_plain_restarts_counted;
     Alcotest.test_case "synchronizer entries count restarts" `Quick
       test_sync_restarts_counted;
+    Alcotest.test_case "standalone runs check their root" `Quick
+      test_standalone_root_checked;
     Alcotest.test_case "traces dumped and parseable" `Quick test_trace_dump;
     Alcotest.test_case "slt-dist passes on random n=32 seed 1" `Quick
       test_slt_dist_seed1;
