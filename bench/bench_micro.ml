@@ -14,6 +14,7 @@ open Bechamel
 module G = Csap_graph.Graph
 module Gen = Csap_graph.Generators
 module E = Csap_dsim.Engine
+module Net = Csap_dsim.Net
 
 let graph =
   lazy
@@ -136,7 +137,8 @@ let flood_trace =
   lazy
     (let _, traces =
        Csap_dsim.Trace.with_collector (fun () ->
-           Csap.Flood.run ~delay:(Csap_dsim.Delay.seeded 1)
+           Csap.Flood.run
+             ~spec:{ Net.default with Net.delay = Csap_dsim.Delay.seeded 1 }
              (Lazy.force dense96) ~source:0)
      in
      List.hd traces)

@@ -14,6 +14,7 @@ module Tree = Csap_graph.Tree
 module Delay = Csap_dsim.Delay
 module F = Csap.Flood
 module S = Csap.Spt_async
+module Net = Csap_dsim.Net
 
 let same_tree n a b =
   let ok = ref true in
@@ -42,15 +43,15 @@ let identity_cases =
 let identity_row (fname, build, dname, delay, k) =
   let g = build () in
   let n = G.n g in
-  let fs = F.run ~delay g ~source:0 in
-  let fp = F.run ~delay ~domains:k g ~source:0 in
+  let fs = F.run ~spec:{ Net.default with Net.delay } g ~source:0 in
+  let fp = F.run ~spec:{ Net.default with Net.delay } ~domains:k g ~source:0 in
   let flood_ok =
     fs.F.measures = fp.F.measures
     && fs.F.arrival = fp.F.arrival
     && same_tree n fs.F.tree fp.F.tree
   in
-  let ss = S.run ~delay g ~source:0 in
-  let sp = S.run ~delay ~domains:k g ~source:0 in
+  let ss = S.run ~spec:{ Net.default with Net.delay } g ~source:0 in
+  let sp = S.run ~spec:{ Net.default with Net.delay } ~domains:k g ~source:0 in
   let spt_ok =
     ss.S.measures = sp.S.measures
     && ss.S.dist = sp.S.dist

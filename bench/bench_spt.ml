@@ -4,6 +4,7 @@
 module G = Csap_graph.Graph
 module Gen = Csap_graph.Generators
 module P = Csap_graph.Params
+module Net = Csap_dsim.Net
 
 let f4_row name build =
   Report.row_job name (fun () ->
@@ -88,12 +89,12 @@ let f4 () =
 
 let strips = [ 1; 2; 4; 8; 16; 32; 64; 128 ]
 
-let f9_strip_job ?delay ~instance build strip =
+let f9_strip_job ?spec ~instance build strip =
   Report.row_job
     (Printf.sprintf "%s strip=%d" instance strip)
     (fun () ->
       let g = build () in
-      let r = Csap.Spt_recur.run ?delay g ~source:0 ~strip in
+      let r = Csap.Spt_recur.run ?spec g ~source:0 ~strip in
       [
         Report.Int strip;
         Report.Int r.Csap.Spt_recur.strips;
@@ -120,7 +121,9 @@ let f9 () =
     :: List.map (f9_strip_job ~instance:"A" build_a) strips)
     @ (f9_params_job ~instance:"B" build_b
       :: List.map
-           (f9_strip_job ~delay:Csap_dsim.Delay.Near_zero ~instance:"B"
+           (f9_strip_job
+              ~spec:{ Net.default with Net.delay = Csap_dsim.Delay.Near_zero }
+              ~instance:"B"
               build_b)
            strips)
   in

@@ -11,6 +11,7 @@
 
 module G = Csap_graph.Graph
 module SP = Csap_dsim.Sync_protocol
+module Net = Csap_dsim.Net
 
 let gossip =
   {
@@ -45,7 +46,12 @@ let () =
   (* Ground truth: the weighted synchronous execution. *)
   let reference = Csap_dsim.Sync_runner.run g gossip ~pulses in
 
-  let delay () = Csap_dsim.Delay.Uniform (Csap_graph.Rng.create 99) in
+  let spec () =
+    {
+      Net.default with
+      Net.delay = Csap_dsim.Delay.Uniform (Csap_graph.Rng.create 99);
+    }
+  in
   Format.printf "%-10s %12s %16s %14s %8s@." "sync" "proto comm"
     "overhead/pulse" "time/pulse" "exact?";
   List.iter
@@ -59,12 +65,13 @@ let () =
         o.Csap.Synchronizer.amortized_time exact)
     [
       ( "alpha_w",
-        fun () -> Csap.Synchronizer.run_alpha ~delay:(delay ()) g gossip ~pulses );
+        fun () ->
+          Csap.Synchronizer.run_alpha ~spec:(spec ()) g gossip ~pulses );
       ( "beta_w",
-        fun () -> Csap.Synchronizer.run_beta ~delay:(delay ()) g gossip ~pulses );
+        fun () -> Csap.Synchronizer.run_beta ~spec:(spec ()) g gossip ~pulses );
       ( "gamma_w",
         fun () ->
-          Csap.Synchronizer.run_gamma_w ~delay:(delay ()) ~k:2 g gossip ~pulses );
+          Csap.Synchronizer.run_gamma_w ~spec:(spec ()) ~k:2 g gossip ~pulses );
     ];
   Format.printf
     "@.every synchronizer reproduced the synchronous execution exactly;@.";

@@ -241,9 +241,9 @@ type result = {
   transport : Net.stats;
 }
 
-let run fn mode ?delay ?faults ?reliable g ~root =
+let run fn mode ?spec g ~root =
   G.check_root fn g root;
-  let net = Net.make ?reliable ?delay ?faults g in
+  let net = Net.make ?spec g in
   let t =
     create ~net ~inject:Fun.id ~mode ~root ~on_done:(fun () -> ()) ()
   in
@@ -260,8 +260,6 @@ let run fn mode ?delay ?faults ?reliable g ~root =
     transport = net.Net.stats ();
   }
 
-let run_mst ?delay ?faults ?reliable g ~root =
-  run "Centr_growth.run_mst" Mst ?delay ?faults ?reliable g ~root
+let run_mst ?spec g ~root = run "Centr_growth.run_mst" Mst ?spec g ~root
 
-let run_spt ?delay ?faults ?reliable g ~root =
-  run "Centr_growth.run_spt" Spt ?delay ?faults ?reliable g ~root
+let run_spt ?spec g ~root = run "Centr_growth.run_spt" Spt ?spec g ~root

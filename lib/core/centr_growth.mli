@@ -68,23 +68,18 @@ type result = {
   transport : Csap_dsim.Net.stats;
 }
 
-(** [run_mst ?delay ?faults ?reliable g ~root] grows the MST on its own
-    transport; [~reliable:true] routes all traffic through the
-    {!Csap_dsim.Reliable} shim. Raises [Invalid_argument] when [root] is
-    outside [0, n). *)
+(** [run_mst ?spec g ~root] grows the MST on its own transport, built
+    from [spec] ({!Csap_dsim.Net.make}). Raises [Invalid_argument] when
+    [root] is outside [0, n). *)
 val run_mst :
-  ?delay:Csap_dsim.Delay.t ->
-  ?faults:Csap_dsim.Fault.plan ->
-  ?reliable:bool ->
+  ?spec:Csap_dsim.Net.spec ->
   Csap_graph.Graph.t ->
   root:int ->
   result
 
 (** As {!run_mst}, for the shortest-path tree. *)
 val run_spt :
-  ?delay:Csap_dsim.Delay.t ->
-  ?faults:Csap_dsim.Fault.plan ->
-  ?reliable:bool ->
+  ?spec:Csap_dsim.Net.spec ->
   Csap_graph.Graph.t ->
   root:int ->
   result

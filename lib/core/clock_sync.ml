@@ -43,9 +43,9 @@ let summarise g net ~pulses pulse_times =
 
 type alpha_msg = Pulse of int
 
-let run_alpha ?delay ?faults ?reliable g ~pulses =
+let run_alpha ?spec g ~pulses =
   let n = G.n g in
-  let net = Net.make ?reliable ?delay ?faults g in
+  let net = Net.make ?spec g in
   let pulse_times = Array.make_matrix n (pulses + 1) nan in
   let current = Array.make n (-1) in
   (* heard.(v).(i): highest pulse number received from v's i-th
@@ -84,11 +84,11 @@ type beta_msg =
   | Ready of int
   | Go of int
 
-let run_beta ?delay ?faults ?reliable g ~pulses =
+let run_beta ?spec g ~pulses =
   let tree = Slt.centre_tree g in
   let n = G.n g in
   let root = Csap_graph.Tree.root tree in
-  let net = Net.make ?reliable ?delay ?faults g in
+  let net = Net.make ?spec g in
   let pulse_times = Array.make_matrix n (pulses + 1) nan in
   let n_children =
     Array.init n (fun v -> List.length (Csap_graph.Tree.children tree v))
@@ -149,7 +149,7 @@ type gamma_msg =
   | TNeighborDone of { src_tree : int; dst_tree : int; pulse : int }
   | TGo of { tree : int; pulse : int }
 
-let run_gamma ?delay ?faults ?reliable ?(neighbor_phase = true) g ~pulses =
+let run_gamma ?spec ?(neighbor_phase = true) g ~pulses =
   let cover = TC.build g in
   let n = G.n g in
   let trees = Array.of_list cover.TC.trees in
@@ -182,7 +182,7 @@ let run_gamma ?delay ?faults ?reliable ?(neighbor_phase = true) g ~pulses =
   Hashtbl.iter
     (fun (_, b) _ -> neighbor_count.(b) <- neighbor_count.(b) + 1)
     relay;
-  let net = Net.make ?reliable ?delay ?faults g in
+  let net = Net.make ?spec g in
   let pulse_times = Array.make_matrix n (pulses + 1) nan in
   let current = Array.make n (-1) in
   (* go.(v).(tid): the latest pulse this vertex knows tree [tid] released.

@@ -30,31 +30,25 @@ type result = {
   transport : Csap_dsim.Net.stats;
 }
 
-(** [run_alpha ?delay ?faults ?reliable g ~pulses] runs synchronizer
-    alpha*; [~reliable:true] routes pulse traffic through the
-    {!Csap_dsim.Reliable} shim. *)
+(** [run_alpha ?spec g ~pulses] runs synchronizer alpha* over
+    [Net.make ?spec g] ({!Csap_dsim.Net.make}). *)
 val run_alpha :
-  ?delay:Csap_dsim.Delay.t ->
-  ?faults:Csap_dsim.Fault.plan ->
-  ?reliable:bool ->
+  ?spec:Csap_dsim.Net.spec ->
   Csap_graph.Graph.t ->
   pulses:int ->
   result
 
-(** [run_beta ?delay ?faults ?reliable g ~pulses] runs synchronizer
-    beta* over {!Slt.centre_tree}, a shallow-light tree rooted at a
-    centre vertex. *)
+(** [run_beta ?spec g ~pulses] runs synchronizer beta* over
+    {!Slt.centre_tree}, a shallow-light tree rooted at a centre
+    vertex. *)
 val run_beta :
-  ?delay:Csap_dsim.Delay.t ->
-  ?faults:Csap_dsim.Fault.plan ->
-  ?reliable:bool ->
+  ?spec:Csap_dsim.Net.spec ->
   Csap_graph.Graph.t ->
   pulses:int ->
   result
 
-(** [run_gamma ?delay ?faults ?reliable ?neighbor_phase g ~pulses] runs
-    synchronizer gamma* over the tree edge-cover
-    {!Csap_cover.Tree_cover.build}[ g].
+(** [run_gamma ?spec ?neighbor_phase g ~pulses] runs synchronizer
+    gamma* over the tree edge-cover {!Csap_cover.Tree_cover.build}[ g].
 
     [neighbor_phase] (default [true]) controls the paper's second phase
     (alpha among neighbouring trees). Because the tree edge-cover already
@@ -63,9 +57,7 @@ val run_beta :
     braces margin. Setting it to [false] is the ablation measured by bench
     CS: it trades the extra inter-tree traffic against pulse delay. *)
 val run_gamma :
-  ?delay:Csap_dsim.Delay.t ->
-  ?faults:Csap_dsim.Fault.plan ->
-  ?reliable:bool ->
+  ?spec:Csap_dsim.Net.spec ->
   ?neighbor_phase:bool ->
   Csap_graph.Graph.t ->
   pulses:int ->

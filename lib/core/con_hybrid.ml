@@ -18,9 +18,9 @@ type msg =
   | A of Dfs_token.msg
   | B of Centr_growth.msg
 
-let run ?delay ?faults ?reliable g ~root =
+let run ?spec g ~root =
   G.check_root "Con_hybrid.run" g root;
-  let net = Net.make ?reliable ?delay ?faults g in
+  let net = Net.make ?spec g in
   (* The root's view of each algorithm's spending (W_a, W_b) and the switch
      deciding which one currently holds the permit. *)
   let w_a = ref 0 and w_b = ref 0 in

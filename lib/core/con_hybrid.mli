@@ -24,14 +24,11 @@ type result = {
   transport : Csap_dsim.Net.stats;
 }
 
-(** [run ?delay ?faults ?reliable g ~root] runs the hybrid to completion;
-    [~reliable:true] routes both component algorithms through the
-    {!Csap_dsim.Reliable} shim. Raises [Invalid_argument] when [root] is
-    outside [0, n). *)
+(** [run ?spec g ~root] runs the hybrid to completion; both component
+    algorithms share one network built from [spec]. Raises
+    [Invalid_argument] when [root] is outside [0, n). *)
 val run :
-  ?delay:Csap_dsim.Delay.t ->
-  ?faults:Csap_dsim.Fault.plan ->
-  ?reliable:bool ->
+  ?spec:Csap_dsim.Net.spec ->
   Csap_graph.Graph.t ->
   root:int ->
   result

@@ -183,9 +183,9 @@ type result = {
   transport : Net.stats;
 }
 
-let run ?delay ?faults ?reliable g ~root =
+let run ?spec g ~root =
   G.check_root "Dfs_token.run" g root;
-  let net = Net.make ?reliable ?delay ?faults g in
+  let net = Net.make ?spec g in
   let t = create ~net ~inject:Fun.id ~root ~on_done:(fun () -> ()) () in
   for v = 0 to G.n g - 1 do
     net.Net.set_handler v (fun ~src m -> handle t ~me:v ~src m)

@@ -66,16 +66,13 @@ type result = {
   transport : Csap_dsim.Net.stats;
 }
 
-(** [run ?delay ?faults ?reliable g ~root] performs a complete DFS on its
-    own transport. With [~reliable:true] all traffic runs through the
-    {!Csap_dsim.Reliable} shim, making the walk correct under any
-    survivable fault plan; with raw [faults] a dropped token deadlocks
-    the run ([failwith] on non-termination). Raises [Invalid_argument]
+(** [run ?spec g ~root] performs a complete DFS on its own transport.
+    Behind the shim ([spec.reliable]) the walk is correct under any
+    survivable fault plan; over a raw faulty engine a dropped token
+    deadlocks the run ([failwith] on non-termination). Raises [Invalid_argument]
     when [root] is outside [0, n). *)
 val run :
-  ?delay:Csap_dsim.Delay.t ->
-  ?faults:Csap_dsim.Fault.plan ->
-  ?reliable:bool ->
+  ?spec:Csap_dsim.Net.spec ->
   Csap_graph.Graph.t ->
   root:int ->
   result

@@ -17,10 +17,10 @@ type msg = Wave
    cycle. On the partitioned backend the per-vertex arrays are safe to
    share unlocked — vertex [v]'s slots are written only inside [v]'s
    handler, on [v]'s owning domain, and read here only after the run. *)
-let run ?delay ?faults ?reliable ?domains g ~source =
+let run ?spec ?domains g ~source =
   G.check_root "Flood.run" g source;
   let n = G.n g in
-  let net = Net.make ?reliable ?delay ?faults ?domains g in
+  let net = Net.make ?domains ?spec g in
   let send = net.Net.send in
   let parent = Array.make n (-1) in
   let parent_w = Array.make n 0 in
@@ -47,7 +47,7 @@ let run ?delay ?faults ?reliable ?domains g ~source =
       forward source ~except:(-1));
   ignore (net.Net.run ());
   if not (Array.for_all Fun.id reached) then
-    invalid_arg "Flood.run: the wave did not cover the graph";
+    failwith "Flood.run: the wave did not cover the graph";
   let tree =
     Csap_graph.Tree.of_parents ~root:source ~parents:parent ~weights:parent_w
   in

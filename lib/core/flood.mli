@@ -15,25 +15,23 @@ type result = {
       (** shim retransmissions and crash-restart events *)
 }
 
-(** [run ?delay ?faults ?reliable ?domains g ~source] floods
-    from [source] over [Net.make ?reliable ?domains ?delay ?faults g]
-    ({!Csap_dsim.Net.make}); requires a connected graph.
+(** [run ?spec ?domains g ~source] floods from [source] over
+    [Net.make ?domains ?spec g] ({!Csap_dsim.Net.make}); requires a
+    connected graph.
 
-    - With [faults] and no shim, messages run over the raw engine: a
+    - With a fault plan and no shim, messages run over the raw engine: a
       plan that drops a first-contact copy can leave the wave short of
-      some vertices, and [run] raises [Invalid_argument] as it does on a
+      some vertices, and [run] raises [Failure] as it does on a
       disconnected graph.
-    - With [~reliable:true], under any survivable fault plan (loss < 1,
-      finite outages and crashes) the wave covers the graph and the
-      first-contact tree is a valid spanning tree.
+    - Behind the shim ([spec.reliable]), under any survivable fault
+      plan (loss < 1, finite outages and crashes) the wave covers the
+      graph and the first-contact tree is a valid spanning tree.
     - With [domains > 1] the wave runs on the partitioned engine, with a
       result bit-identical to the sequential run's: same tree, arrival
       times and measures. The delay model must be order-independent
       ({!Csap_dsim.Delay.order_independent}). *)
 val run :
-  ?delay:Csap_dsim.Delay.t ->
-  ?faults:Csap_dsim.Fault.plan ->
-  ?reliable:bool ->
+  ?spec:Csap_dsim.Net.spec ->
   ?domains:int ->
   Csap_graph.Graph.t ->
   source:int ->

@@ -23,13 +23,13 @@ type 'a msg =
   | Up of 'a
   | Down of 'a
 
-let run ?delay ?faults ?reliable g ~tree ~values spec =
+let run ?spec g ~tree ~values f =
   let n = Csap_graph.Graph.n g in
   if Array.length values <> n then
     invalid_arg "Global_func.run: one value per vertex required";
   if not (Tree.is_spanning_tree_of g tree) then
     invalid_arg "Global_func.run: not a spanning tree of the graph";
-  let net = Net.make ?reliable ?delay ?faults g in
+  let net = Net.make ?spec g in
   let outputs = Array.map (fun v -> v) values in
   let produced = Array.make n false in
   let acc = Array.copy values in
@@ -49,7 +49,7 @@ let run ?delay ?faults ?reliable g ~tree ~values spec =
     net.Net.set_handler v (fun ~src msg ->
         match msg with
         | Up x ->
-          acc.(v) <- spec.combine acc.(v) x;
+          acc.(v) <- f.combine acc.(v) x;
           pending.(v) <- pending.(v) - 1;
           assert (pending.(v) >= 0);
           if pending.(v) = 0 then send_up v
@@ -73,15 +73,15 @@ let run ?delay ?faults ?reliable g ~tree ~values spec =
     transport = net.Net.stats ();
   }
 
-let run_optimal ?delay ?faults ?reliable ?q g ~root ~values spec =
+let run_optimal ?spec ?q g ~root ~values f =
   Csap_graph.Graph.check_root "Global_func.run_optimal" g root;
   let slt = Slt.build ?q g ~root in
-  run ?delay ?faults ?reliable g ~tree:slt.Slt.tree ~values spec
+  run ?spec g ~tree:slt.Slt.tree ~values f
 
-let broadcast ?delay ?q g ~source ~payload =
+let broadcast ?spec ?q g ~source ~payload =
   Csap_graph.Graph.check_root "Global_func.broadcast" g source;
   let values =
     Array.init (Csap_graph.Graph.n g) (fun v ->
         if v = source then payload else min_int)
   in
-  run_optimal ?delay ?q g ~root:source ~values max_value
+  run_optimal ?spec ?q g ~root:source ~values max_value

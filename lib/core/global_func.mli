@@ -32,26 +32,21 @@ type 'a result = {
   transport : Csap_dsim.Net.stats;
 }
 
-(** [run ?delay ?faults ?reliable g ~tree ~values spec] computes
-    [f(values)] over [tree] (a spanning tree of [g]); every vertex outputs
-    the result. [~reliable:true] routes the convergecast/broadcast through
-    the {!Csap_dsim.Reliable} shim. *)
+(** [run ?spec g ~tree ~values f] computes [f(values)] over [tree] (a
+    spanning tree of [g]); every vertex outputs the result. The
+    convergecast and broadcast run over [Net.make ?spec g]. *)
 val run :
-  ?delay:Csap_dsim.Delay.t ->
-  ?faults:Csap_dsim.Fault.plan ->
-  ?reliable:bool ->
+  ?spec:Csap_dsim.Net.spec ->
   Csap_graph.Graph.t ->
   tree:Csap_graph.Tree.t ->
   values:'a array ->
   'a spec ->
   'a result
 
-(** [run_optimal ?delay ?q g ~root ~values spec] builds an SLT and runs on
+(** [run_optimal ?spec ?q g ~root ~values f] builds an SLT and runs on
     it — the paper's upper bound construction (Corollary 2.3). *)
 val run_optimal :
-  ?delay:Csap_dsim.Delay.t ->
-  ?faults:Csap_dsim.Fault.plan ->
-  ?reliable:bool ->
+  ?spec:Csap_dsim.Net.spec ->
   ?q:float ->
   Csap_graph.Graph.t ->
   root:int ->
@@ -59,12 +54,12 @@ val run_optimal :
   'a spec ->
   'a result
 
-(** [broadcast ?delay ?q g ~source ~payload] — the paper's observation that
+(** [broadcast ?spec ?q g ~source ~payload] — the paper's observation that
     broadcasting is a symmetric compact function: the payload at [source],
     a neutral value elsewhere, combined with [max]. Every vertex outputs
     [payload] at the optimal [O(V)] communication / [O(D)] time. *)
 val broadcast :
-  ?delay:Csap_dsim.Delay.t ->
+  ?spec:Csap_dsim.Net.spec ->
   ?q:float ->
   Csap_graph.Graph.t ->
   source:int ->

@@ -40,11 +40,11 @@ type result = {
   transport : Net.stats;
 }
 
-let run ?delay ?faults ?reliable g =
+let run ?spec g =
   let n = G.n g in
   if n < 2 then invalid_arg "Mst_fast.run: n >= 2 required";
   if not (G.is_connected g) then invalid_arg "Mst_fast.run: disconnected";
-  let net = Net.make ?reliable ?delay ?faults g in
+  let net = Net.make ?spec g in
   (* Per-port state is kept aligned with [v]'s CSR row: port [i] is slot
      [off.(v) + i]. *)
   let off = G.csr_offsets g and nbr = G.csr_neighbors g in

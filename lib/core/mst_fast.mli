@@ -31,11 +31,8 @@ type result = {
   transport : Csap_dsim.Net.stats;
 }
 
-(** [run ?delay ?faults ?reliable g] computes the MST; [~reliable:true]
-    routes all traffic through the {!Csap_dsim.Reliable} shim. *)
+(** [run ?spec g] computes the MST over [Net.make ?spec g]. *)
 val run :
-  ?delay:Csap_dsim.Delay.t ->
-  ?faults:Csap_dsim.Fault.plan ->
-  ?reliable:bool ->
+  ?spec:Csap_dsim.Net.spec ->
   Csap_graph.Graph.t ->
   result

@@ -274,8 +274,8 @@ let create g ~send:send_fn ~on_done =
    storage under the crash model, so no crash-specific protocol logic is
    needed. Waking every vertex from one bootstrap is sequential-only,
    hence no [?domains]. *)
-let run ?delay ?faults ?reliable g =
-  let net = Net.make ?reliable ?delay ?faults g in
+let run ?spec g =
+  let net = Net.make ?spec g in
   let t = create g ~send:net.Net.send ~on_done:(fun () -> ()) in
   for v = 0 to G.n g - 1 do
     net.Net.set_handler v (fun ~src m -> handle t ~me:v ~src m)

@@ -55,25 +55,23 @@ type result = {
       (** shim retransmissions and crash-restart events *)
 }
 
-(** [run ?delay ?faults ?reliable g] computes the MST over
-    [Net.make ?reliable ?delay ?faults g] ({!Csap_dsim.Net.make}); all
+(** [run ?spec g] computes the MST over [Net.make ?spec g]
+    ({!Csap_dsim.Net.make}); all
     vertices wake at time 0 (the paper's flooding wake-up, whose
     [O(script-E)] cost is already dominated by the scanning term).
 
-    - With [faults] and no shim, messages run over the raw engine: GHS
+    - With a fault plan and no shim, messages run over the raw engine: GHS
       is not loss-tolerant, so a plan that drops messages typically
       deadlocks the run ([failwith] on non-termination).
-    - With [~reliable:true], under any survivable fault plan (loss < 1,
-      finite outages and crashes) the computed tree is the MST, at the
-      retransmission overhead. The state machine needs no crash-specific
-      logic: its state is stable storage under the crash model and the
-      shim restores exactly-once FIFO links.
+    - Behind the shim ([spec.reliable]), under any survivable fault plan
+      (loss < 1, finite outages and crashes) the computed tree is the
+      MST, at the retransmission overhead. The state machine needs no
+      crash-specific logic: its state is stable storage under the crash
+      model and the shim restores exactly-once FIFO links.
 
     GHS wakes every vertex from one bootstrap, so it runs sequentially
     only. *)
 val run :
-  ?delay:Csap_dsim.Delay.t ->
-  ?faults:Csap_dsim.Fault.plan ->
-  ?reliable:bool ->
+  ?spec:Csap_dsim.Net.spec ->
   Csap_graph.Graph.t ->
   result

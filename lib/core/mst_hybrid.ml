@@ -18,9 +18,9 @@ type msg =
   | A of Mst_ghs.msg Controller.wire
   | B of Centr_growth.msg
 
-let run ?delay ?faults ?reliable g ~root =
+let run ?spec g ~root =
   G.check_root "Mst_hybrid.run" g root;
-  let net = Net.make ?reliable ?delay ?faults g in
+  let net = Net.make ?spec g in
   let w_b = ref 0 in
   let outcome = ref None in
   let ctl_ref = ref None in

@@ -29,16 +29,12 @@ type result = {
   transport : Csap_dsim.Net.stats;
 }
 
-(** [run ?delay ?faults ?reliable g ~root] runs the hybrid to completion
-    over [Net.make ?reliable ?delay ?faults g], composed as
-    {!Con_hybrid.run} is; [~reliable:true] routes both component
-    algorithms and the controller's traffic through the
-    {!Csap_dsim.Reliable} shim. Raises [Invalid_argument] when [root] is
-    outside [0, n). *)
+(** [run ?spec g ~root] runs the hybrid to completion over
+    [Net.make ?spec g], composed as {!Con_hybrid.run} is: both component
+    algorithms and the controller's traffic share that network. Raises
+    [Invalid_argument] when [root] is outside [0, n). *)
 val run :
-  ?delay:Csap_dsim.Delay.t ->
-  ?faults:Csap_dsim.Fault.plan ->
-  ?reliable:bool ->
+  ?spec:Csap_dsim.Net.spec ->
   Csap_graph.Graph.t ->
   root:int ->
   result

@@ -7,9 +7,7 @@ module Run = struct
   type cfg = {
     graph : G.t;
     root : int;
-    delay : Delay.t option;
-    faults : Csap_dsim.Fault.plan option;
-    reliable : bool;
+    spec : Net.spec;
     trace : string option;
     pulses : int option;
     strip : int option;
@@ -18,12 +16,10 @@ module Run = struct
     domains : int option;
   }
 
-  let make ?(root = 0) ?delay ?faults ?(reliable = false) ?trace ?pulses
-      ?strip ?k ?q ?domains graph =
-    { graph; root; delay; faults; reliable; trace; pulses; strip; k; q;
-      domains }
-
-  let delay cfg = Option.value cfg.delay ~default:Delay.Exact
+  let make ?(root = 0) ?(delay = Delay.Exact) ?faults ?(reliable = false)
+      ?trace ?pulses ?strip ?k ?q ?domains graph =
+    { graph; root; spec = { Net.delay; faults; reliable }; trace; pulses;
+      strip; k; q; domains }
 end
 
 module Outcome = struct
@@ -155,12 +151,13 @@ type entry = (module S)
 (* Shared oracle checks.                                               *)
 (* ------------------------------------------------------------------ *)
 
-let clean cfg = cfg.Run.faults = None && not cfg.Run.reliable
+let clean cfg =
+  cfg.Run.spec.Net.faults = None && not cfg.Run.spec.Net.reliable
 
 (* True when the run's schedule is the deterministic exact-delay
    default. *)
 let exact_delay cfg =
-  match cfg.Run.delay with None | Some Delay.Exact -> true | _ -> false
+  match cfg.Run.spec.Net.delay with Delay.Exact -> true | _ -> false
 
 let check_spanning g tree =
   if Tree.is_spanning_tree_of g tree then Ok ()
@@ -276,8 +273,7 @@ let flood =
       | _ -> Error "unexpected payload")
     (fun cfg ->
       let r =
-        Flood.run ?delay:cfg.Run.delay ?faults:cfg.Run.faults
-          ~reliable:cfg.Run.reliable ?domains:cfg.Run.domains cfg.Run.graph
+        Flood.run ~spec:cfg.Run.spec ?domains:cfg.Run.domains cfg.Run.graph
           ~source:cfg.Run.root
       in
       outcome ~measures:r.Flood.measures ~transport:r.Flood.transport
@@ -304,8 +300,7 @@ let dfs_token =
       | _ -> Error "unexpected payload")
     (fun cfg ->
       let r =
-        Dfs_token.run ?delay:cfg.Run.delay ?faults:cfg.Run.faults
-          ~reliable:cfg.Run.reliable cfg.Run.graph ~root:cfg.Run.root
+        Dfs_token.run ~spec:cfg.Run.spec cfg.Run.graph ~root:cfg.Run.root
       in
       outcome ~measures:r.Dfs_token.measures ~transport:r.Dfs_token.transport
         (Outcome.Dfs_walk
@@ -323,8 +318,7 @@ let con_hybrid =
     ~invariant:(fun cfg -> on_tree (check_spanning cfg.Run.graph))
     (fun cfg ->
       let r =
-        Con_hybrid.run ?delay:cfg.Run.delay ?faults:cfg.Run.faults
-          ~reliable:cfg.Run.reliable cfg.Run.graph ~root:cfg.Run.root
+        Con_hybrid.run ~spec:cfg.Run.spec cfg.Run.graph ~root:cfg.Run.root
       in
       outcome ~measures:r.Con_hybrid.measures
         ~transport:r.Con_hybrid.transport
@@ -353,8 +347,7 @@ let mst_centr =
     ~invariant:mst_invariant
     (fun cfg ->
       let r =
-        Centr_growth.run_mst ?delay:cfg.Run.delay ?faults:cfg.Run.faults
-          ~reliable:cfg.Run.reliable cfg.Run.graph ~root:cfg.Run.root
+        Centr_growth.run_mst ~spec:cfg.Run.spec cfg.Run.graph ~root:cfg.Run.root
       in
       outcome ~measures:r.Centr_growth.measures
         ~transport:r.Centr_growth.transport
@@ -369,10 +362,7 @@ let mst_ghs =
     ~claimed:[ Claim.comm "E + V * logn"; Claim.time "E + V * logn" ]
     ~invariant:mst_invariant
     (fun cfg ->
-      let r =
-        Mst_ghs.run ?delay:cfg.Run.delay ?faults:cfg.Run.faults
-          ~reliable:cfg.Run.reliable cfg.Run.graph
-      in
+      let r = Mst_ghs.run ~spec:cfg.Run.spec cfg.Run.graph in
       outcome ~measures:r.Mst_ghs.measures ~transport:r.Mst_ghs.transport
         ~info:[ ("max_level", string_of_int r.Mst_ghs.max_level) ]
         (Outcome.Spanning_tree r.Mst_ghs.mst))
@@ -385,10 +375,7 @@ let mst_fast =
     ~claimed:[ Claim.comm "E * logn^2"; Claim.time "E * logn^2" ]
     ~invariant:mst_invariant
     (fun cfg ->
-      let r =
-        Mst_fast.run ?delay:cfg.Run.delay ?faults:cfg.Run.faults
-          ~reliable:cfg.Run.reliable cfg.Run.graph
-      in
+      let r = Mst_fast.run ~spec:cfg.Run.spec cfg.Run.graph in
       outcome ~measures:r.Mst_fast.measures ~transport:r.Mst_fast.transport
         ~info:
           [
@@ -409,8 +396,7 @@ let mst_hybrid =
     ~invariant:mst_invariant
     (fun cfg ->
       let r =
-        Mst_hybrid.run ?delay:cfg.Run.delay ?faults:cfg.Run.faults
-          ~reliable:cfg.Run.reliable cfg.Run.graph ~root:cfg.Run.root
+        Mst_hybrid.run ~spec:cfg.Run.spec cfg.Run.graph ~root:cfg.Run.root
       in
       outcome ~measures:r.Mst_hybrid.measures
         ~transport:r.Mst_hybrid.transport
@@ -440,8 +426,7 @@ let spt_centr =
     ~invariant:spt_invariant
     (fun cfg ->
       let r =
-        Centr_growth.run_spt ?delay:cfg.Run.delay ?faults:cfg.Run.faults
-          ~reliable:cfg.Run.reliable cfg.Run.graph ~root:cfg.Run.root
+        Centr_growth.run_spt ~spec:cfg.Run.spec cfg.Run.graph ~root:cfg.Run.root
       in
       outcome ~measures:r.Centr_growth.measures
         ~transport:r.Centr_growth.transport
@@ -456,8 +441,7 @@ let spt_synch =
     ~invariant:spt_invariant
     (fun cfg ->
       let r =
-        Spt_synch.run ?delay:cfg.Run.delay ?faults:cfg.Run.faults
-          ~reliable:cfg.Run.reliable ?k:cfg.Run.k cfg.Run.graph
+        Spt_synch.run ~spec:cfg.Run.spec ?k:cfg.Run.k cfg.Run.graph
           ~source:cfg.Run.root
       in
       outcome ~measures:r.Spt_synch.measures ~transport:r.Spt_synch.transport
@@ -483,8 +467,8 @@ let spt_recur =
         | None -> Spt_recur.default_strip cfg.Run.graph
       in
       let r =
-        Spt_recur.run ?delay:cfg.Run.delay ?faults:cfg.Run.faults
-          ~reliable:cfg.Run.reliable cfg.Run.graph ~source:cfg.Run.root ~strip
+        Spt_recur.run ~spec:cfg.Run.spec cfg.Run.graph ~source:cfg.Run.root
+          ~strip
       in
       outcome ~measures:r.Spt_recur.measures ~transport:r.Spt_recur.transport
         ~info:
@@ -508,8 +492,7 @@ let spt_hybrid =
     ~invariant:spt_invariant
     (fun cfg ->
       let r =
-        Spt_hybrid.run ?delay:cfg.Run.delay ?faults:cfg.Run.faults
-          ~reliable:cfg.Run.reliable ?k:cfg.Run.k ?strip:cfg.Run.strip
+        Spt_hybrid.run ~spec:cfg.Run.spec ?k:cfg.Run.k ?strip:cfg.Run.strip
           cfg.Run.graph ~source:cfg.Run.root
       in
       outcome ~measures:r.Spt_hybrid.winning_measures
@@ -538,8 +521,7 @@ let spt_async =
     ~invariant:spt_invariant
     (fun cfg ->
       let r =
-        Spt_async.run ?delay:cfg.Run.delay ?faults:cfg.Run.faults
-          ~reliable:cfg.Run.reliable ?domains:cfg.Run.domains cfg.Run.graph
+        Spt_async.run ~spec:cfg.Run.spec ?domains:cfg.Run.domains cfg.Run.graph
           ~source:cfg.Run.root
       in
       outcome ~measures:r.Spt_async.measures ~transport:r.Spt_async.transport
@@ -592,8 +574,7 @@ let slt_dist =
     ~invariant:slt_invariant
     (fun cfg ->
       let r =
-        Slt_distributed.run ?delay:cfg.Run.delay ?faults:cfg.Run.faults
-          ~reliable:cfg.Run.reliable ?q:cfg.Run.q cfg.Run.graph
+        Slt_distributed.run ~spec:cfg.Run.spec ?q:cfg.Run.q cfg.Run.graph
           ~root:cfg.Run.root
       in
       outcome ~measures:r.Slt_distributed.measures
@@ -620,9 +601,8 @@ let global_sum =
       let g = cfg.Run.graph in
       let values = Array.init (G.n g) (fun v -> v) in
       let r =
-        Global_func.run_optimal ?delay:cfg.Run.delay ?faults:cfg.Run.faults
-          ~reliable:cfg.Run.reliable ?q:cfg.Run.q g ~root:cfg.Run.root ~values
-          Global_func.sum
+        Global_func.run_optimal ~spec:cfg.Run.spec ?q:cfg.Run.q g
+          ~root:cfg.Run.root ~values Global_func.sum
       in
       outcome ~measures:r.Global_func.measures
         ~transport:r.Global_func.transport
@@ -642,8 +622,7 @@ let clock_invariant cfg (o : Outcome.t) =
 (* The clock entries differ only in the synchronizer they run and its
    claims; the pulse count is fixed, so each per-pulse cost of Section 3
    is claimed with the pulse count absorbed into the constant. *)
-let clock ~name ~summary ~comm ~time
-    (run_sync : ?delay:_ -> ?faults:_ -> ?reliable:_ -> _) =
+let clock ~name ~summary ~comm ~time (run_sync : ?spec:_ -> _) =
   let fixed = "per fixed pulse count" in
   entry ~name ~summary ~category:Clock
     ~caps:{ default_caps with needs_root = false }
@@ -651,8 +630,7 @@ let clock ~name ~summary ~comm ~time
     ~invariant:clock_invariant
     (fun cfg ->
       let r : Clock_sync.result =
-        run_sync ?delay:cfg.Run.delay ?faults:cfg.Run.faults
-          ~reliable:cfg.Run.reliable cfg.Run.graph
+        run_sync ~spec:cfg.Run.spec cfg.Run.graph
           ~pulses:(Option.value cfg.Run.pulses ~default:6)
       in
       outcome ~measures:r.Clock_sync.measures
@@ -734,15 +712,13 @@ let sync_invariant ~comm cfg (o : Outcome.t) =
 
 (* alpha_w and beta_w run the wave directly, so their states are the
    outcome's own. *)
-let direct_sync ~name ~summary ~claimed
-    (run_sync : ?delay:_ -> ?faults:_ -> ?reliable:_ -> _) =
+let direct_sync ~name ~summary ~claimed (run_sync : ?spec:_ -> _) =
   entry ~name ~summary ~category:Synchronizer ~claimed
     ~invariant:(sync_invariant ~comm:true)
     (fun cfg ->
       let source = cfg.Run.root and pulses = sync_pulses cfg in
       let o =
-        run_sync ?delay:cfg.Run.delay ?faults:cfg.Run.faults
-          ~reliable:cfg.Run.reliable cfg.Run.graph
+        run_sync ~spec:cfg.Run.spec cfg.Run.graph
           (Spt_synch.protocol ~source)
           ~pulses
       in
@@ -771,8 +747,7 @@ let sync_gamma =
     (fun cfg ->
       let source = cfg.Run.root and pulses = sync_pulses cfg in
       let states, o =
-        Synchronizer.run_transformed ?delay:cfg.Run.delay
-          ?faults:cfg.Run.faults ~reliable:cfg.Run.reliable ?k:cfg.Run.k
+        Synchronizer.run_transformed ~spec:cfg.Run.spec ?k:cfg.Run.k
           cfg.Run.graph
           (Spt_synch.protocol ~source)
           ~pulses
@@ -785,7 +760,7 @@ let sync_gamma =
 
 (* The run ignores [cfg.graph]'s topology: G_n is rebuilt from its size
    parameters ([fixed_family]), so the run takes no fault plan or shim.
-   It also ignores cfg.delay entirely (the hybrid's comm bound is
+   It also ignores the spec's delay model (the hybrid's comm bound is
    schedule-free), so an adaptive adversary would never be consulted:
    reject it rather than silently ignore it.
 
@@ -881,16 +856,17 @@ let reject_knob name ~knob reason =
   invalid_arg (Printf.sprintf "%s: %s: %s" name knob reason)
 
 let adaptive_of cfg =
-  match cfg.Run.delay with Some (Delay.Adaptive _) -> true | _ -> false
+  match cfg.Run.spec.Net.delay with Delay.Adaptive _ -> true | _ -> false
 
 let validate (module P : S) cfg =
   if P.caps.needs_root then G.check_root P.name cfg.Run.graph cfg.Run.root;
   (* Every graph protocol runs over [Net.make], so only an entry that
      rebuilds its own family has no transport to fault or shim. *)
+  let { Net.delay; faults; reliable } = cfg.Run.spec in
   if P.caps.fixed_family then begin
-    if cfg.Run.faults <> None then
+    if faults <> None then
       invalid_arg (P.name ^ ": fault plans not supported");
-    if cfg.Run.reliable then
+    if reliable then
       invalid_arg (P.name ^ ": reliable transport not supported")
   end;
   if adaptive_of cfg && not P.caps.supports_adaptive then
@@ -904,7 +880,7 @@ let validate (module P : S) cfg =
       if not P.caps.supports_domains then
         reject_knob P.name ~knob:"domains"
           "partitioned execution not supported";
-      if cfg.Run.faults <> None || cfg.Run.reliable then
+      if faults <> None || reliable then
         reject_knob P.name ~knob:"domains"
           "partitioned execution excludes faults/reliable transport";
       if cfg.Run.trace <> None then
@@ -914,11 +890,9 @@ let validate (module P : S) cfg =
         reject_knob P.name ~knob:"adversary"
           "partitioned execution requires an oblivious (order-independent) \
            adversary";
-      match cfg.Run.delay with
-      | Some dl when not (Delay.order_independent dl) ->
+      if not (Delay.order_independent delay) then
         reject_knob P.name ~knob:"domains"
           "partitioned execution requires an order-independent delay model"
-      | _ -> ()
     end
 
 let execute ((module P : S) as entry) cfg =
@@ -933,9 +907,3 @@ let execute ((module P : S) as entry) cfg =
           (Printf.sprintf "%s--%s--%d.jsonl" prefix P.name i))
       traces;
     o
-
-let run ?root ?delay ?faults ?reliable ?trace ?pulses ?strip ?k ?q ?domains
-    entry graph =
-  execute entry
-    (Run.make ?root ?delay ?faults ?reliable ?trace ?pulses ?strip ?k ?q
-       ?domains graph)

@@ -2,8 +2,8 @@
 
     Every message-passing protocol in the library is wrapped as a
     first-class module implementing {!S}: one {!Run.cfg} describes a run
-    (graph, root, delay model — oblivious or adaptive, one argument
-    either way — fault plan, reliable shim, knobs), one
+    (graph, root, one {!Csap_dsim.Net.spec} — delay model, oblivious or
+    adaptive, fault plan, reliable shim — and knobs), one
     {!Outcome.t} describes its result (paper measures, transport
     bookkeeping, a protocol-specific payload), and one [invariant]
     checks the outcome against the sequential oracles (Dijkstra,
@@ -19,12 +19,11 @@ module Run : sig
   type cfg = {
     graph : Csap_graph.Graph.t;
     root : int;  (** source / root vertex; ignored when not needed *)
-    delay : Csap_dsim.Delay.t option;
-        (** [None] = {!Csap_dsim.Delay.Exact}; a
+    spec : Csap_dsim.Net.spec;
+        (** the transport every engine of the run is built with: delay
+            model, fault plan, reliable shim. A
             {!Csap_dsim.Delay.Adaptive} model requires
             {!caps.supports_adaptive} *)
-    faults : Csap_dsim.Fault.plan option;
-    reliable : bool;  (** route through the {!Csap_dsim.Reliable} shim *)
     trace : string option;
         (** dump engine traces as [<prefix>--<name>--<i>.jsonl] *)
     pulses : int option;  (** clock / synchronizer protocols *)
@@ -37,8 +36,9 @@ module Run : sig
             {!caps.supports_domains} *)
   }
 
-  (** Smart constructor; [root] defaults to [0], [reliable] to [false],
-      every knob to the protocol's own default. *)
+  (** Smart constructor; [root] defaults to [0], the spec's fields to
+      {!Csap_dsim.Net.default}'s, every knob to the protocol's own
+      default. *)
   val make :
     ?root:int ->
     ?delay:Csap_dsim.Delay.t ->
@@ -52,10 +52,6 @@ module Run : sig
     ?domains:int ->
     Csap_graph.Graph.t ->
     cfg
-
-  (** The effective delay oracle: the uniform deterministic default
-      ({!Csap_dsim.Delay.Exact}) when none was given. *)
-  val delay : cfg -> Csap_dsim.Delay.t
 end
 
 (** Uniform run outcome. *)
@@ -190,24 +186,8 @@ val find_exn : string -> entry
 val validate : entry -> Run.cfg -> unit
 
 (** [execute entry cfg] validates, runs, and (when [cfg.trace] is set)
-    collects and dumps engine traces. The protocol passes [cfg.delay] to
-    every engine it builds, so under a {!Csap_dsim.Delay.Adaptive} model
+    collects and dumps engine traces. The protocol passes [cfg.spec] to
+    every network it builds, so under a {!Csap_dsim.Delay.Adaptive} model
     with [cfg.trace] set the dumped traces carry its replayable
     {!Csap_dsim.Trace.Decision} records. *)
 val execute : entry -> Run.cfg -> Outcome.t
-
-(** [run entry graph] — {!execute} with an inline {!Run.make}. *)
-val run :
-  ?root:int ->
-  ?delay:Csap_dsim.Delay.t ->
-  ?faults:Csap_dsim.Fault.plan ->
-  ?reliable:bool ->
-  ?trace:string ->
-  ?pulses:int ->
-  ?strip:int ->
-  ?k:int ->
-  ?q:float ->
-  ?domains:int ->
-  entry ->
-  Csap_graph.Graph.t ->
-  Outcome.t

@@ -18,8 +18,8 @@ type result = {
    it a full-information copy of both trees. *)
 type walk_msg = Step of { index : int; mileage : int; last_bp : int }
 
-let token_walk ?delay ?faults ?reliable g ~mst ~spt ~q =
-  let net = Net.make ?reliable ?delay ?faults g in
+let token_walk ?spec g ~mst ~spt ~q =
+  let net = Net.make ?spec g in
   let line = Tree.euler_tour mst in
   let len = Array.length line in
   let mileage_of = Array.make len 0 in
@@ -64,17 +64,17 @@ let token_walk ?delay ?faults ?reliable g ~mst ~spt ~q =
     Measures.of_metrics (net.Net.metrics ()),
     net.Net.stats () )
 
-let run ?delay ?faults ?reliable ?(q = 2.0) g ~root =
+let run ?spec ?(q = 2.0) g ~root =
   if q <= 0.0 then invalid_arg "Slt_distributed.run: q must be positive";
   G.check_root "Slt_distributed.run" g root;
   (* Stage 1-2: full-information MST and SPT. *)
-  let mst_r = Centr_growth.run_mst ?delay ?faults ?reliable g ~root in
-  let spt_r = Centr_growth.run_spt ?delay ?faults ?reliable g ~root in
+  let mst_r = Centr_growth.run_mst ?spec g ~root in
+  let spt_r = Centr_growth.run_spt ?spec g ~root in
   let mst = mst_r.Centr_growth.grown_tree in
   let spt = spt_r.Centr_growth.grown_tree in
   (* Stage 3: the token walk selecting breakpoints. *)
   let breakpoints, line, walk_measures, walk_stats =
-    token_walk ?delay ?faults ?reliable g ~mst ~spt ~q
+    token_walk ?spec g ~mst ~spt ~q
   in
   (* The subgraph G': MST plus SPT paths between consecutive breakpoints.
      The root then broadcasts it over the tree; that broadcast costs one
@@ -109,7 +109,7 @@ let run ?delay ?faults ?reliable ?(q = 2.0) g ~root =
          edge_ids [])
   in
   (* Stage 4: final SPT inside G'. *)
-  let final_r = Centr_growth.run_spt ?delay ?faults ?reliable g' ~root in
+  let final_r = Centr_growth.run_spt ?spec g' ~root in
   let measures =
     List.fold_left Measures.add Measures.zero
       [

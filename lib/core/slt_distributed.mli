@@ -27,15 +27,13 @@ type result = {
   transport : Csap_dsim.Net.stats;  (** all four stages summed *)
 }
 
-(** [run ?delay ?faults ?reliable ?q g ~root] builds an SLT distributedly.
+(** [run ?spec ?q g ~root] builds an SLT distributedly.
     The result satisfies the same Lemma 2.4 / 2.5 bounds as {!Slt.build}
-    (and selects the same subgraph [G']). [~reliable:true] routes every
-    stage through the {!Csap_dsim.Reliable} shim. Raises
-    [Invalid_argument] when [root] is outside [0, n). *)
+    (and selects the same subgraph [G']). Every stage builds its network
+    from the same [spec]. Raises [Invalid_argument] when [root] is
+    outside [0, n). *)
 val run :
-  ?delay:Csap_dsim.Delay.t ->
-  ?faults:Csap_dsim.Fault.plan ->
-  ?reliable:bool ->
+  ?spec:Csap_dsim.Net.spec ->
   ?q:float ->
   Csap_graph.Graph.t ->
   root:int ->

@@ -25,24 +25,22 @@ type result = {
       (** shim retransmissions and crash-restart events *)
 }
 
-(** [run ?delay ?faults ?reliable ?domains g ~source] runs over
-    [Net.make ?reliable ?domains ?delay ?faults g]
+(** [run ?spec ?domains g ~source] runs over [Net.make ?domains ?spec g]
     ({!Csap_dsim.Net.make}); requires a connected graph, and raises
     [Invalid_argument] when [source] is outside [0, n).
 
     - Distances and parents live in stable storage, as in {!Flood.run}:
       a crash-restart keeps what the vertex learned.
     - Without the shim a dropped announcement can leave a distance
-      above the true one, or a vertex unreached ([Invalid_argument]).
-    - With [~reliable:true], under any survivable fault plan, every
-      relaxation eventually happens and the distances are exact.
+      above the true one, or a vertex unreached ([Failure]).
+    - Behind the shim ([spec.reliable]), under any survivable fault
+      plan, every relaxation eventually happens and the distances are
+      exact.
     - With [domains > 1] it runs on the partitioned engine,
       bit-identical to the sequential run under any order-independent
       delay model. *)
 val run :
-  ?delay:Csap_dsim.Delay.t ->
-  ?faults:Csap_dsim.Fault.plan ->
-  ?reliable:bool ->
+  ?spec:Csap_dsim.Net.spec ->
   ?domains:int ->
   Csap_graph.Graph.t ->
   source:int ->

@@ -13,7 +13,7 @@ type result = {
   transport : Csap_dsim.Net.stats;
 }
 
-let run ?delay ?faults ?reliable ?k ?strip g ~source =
+let run ?spec ?k ?strip g ~source =
   G.check_root "Spt_hybrid.run" g source;
   let strip =
     match strip with Some s -> s | None -> Spt_recur.default_strip g
@@ -26,8 +26,7 @@ let run ?delay ?faults ?reliable ?k ?strip g ~source =
   let rec loop () =
     incr epochs;
     match
-      Spt_synch.try_run ?delay ?faults ?reliable ~comm_budget:!budget ?k g
-        ~source
+      Spt_synch.try_run ?spec ~comm_budget:!budget ?k g ~source
     with
     | Some r ->
       total_comm := !total_comm + r.Spt_synch.measures.Measures.comm;
@@ -42,8 +41,7 @@ let run ?delay ?faults ?reliable ?k ?strip g ~source =
     | None ->
       total_comm := !total_comm + !budget;
       (match
-         Spt_recur.try_run ?delay ?faults ?reliable ~comm_budget:!budget g
-           ~source ~strip
+         Spt_recur.try_run ?spec ~comm_budget:!budget g ~source ~strip
        with
       | Some r ->
         total_comm := !total_comm + r.Spt_recur.measures.Measures.comm;

@@ -23,14 +23,12 @@ type result = {
   transport : Csap_dsim.Net.stats;  (** from the winning epoch's run *)
 }
 
-(** [run ?delay ?faults ?reliable ?k ?strip g ~source]; [k] is gamma_w's
-    parameter, [strip] SPT_recur's strip depth (defaults as in the
-    component algorithms). Raises [Invalid_argument] when [source] is
-    outside [0, n). *)
+(** [run ?spec ?k ?strip g ~source]; every epoch of both component
+    algorithms runs over [spec]; [k] is gamma_w's parameter, [strip]
+    SPT_recur's strip depth (defaults as in the component algorithms).
+    Raises [Invalid_argument] when [source] is outside [0, n). *)
 val run :
-  ?delay:Csap_dsim.Delay.t ->
-  ?faults:Csap_dsim.Fault.plan ->
-  ?reliable:bool ->
+  ?spec:Csap_dsim.Net.spec ->
   ?k:int ->
   ?strip:int ->
   Csap_graph.Graph.t ->

@@ -28,12 +28,11 @@ let default_strip g =
   in
   max 1 (int_of_float (sqrt (float_of_int (d * dn))))
 
-let try_run ?delay ?faults ?reliable ?(comm_budget = max_int) g ~source
-    ~strip =
+let try_run ?spec ?(comm_budget = max_int) g ~source ~strip =
   if strip < 1 then invalid_arg "Spt_recur.run: strip >= 1 required";
   G.check_root "Spt_recur.run" g source;
   let n = G.n g in
-  let net = Net.make ?reliable ?delay ?faults g in
+  let net = Net.make ?spec g in
   let dist = Array.make n max_int in
   let parent = Array.make n (-1) in
   let children = Array.make n [] in
@@ -194,7 +193,7 @@ let try_run ?delay ?faults ?reliable ?(comm_budget = max_int) g ~source
       }
   end
 
-let run ?delay ?faults ?reliable g ~source ~strip =
-  match try_run ?delay ?faults ?reliable g ~source ~strip with
+let run ?spec g ~source ~strip =
+  match try_run ?spec g ~source ~strip with
   | Some r -> r
   | None -> assert false (* unbounded budget always completes *)

@@ -37,14 +37,11 @@ type result = {
   transport : Csap_dsim.Net.stats;
 }
 
-(** [run ?delay ?faults ?reliable g ~source ~strip] computes the SPT from
-    [source]; [strip] is the strip depth [s >= 1]. [~reliable:true] routes
-    all traffic through the {!Csap_dsim.Reliable} shim. Raises
+(** [run ?spec g ~source ~strip] computes the SPT from [source] over
+    [Net.make ?spec g]; [strip] is the strip depth [s >= 1]. Raises
     [Invalid_argument] when [source] is outside [0, n). *)
 val run :
-  ?delay:Csap_dsim.Delay.t ->
-  ?faults:Csap_dsim.Fault.plan ->
-  ?reliable:bool ->
+  ?spec:Csap_dsim.Net.spec ->
   Csap_graph.Graph.t ->
   source:int ->
   strip:int ->
@@ -53,9 +50,7 @@ val run :
 (** Budgeted variant for the hybrid: [None] when the communication budget
     ran out first. *)
 val try_run :
-  ?delay:Csap_dsim.Delay.t ->
-  ?faults:Csap_dsim.Fault.plan ->
-  ?reliable:bool ->
+  ?spec:Csap_dsim.Net.spec ->
   ?comm_budget:int ->
   Csap_graph.Graph.t ->
   source:int ->

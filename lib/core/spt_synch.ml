@@ -75,12 +75,12 @@ let tree_of_states g ~source states =
     states;
   Csap_graph.Tree.of_parents ~root:source ~parents ~weights
 
-let try_run ?delay ?faults ?reliable ?comm_budget ?k g ~source =
+let try_run ?spec ?comm_budget ?k g ~source =
   G.check_root "Spt_synch.run" g source;
   let d = Csap_graph.Paths.diameter g in
   let inner, outcome =
-    Synchronizer.run_transformed ?delay ?faults ?reliable ?comm_budget ?k g
-      (protocol ~source) ~pulses:(d + 1)
+    Synchronizer.run_transformed ?spec ?comm_budget ?k g (protocol ~source)
+      ~pulses:(d + 1)
   in
   let complete =
     Array.for_all (fun (s : state) -> s.dist < max_int) inner
@@ -99,7 +99,7 @@ let try_run ?delay ?faults ?reliable ?comm_budget ?k g ~source =
         transport = outcome.Synchronizer.transport;
       }
 
-let run ?delay ?faults ?reliable ?k g ~source =
-  match try_run ?delay ?faults ?reliable ?k g ~source with
+let run ?spec ?k g ~source =
+  match try_run ?spec ?k g ~source with
   | Some r -> r
   | None -> failwith "Spt_synch.run: incomplete (disconnected graph?)"

@@ -38,18 +38,14 @@ type result = {
       (** shim retransmissions and crash-restart events *)
 }
 
-(** [run ?delay ?faults ?reliable ?k g ~source] — the full asynchronous
-    pipeline: normalize, wrap with gamma_w, run, extract the SPT. The
-    number of synchronous pulses simulated is [script-D + 1] (the wave is
-    complete by then). [faults] injects a fault plan into the underlying
-    engine (the normalized graph keeps [g]'s topology and edge ids, so a
-    plan built for [g] applies unchanged); correctness under loss
-    requires [~reliable:true], which routes everything through the
-    {!Csap_dsim.Reliable} shim. *)
+(** [run ?spec ?k g ~source] — the full asynchronous pipeline:
+    normalize, wrap with gamma_w, run, extract the SPT. The number of
+    synchronous pulses simulated is [script-D + 1] (the wave is complete
+    by then). [spec]'s fault plan applies unchanged to the normalized
+    graph, which keeps [g]'s topology and edge ids; correctness under
+    loss requires the shim ([spec.reliable]). *)
 val run :
-  ?delay:Csap_dsim.Delay.t ->
-  ?faults:Csap_dsim.Fault.plan ->
-  ?reliable:bool ->
+  ?spec:Csap_dsim.Net.spec ->
   ?k:int ->
   Csap_graph.Graph.t ->
   source:int ->
@@ -58,9 +54,7 @@ val run :
 (** Budgeted variant for the hybrid: [None] when the communication budget
     ran out before every vertex was reached. *)
 val try_run :
-  ?delay:Csap_dsim.Delay.t ->
-  ?faults:Csap_dsim.Fault.plan ->
-  ?reliable:bool ->
+  ?spec:Csap_dsim.Net.spec ->
   ?comm_budget:int ->
   ?k:int ->
   Csap_graph.Graph.t ->

@@ -274,9 +274,9 @@ let finish ?comm_budget c start_all =
 
 (* Ctrl encoding for alpha/beta: the pulse number. *)
 
-let run_alpha ?delay ?faults ?reliable g protocol ~pulses =
+let run_alpha ?spec g protocol ~pulses =
   let n = G.n g in
-  let net = Net.make ?reliable ?delay ?faults g in
+  let net = Net.make ?spec g in
   (* heard.(v).(i): highest pulse for which v's i-th neighbour in CSR row
      order ([G.neighbor_index]) declared safe. *)
   let heard = Array.init n (fun v -> Array.make (G.degree g v) (-1)) in
@@ -306,11 +306,11 @@ let run_alpha ?delay ?faults ?reliable g protocol ~pulses =
 (* Ctrl encoding: 2p = Ready(p) upward, 2p+1 = Go(p) downward.         *)
 (* ------------------------------------------------------------------ *)
 
-let run_beta ?delay ?faults ?reliable g protocol ~pulses =
+let run_beta ?spec g protocol ~pulses =
   let tree = Slt.centre_tree g in
   let n = G.n g in
   let root = Csap_graph.Tree.root tree in
-  let net = Net.make ?reliable ?delay ?faults g in
+  let net = Net.make ?spec g in
   let n_children =
     Array.init n (fun v -> List.length (Csap_graph.Tree.children tree v))
   in
@@ -396,8 +396,8 @@ let encode_gamma kind ~level ~round =
   in
   (((round * 64) + level) * 8) + k
 
-let run_gamma_w ?delay ?faults ?reliable ?comm_budget ?(k = 2)
-    ?(levels = `Partition) g protocol ~pulses =
+let run_gamma_w ?spec ?comm_budget ?(k = 2) ?(levels = `Partition) g
+    protocol ~pulses =
   if not (Normalize.is_normalized g) then
     invalid_arg "Synchronizer.run_gamma_w: network not normalized";
   let n = G.n g in
@@ -449,7 +449,7 @@ let run_gamma_w ?delay ?faults ?reliable ?comm_budget ?(k = 2)
         (fun v p -> if p >= 0 then trivial.(l).(v) <- false)
         part.Partition.parent)
     parts;
-  let net = Net.make ?reliable ?delay ?faults g in
+  let net = Net.make ?spec g in
   (* go.(v).(l): latest round of level l released at v. *)
   let go = Array.init n (fun _ -> Array.make (max_level + 1) 0) in
   let cleared v p =
@@ -622,16 +622,14 @@ let run_gamma_w ?delay ?faults ?reliable ?comm_budget ?(k = 2)
   done;
   finish ?comm_budget core (fun v -> core_try_execute core v)
 
-let run_transformed ?delay ?faults ?reliable ?comm_budget ?k g protocol
-    ~pulses =
+let run_transformed ?spec ?comm_budget ?k g protocol ~pulses =
   let g' = Normalize.graph g in
   let p' = Normalize.protocol ~original:g protocol in
   let total_pulses =
     Normalize.pulses_needed ~original_pulses:pulses ~w_max:(G.max_weight g)
   in
   let outcome =
-    run_gamma_w ?delay ?faults ?reliable ?comm_budget ?k g' p'
-      ~pulses:total_pulses
+    run_gamma_w ?spec ?comm_budget ?k g' p' ~pulses:total_pulses
   in
   let inner = Array.map Normalize.inner_state outcome.states in
   (inner, outcome)

@@ -46,38 +46,34 @@ type ('s, 'm) outcome = {
       (** shim retransmissions and crash-restart events *)
 }
 
-(** Every synchronizer below accepts [?faults] (a {!Csap_dsim.Fault.plan}
-    injected into the engine) and [?reliable] (default [false]; route all
-    traffic — protocol, acks and control alike — through the
-    {!Csap_dsim.Reliable} shim). A synchronizer is correct under message
-    loss only with [~reliable:true]: its safety detection assumes
+(** Every synchronizer below runs over [Net.make ?spec g]
+    ({!Csap_dsim.Net.make}); behind the shim ([spec.reliable]) all
+    traffic — protocol, acks and control alike — goes through
+    {!Csap_dsim.Reliable}. A synchronizer is correct under message
+    loss only behind the shim: its safety detection assumes
     exactly-once links, which the shim restores at the cost of
     transport-level acks and retransmissions (reported in
     [control_comm] / [transport]). *)
 
-(** [run_alpha ?delay g p ~pulses] — synchronizer alpha_w. Works on any
+(** [run_alpha ?spec g p ~pulses] — synchronizer alpha_w. Works on any
     weighted network and synchronous protocol. *)
 val run_alpha :
-  ?delay:Csap_dsim.Delay.t ->
-  ?faults:Csap_dsim.Fault.plan ->
-  ?reliable:bool ->
+  ?spec:Csap_dsim.Net.spec ->
   Csap_graph.Graph.t ->
   ('s, 'm) Csap_dsim.Sync_protocol.t ->
   pulses:int ->
   ('s, 'm) outcome
 
-(** [run_beta ?delay g p ~pulses] — synchronizer beta_w over
+(** [run_beta ?spec g p ~pulses] — synchronizer beta_w over
     {!Slt.centre_tree}, a shallow-light tree rooted at a centre. *)
 val run_beta :
-  ?delay:Csap_dsim.Delay.t ->
-  ?faults:Csap_dsim.Fault.plan ->
-  ?reliable:bool ->
+  ?spec:Csap_dsim.Net.spec ->
   Csap_graph.Graph.t ->
   ('s, 'm) Csap_dsim.Sync_protocol.t ->
   pulses:int ->
   ('s, 'm) outcome
 
-(** [run_gamma_w ?delay ?k g p ~pulses] — synchronizer gamma_w with cluster
+(** [run_gamma_w ?spec ?k g p ~pulses] — synchronizer gamma_w with cluster
     parameter [k >= 2] (default 2). Requires a normalized graph
     ([Invalid_argument] otherwise) and a protocol in synch with it (checked
     at run time on every send).
@@ -88,9 +84,7 @@ val run_beta :
     redundantly cleaned at every lower level; same guarantee, strictly
     more control traffic; kept as a measurable ablation). *)
 val run_gamma_w :
-  ?delay:Csap_dsim.Delay.t ->
-  ?faults:Csap_dsim.Fault.plan ->
-  ?reliable:bool ->
+  ?spec:Csap_dsim.Net.spec ->
   ?comm_budget:int ->
   ?k:int ->
   ?levels:[ `Partition | `Divisible ] ->
@@ -99,14 +93,12 @@ val run_gamma_w :
   pulses:int ->
   ('s, 'm) outcome
 
-(** [run_transformed ?delay ?k g p ~pulses] — the full pipeline of Section
+(** [run_transformed ?spec ?k g p ~pulses] — the full pipeline of Section
     4: normalize [g] and [p] (Lemma 4.5), then run gamma_w. [pulses] counts
     {e original} protocol pulses; returns the outcome over the transformed
     network together with the inner states extracted. *)
 val run_transformed :
-  ?delay:Csap_dsim.Delay.t ->
-  ?faults:Csap_dsim.Fault.plan ->
-  ?reliable:bool ->
+  ?spec:Csap_dsim.Net.spec ->
   ?comm_budget:int ->
   ?k:int ->
   Csap_graph.Graph.t ->

@@ -17,8 +17,8 @@
     watching the run are both such assignments, so both are a [t]: an
     {!Adaptive} model is consulted by {!Engine} at each send with a
     read-only {!Obs} view of the run and returns the next delay. It
-    reaches an engine through the same [?delay] argument as every other
-    model. Adaptivity is order-dependent ({!order_independent} is
+    reaches an engine through the same [delay] field of {!Net.spec} as
+    every other model. Adaptivity is order-dependent ({!order_independent} is
     [false]), so the partitioned engine rejects it; determinism is
     restored by {e replay}: every adaptive decision is recorded as a
     {!Trace.Decision} event, and {!Trace.recorded} turns the decision

@@ -5,6 +5,10 @@ type stats = {
 
 let no_stats = { retransmissions = 0; restarts = 0 }
 
+type spec = { delay : Delay.t; faults : Fault.plan option; reliable : bool }
+
+let default = { delay = Delay.Exact; faults = None; reliable = false }
+
 type 'm t = {
   graph : Csap_graph.Graph.t;
   send : src:int -> dst:int -> 'm -> unit;
@@ -54,8 +58,8 @@ let shim eng =
 (* Every send, clock read and bootstrap goes through the context of the
    acting vertex's owning partition — the executing one, since a
    protocol acts only for the vertex whose handler is running. *)
-let partitioned ?delay ~domains g =
-  let eng = Pengine.create ?delay ~domains g in
+let partitioned ~delay ~domains g =
+  let eng = Pengine.create ~delay ~domains g in
   let ctx v = Pengine.ctx_of eng v in
   {
     graph = g;
@@ -76,13 +80,15 @@ let partitioned ?delay ~domains g =
     stats = (fun () -> no_stats);
   }
 
-let make ?reliable:(r = false) ?(domains = 1) ?delay ?faults g =
+let make ?(domains = 1) ?(spec = default) g =
+  let { delay; faults; reliable } = spec in
   if domains < 1 then invalid_arg "Net.make: domains >= 1 required";
   if domains > 1 then begin
-    if r then invalid_arg "Net.make: domains > 1 excludes the reliable shim";
+    if reliable then
+      invalid_arg "Net.make: domains > 1 excludes the reliable shim";
     if faults <> None then
       invalid_arg "Net.make: domains > 1 excludes fault plans";
-    partitioned ?delay ~domains g
+    partitioned ~delay ~domains g
   end
-  else if r then shim (Engine.create ?delay ?faults g)
-  else plain (Engine.create ?delay ?faults g)
+  else if reliable then shim (Engine.create ~delay ?faults g)
+  else plain (Engine.create ~delay ?faults g)

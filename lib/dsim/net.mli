@@ -39,24 +39,34 @@ type 'm t = {
           partitioned backend *)
 }
 
-(** [make ?reliable ?domains ?delay ?faults g] picks the transport:
+(** The transport recipe of a run: the delay model, the fault plan and
+    whether the {!Reliable} shim sits in front of the engine. It
+    describes the network, not the protocol, so every runner takes one
+    [?spec] and hands it unchanged to each {!make} it calls. *)
+type spec = {
+  delay : Delay.t;
+  faults : Fault.plan option;
+  reliable : bool;
+      (** exactly-once FIFO application-layer delivery under any
+          survivable fault plan, at the retransmission overhead; without
+          the shim a plan that drops messages is visible to the
+          protocol *)
+}
+
+(** {!Delay.Exact}, no fault plan and no shim. Other specs are record
+    updates of it: [{ Net.default with Net.reliable = true }]. *)
+val default : spec
+
+(** [make ?domains ?spec g] picks the transport:
     - [domains > 1]: the partitioned engine ({!Pengine}) across that
       many domains. The delay model must be order-independent; the
       reliable shim and fault plans are rejected, and so is [run] with
       [until], [max_events] or [comm_budget] (all [Invalid_argument]).
       Protocol state must be per-vertex: a handler running on [v] may
       send only with [~src:v] and read only [now v].
-    - otherwise a sequential {!Engine}, behind the {!Reliable} shim when
-      [reliable] (default [false]): exactly-once FIFO application-layer
-      delivery under any survivable fault plan, at the retransmission
-      overhead. Without the shim a plan that drops messages is visible
-      to the protocol.
+    - otherwise a sequential {!Engine} with [spec]'s delay model and
+      fault plan, behind the {!Reliable} shim when [spec.reliable].
 
-    [domains] defaults to [1]; [domains < 1] raises [Invalid_argument]. *)
-val make :
-  ?reliable:bool ->
-  ?domains:int ->
-  ?delay:Delay.t ->
-  ?faults:Fault.plan ->
-  Csap_graph.Graph.t ->
-  'm t
+    [domains] defaults to [1]; [domains < 1] raises [Invalid_argument].
+    [spec] defaults to {!default}. *)
+val make : ?domains:int -> ?spec:spec -> Csap_graph.Graph.t -> 'm t

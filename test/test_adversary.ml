@@ -66,14 +66,16 @@ let test_probe_observations () =
             float_of_int w);
       }
   in
-  let o = P.run ~delay:probe flood g in
+  let o = P.execute flood (P.Run.make ~delay:probe g) in
   Alcotest.(check int) "consulted once per paid message"
     o.P.Outcome.measures.Csap.Measures.messages !calls
 
 (* ---- decision traces and replay ---------------------------------------- *)
 
 let record_run entry delay g =
-  let o, traces = T.with_collector (fun () -> P.run ~delay entry g) in
+  let o, traces =
+    T.with_collector (fun () -> P.execute entry (P.Run.make ~delay g))
+  in
   match traces with
   | [ tr ] -> (o, tr)
   | l -> Alcotest.fail (Printf.sprintf "expected one trace, got %d"
@@ -131,33 +133,47 @@ let test_replay_reproduces () =
   Alcotest.(check bool) "decision records alone replay the run" true
     (T.equal (T.without_decisions tr) tr')
 
-(* Every engine a protocol builds must receive its [?delay]: under an
-   adaptive model each paid, surviving send of every collected trace has
-   its Decision twin. A protocol that forgets to thread the model into
-   one of its engines leaves that engine's sends undecided. *)
+(* Every engine a protocol builds must receive the run's whole spec.
+   Under an adaptive model each paid, surviving send of every collected
+   trace has its Decision twin, and a counting fault plan that passes
+   every message is consulted once per Send record. A protocol that
+   threads the delay into one of its networks but drops the plan (or
+   forgets both) leaves that network's sends undecided or uncounted. *)
 let test_adaptive_reaches_every_engine () =
   let g = Gen.grid 4 4 ~w:5 in
   List.iter
     (fun entry ->
       let (module M : P.S) = entry in
       if M.caps.P.supports_adaptive then begin
+        let consulted = ref 0 in
+        let faults =
+          Csap_dsim.Fault.make ~name:"counting-pass"
+            (fun ~edge_id:_ ~dir:_ ~nth:_ ~now:_ ->
+              incr consulted;
+              Csap_dsim.Fault.Pass)
+        in
         let _, traces =
           T.with_collector (fun () ->
-              P.run ~delay:(D.greedy_commax ()) entry g)
+              P.execute entry
+                (P.Run.make ~delay:(D.greedy_commax ()) ~faults g))
         in
         Alcotest.(check bool) (M.name ^ ": traces collected") true
           (traces <> []);
+        let count kind tr =
+          Array.fold_left
+            (fun acc ev -> if ev.T.kind = kind then acc + 1 else acc)
+            0 (T.events tr)
+        in
         List.iteri
           (fun i tr ->
-            let count kind =
-              Array.fold_left
-                (fun acc ev -> if ev.T.kind = kind then acc + 1 else acc)
-                0 (T.events tr)
-            in
             Alcotest.(check int)
               (Printf.sprintf "%s: trace %d decisions = sends" M.name i)
-              (count T.Send) (count T.Decision))
-          traces
+              (count T.Send tr) (count T.Decision tr))
+          traces;
+        Alcotest.(check int)
+          (M.name ^ ": fault plan consulted once per send")
+          (List.fold_left (fun acc tr -> acc + count T.Send tr) 0 traces)
+          !consulted
       end)
     P.registry
 
@@ -166,7 +182,9 @@ let test_adaptive_reaches_every_engine () =
 let test_pengine_rejects_adaptive () =
   let g = Gen.grid 4 4 ~w:4 in
   (* Uniform knob-named validation error through the registry... *)
-  (match P.run ~delay:(D.greedy_commax ()) ~domains:2 flood g with
+  (match
+     P.execute flood (P.Run.make ~delay:(D.greedy_commax ()) ~domains:2 g)
+   with
   | exception Invalid_argument msg ->
     Alcotest.(check string) "knob-named rejection"
       "flood: adversary: partitioned execution requires an oblivious \

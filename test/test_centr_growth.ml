@@ -2,6 +2,7 @@ module CG = Csap.Centr_growth
 module G = Csap_graph.Graph
 module Gen = Csap_graph.Generators
 module Tree = Csap_graph.Tree
+module Net = Csap_dsim.Net
 
 let edge_set t =
   Tree.edges t
@@ -59,7 +60,7 @@ let test_delay_robustness () =
   let g = Gen.cycle 9 ~w:5 in
   List.iter
     (fun delay ->
-      let r = CG.run_mst ~delay g ~root:4 in
+      let r = CG.run_mst ~spec:{ Net.default with Net.delay } g ~root:4 in
       Alcotest.(check bool) "MST under any delays" true
         (Csap_graph.Mst.is_mst g r.CG.grown_tree))
     [

@@ -1,6 +1,7 @@
 module CS = Csap.Clock_sync
 module G = Csap_graph.Graph
 module Gen = Csap_graph.Generators
+module Net = Csap_dsim.Net
 
 let all_pulsed r =
   Array.for_all
@@ -71,7 +72,7 @@ let test_gamma_all_delay_models () =
   let g = Gen.chorded_cycle 10 ~chord_w:40 in
   List.iter
     (fun delay ->
-      let r = CS.run_gamma ~delay g ~pulses:5 in
+      let r = CS.run_gamma ~spec:{ Net.default with Net.delay } g ~pulses:5 in
       Alcotest.(check bool) "all pulsed" true (all_pulsed r);
       Alcotest.(check bool) "causality" true (CS.check_causality g r))
     [
@@ -85,7 +86,7 @@ let test_beta_all_delay_models () =
   let g = Gen.lollipop 4 4 ~w:3 in
   List.iter
     (fun delay ->
-      let r = CS.run_beta ~delay g ~pulses:5 in
+      let r = CS.run_beta ~spec:{ Net.default with Net.delay } g ~pulses:5 in
       Alcotest.(check bool) "all pulsed" true (all_pulsed r);
       Alcotest.(check bool) "causality" true (CS.check_causality g r))
     [

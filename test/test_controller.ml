@@ -7,9 +7,9 @@ module Gen = Csap_graph.Generators
    computation (c_pi = its flooding cost). *)
 type fmsg = Wave
 
-let run_controlled_flood ?delay g ~source ~threshold =
+let run_controlled_flood ?spec g ~source ~threshold =
   let n = G.n g in
-  let net = Net.make ?delay g in
+  let net = Net.make ?spec g in
   let aborted_flag = ref false in
   let ctl =
     C.create ~net ~inject:Fun.id ~initiator:source ~threshold
@@ -133,7 +133,8 @@ let test_delay_models () =
   List.iter
     (fun delay ->
       let reached, _, _, aborted =
-        run_controlled_flood ~delay g ~source:0 ~threshold
+        run_controlled_flood ~spec:{ Net.default with Net.delay } g ~source:0
+          ~threshold
       in
       Alcotest.(check bool) "no abort" false aborted;
       Alcotest.(check bool) "all reached" true (Array.for_all Fun.id reached))

@@ -1,6 +1,7 @@
 module D = Csap.Dfs_token
 module G = Csap_graph.Graph
 module Gen = Csap_graph.Generators
+module Net = Csap_dsim.Net
 
 let test_path_traversal () =
   let g = Gen.path 5 ~w:3 in
@@ -68,8 +69,13 @@ let prop_dfs_tree_valid =
     (Gen_qcheck.graph_and_vertex ())
     (fun (g, root) ->
       let r =
-        D.run ~delay:(Csap_dsim.Delay.Uniform (Csap_graph.Rng.create 3)) g
-          ~root
+        D.run
+          ~spec:
+            {
+              Net.default with
+              Net.delay = Csap_dsim.Delay.Uniform (Csap_graph.Rng.create 3);
+            }
+          g ~root
       in
       Csap_graph.Tree.is_spanning_tree_of g r.D.dfs_tree
       && r.D.final_center_estimate = traversal_weight g r.D.dfs_tree

@@ -190,6 +190,14 @@ let test_cell_error_classification () =
     (classify (Cell.make ~loss:1.5 "flood"));
   Alcotest.(check string) "root out of range" "3"
     (classify (Cell.make ~root:999 "flood"));
+  (* A lossy wave without the shim that leaves vertices unreached is a
+     failed execution, not a malformed spec. *)
+  List.iter
+    (fun p ->
+      match (Cell.run (Cell.make ~n:24 ~loss:0.2 p)).Cell.result with
+      | Error (Cell.Execution_error _) -> ()
+      | _ -> Alcotest.fail (p ^ ": an uncovered lossy wave must be 4"))
+    [ "flood"; "spt-async" ];
   Alcotest.(check string) "clean run" "ok"
     (classify (Cell.make ~family:"grid" ~n:9 "flood"))
 
@@ -423,7 +431,7 @@ let test_cell_trace_replayable () =
   let module P = Csap.Protocol in
   let _, traces =
     T.with_collector (fun () ->
-        P.run ~delay:(T.recorded tr) (P.find_exn "flood") g)
+        P.execute (P.find_exn "flood") (P.Run.make ~delay:(T.recorded tr) g))
   in
   Alcotest.(check bool) "farm trace replays bit-identically" true
     (T.equal (T.without_decisions tr) (List.hd traces))

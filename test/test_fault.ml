@@ -3,6 +3,7 @@ module F = Csap_dsim.Fault
 module T = Csap_dsim.Trace
 module G = Csap_graph.Graph
 module Gen = Csap_graph.Generators
+module Net = Csap_dsim.Net
 
 type ping = Ping of int
 
@@ -66,12 +67,20 @@ let test_none_bit_identical () =
   let g = Gen.grid 4 4 ~w:6 in
   let r, tr =
     T.with_collector (fun () ->
-        Csap.Flood.run ~delay:(Csap_dsim.Delay.seeded 5) g ~source:0)
+        Csap.Flood.run
+          ~spec:{ Net.default with Net.delay = Csap_dsim.Delay.seeded 5 }
+          g ~source:0)
   in
   let r', tr' =
     T.with_collector (fun () ->
-        Csap.Flood.run ~delay:(Csap_dsim.Delay.seeded 5) ~faults:F.none g
-          ~source:0)
+        Csap.Flood.run
+          ~spec:
+            {
+              Net.default with
+              Net.delay = Csap_dsim.Delay.seeded 5;
+              faults = Some F.none;
+            }
+          g ~source:0)
   in
   Alcotest.(check bool) "same measures" true
     (r.Csap.Flood.measures = r'.Csap.Flood.measures);
@@ -83,9 +92,15 @@ let prop_none_bit_identical =
     ~name:"Fault.none run = fault-free run (measures and arrivals)"
     (Gen_qcheck.graph_and_vertex ~max_n:16 ())
     (fun (g, source) ->
-      let delay () = Csap_dsim.Delay.seeded (G.n g + source) in
-      let r = Csap.Flood.run ~delay:(delay ()) g ~source in
-      let r' = Csap.Flood.run ~delay:(delay ()) ~faults:F.none g ~source in
+      let spec () =
+        { Net.default with Net.delay = Csap_dsim.Delay.seeded (G.n g + source) }
+      in
+      let r = Csap.Flood.run ~spec:(spec ()) g ~source in
+      let r' =
+        Csap.Flood.run
+          ~spec:{ (spec ()) with Net.faults = Some F.none }
+          g ~source
+      in
       r.Csap.Flood.measures = r'.Csap.Flood.measures
       && r.Csap.Flood.arrival = r'.Csap.Flood.arrival)
 
@@ -202,13 +217,21 @@ let test_faulty_replay () =
   let delay () = Csap_dsim.Delay.Uniform (Csap_graph.Rng.create 13) in
   let r, traces =
     T.with_collector (fun () ->
-        Csap.Flood.run ~delay:(delay ()) ~faults:(plan ()) ~reliable:true g
-          ~source:0)
+        Csap.Flood.run
+          ~spec:
+            { Net.delay = delay (); faults = Some (plan ()); reliable = true }
+          g ~source:0)
   in
   let tr = List.hd traces in
   let r', traces' =
     T.with_collector (fun () ->
-        Csap.Flood.run ~delay:(T.recorded tr) ~faults:(plan ()) ~reliable:true
+        Csap.Flood.run
+          ~spec:
+            {
+              Net.delay = T.recorded tr;
+              faults = Some (plan ());
+              reliable = true;
+            }
           g ~source:0)
   in
   Alcotest.(check bool) "identical trace" true
@@ -241,8 +264,14 @@ let prop_exactly_once_fifo =
           seed
       in
       let net =
-        Csap_dsim.Net.make ~reliable:true ~delay:(Csap_dsim.Delay.seeded seed)
-          ~faults:plan g
+        Net.make
+          ~spec:
+            {
+              Net.delay = Csap_dsim.Delay.seeded seed;
+              faults = Some plan;
+              reliable = true;
+            }
+          g
       in
       let got = Hashtbl.create 64 in
       for v = 0 to n - 1 do
@@ -275,8 +304,14 @@ let prop_clean_shim_never_retransmits =
     (Gen_qcheck.graph_and_vertex ~max_n:14 ())
     (fun (g, source) ->
       let r =
-        Csap.Flood.run ~delay:(Csap_dsim.Delay.seeded source) ~reliable:true g
-          ~source
+        Csap.Flood.run
+          ~spec:
+            {
+              Net.default with
+              Net.delay = Csap_dsim.Delay.seeded source;
+              reliable = true;
+            }
+          g ~source
       in
       r.Csap.Flood.transport = Csap_dsim.Net.no_stats)
 

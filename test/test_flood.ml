@@ -1,6 +1,7 @@
 module F = Csap.Flood
 module G = Csap_graph.Graph
 module Gen = Csap_graph.Generators
+module Net = Csap_dsim.Net
 
 let test_tree_and_times () =
   let g = Gen.path 5 ~w:4 in
@@ -47,7 +48,7 @@ let test_adversarial_delays_still_span () =
   let g = Gen.lollipop 5 4 ~w:2 in
   List.iter
     (fun delay ->
-      let r = F.run ~delay g ~source:6 in
+      let r = F.run ~spec:{ Net.default with Net.delay } g ~source:6 in
       Alcotest.(check bool) "spanning" true
         (Csap_graph.Tree.is_spanning_tree_of g r.F.tree))
     [
@@ -61,8 +62,13 @@ let prop_flood_spans =
     (Gen_qcheck.graph_and_vertex ())
     (fun (g, source) ->
       let r =
-        F.run ~delay:(Csap_dsim.Delay.Uniform (Csap_graph.Rng.create 5)) g
-          ~source
+        F.run
+          ~spec:
+            {
+              Net.default with
+              Net.delay = Csap_dsim.Delay.Uniform (Csap_graph.Rng.create 5);
+            }
+          g ~source
       in
       Csap_graph.Tree.is_spanning_tree_of g r.F.tree
       && r.F.measures.Csap.Measures.comm <= 2 * G.total_weight g)

@@ -1,6 +1,7 @@
 module GF = Csap.Global_func
 module Gen = Csap_graph.Generators
 module Tree = Csap_graph.Tree
+module Net = Csap_dsim.Net
 
 let delays seed =
   [
@@ -16,7 +17,10 @@ let test_sum_all_outputs () =
   let expected = Array.fold_left ( + ) 0 values in
   List.iter
     (fun delay ->
-      let r = GF.run_optimal ~delay g ~root:0 ~values GF.sum in
+      let r =
+        GF.run_optimal ~spec:{ Net.default with Net.delay } g ~root:0 ~values
+          GF.sum
+      in
       Array.iter
         (fun out -> Alcotest.(check int) "sum at every vertex" expected out)
         r.GF.outputs)

@@ -1,6 +1,7 @@
 module M = Csap.Mst_fast
 module G = Csap_graph.Graph
 module Gen = Csap_graph.Generators
+module Net = Csap_dsim.Net
 
 let edge_set t =
   Csap_graph.Tree.edges t
@@ -60,7 +61,7 @@ let test_delay_models () =
   let g = Gen.lollipop 5 4 ~w:4 in
   List.iter
     (fun delay ->
-      let r = M.run ~delay g in
+      let r = M.run ~spec:{ Net.default with Net.delay } g in
       Alcotest.(check bool) "MST under adversarial delays" true
         (edge_set r.M.mst = edge_set (Csap_graph.Mst.prim g ~root:0)))
     [
@@ -75,7 +76,13 @@ let prop_fast_correct =
     QCheck.(pair (Gen_qcheck.connected_graph_gen ~max_n:16 ()) (int_bound 10_000))
     (fun (g, seed) ->
       let r =
-        M.run ~delay:(Csap_dsim.Delay.Uniform (Csap_graph.Rng.create seed)) g
+        M.run
+          ~spec:
+            {
+              Net.default with
+              Net.delay = Csap_dsim.Delay.Uniform (Csap_graph.Rng.create seed);
+            }
+          g
       in
       edge_set r.M.mst = edge_set (Csap_graph.Mst.prim g ~root:0))
 

@@ -1,14 +1,15 @@
 module M = Csap.Mst_hybrid
 module G = Csap_graph.Graph
 module Gen = Csap_graph.Generators
+module Net = Csap_dsim.Net
 
 let edge_set t =
   Csap_graph.Tree.edges t
   |> List.map (fun (p, c, w) -> (min p c, max p c, w))
   |> List.sort compare
 
-let check_mst ?delay g root =
-  let r = M.run ?delay g ~root in
+let check_mst ?(delay = Csap_dsim.Delay.Exact) g root =
+  let r = M.run ~spec:{ Net.default with Net.delay } g ~root in
   Alcotest.(check bool) "is the canonical MST" true
     (edge_set r.M.mst = edge_set (Csap_graph.Mst.prim g ~root:0));
   r

@@ -6,6 +6,7 @@ module Pengine = Csap_dsim.Pengine
 module Partition = Csap_graph.Partition
 module F = Csap.Flood
 module S = Csap.Spt_async
+module Net = Csap_dsim.Net
 
 (* ---- bit-identity: flood and spt-async vs the sequential engine ------- *)
 
@@ -40,12 +41,13 @@ let prop_flood_identical =
     (fun ((g, source), seed) ->
       List.for_all
         (fun (dname, delay) ->
-          let seq = flood_fingerprint (F.run ~delay g ~source) in
+          let spec = { Net.default with Net.delay } in
+          let seq = flood_fingerprint (F.run ~spec g ~source) in
           List.for_all
             (fun k ->
               let k = min k (G.n g) in
               let par =
-                flood_fingerprint (F.run ~delay ~domains:k g ~source)
+                flood_fingerprint (F.run ~spec ~domains:k g ~source)
               in
               if par <> seq then
                 QCheck.Test.fail_reportf "flood diverged: %s k=%d" dname k
@@ -60,12 +62,13 @@ let prop_spt_async_identical =
     (fun ((g, source), seed) ->
       List.for_all
         (fun (dname, delay) ->
-          let seq = spt_fingerprint (S.run ~delay g ~source) in
+          let spec = { Net.default with Net.delay } in
+          let seq = spt_fingerprint (S.run ~spec g ~source) in
           List.for_all
             (fun k ->
               let k = min k (G.n g) in
               let par =
-                spt_fingerprint (S.run ~delay ~domains:k g ~source)
+                spt_fingerprint (S.run ~spec ~domains:k g ~source)
               in
               if par <> seq then
                 QCheck.Test.fail_reportf "spt-async diverged: %s k=%d" dname k
@@ -164,7 +167,7 @@ let test_zero_delay_oracle () =
   let delay =
     Delay.oracle ~name:"zero" (fun ~edge_id:_ ~dir:_ ~nth:_ ~w:_ -> 0.0)
   in
-  let seq = F.run ~delay g ~source:0 in
+  let seq = F.run ~spec:{ Net.default with Net.delay } g ~source:0 in
   Alcotest.(check (float 0.0))
     "engine runs it" 0.0 seq.F.measures.Csap.Measures.time;
   let events, _, _, _, _ = echo_run (Pengine.create ~delay ~domains:1 g) g in
@@ -181,14 +184,17 @@ let test_recorded_replay_partitioned () =
   let module T = Csap_dsim.Trace in
   let g = Gen.grid 6 6 ~w:3 in
   let recorded, traces =
-    T.with_collector (fun () -> F.run ~delay:(Delay.seeded 5) g ~source:0)
+    T.with_collector (fun () ->
+        F.run ~spec:{ Net.default with Net.delay = Delay.seeded 5 } g ~source:0)
   in
   let delay =
     match traces with
     | [ tr ] -> T.recorded tr
     | _ -> Alcotest.fail "expected one trace"
   in
-  let replay = F.run ~delay ~domains:2 g ~source:0 in
+  let replay =
+    F.run ~spec:{ Net.default with Net.delay } ~domains:2 g ~source:0
+  in
   Alcotest.(check bool) "measures replay" true
     (replay.F.measures = recorded.F.measures);
   Alcotest.(check bool) "arrivals replay" true
@@ -216,7 +222,9 @@ let test_seeded_windows_counted () =
       dist.(0) <- 0;
       announce ctx 0 ~except:(-1) 0);
   let events = Pengine.run eng in
-  let seq = S.run ~delay:(Delay.seeded 3) g ~source:0 in
+  let seq =
+    S.run ~spec:{ Net.default with Net.delay = Delay.seeded 3 } g ~source:0
+  in
   Alcotest.(check bool) "distances" true (dist = seq.S.dist);
   Alcotest.(check bool)
     (Printf.sprintf "%d windows < %d events / 2" (Pengine.windows eng) events)
@@ -291,8 +299,8 @@ let test_protocol_domains_knob () =
   List.iter
     (fun name ->
       let entry = P.find_exn name in
-      let seq = P.run entry g in
-      let par = P.run ~domains:3 entry g in
+      let seq = P.execute entry (P.Run.make g) in
+      let par = P.execute entry (P.Run.make ~domains:3 g) in
       Alcotest.(check bool)
         (name ^ ": registry routes domains to the partitioned engine") true
         (seq.P.Outcome.measures = par.P.Outcome.measures);
@@ -316,16 +324,18 @@ let test_protocol_domains_knob () =
         | exception Invalid_argument _ -> true
         | (_ : P.Outcome.t) -> false))
     [
-      (fun () -> P.run ~domains:2 (P.find_exn "mst-ghs") g);
+      (fun () -> P.execute (P.find_exn "mst-ghs") (P.Run.make ~domains:2 g));
       (fun () ->
-        P.run ~domains:2
-          ~delay:(Delay.Uniform (Csap_graph.Rng.create 1))
-          entry g);
+        P.execute entry
+          (P.Run.make ~domains:2
+             ~delay:(Delay.Uniform (Csap_graph.Rng.create 1))
+             g));
       (fun () ->
-        P.run ~domains:2
-          ~faults:(Csap_dsim.Fault.seeded ~loss:0.1 ~dup:0.0 1)
-          entry g);
-      (fun () -> P.run ~domains:0 entry g);
+        P.execute entry
+          (P.Run.make ~domains:2
+             ~faults:(Csap_dsim.Fault.seeded ~loss:0.1 ~dup:0.0 1)
+             g));
+      (fun () -> P.execute entry (P.Run.make ~domains:0 g));
     ];
   (* An order-dependent delay model is rejected by validation, with the
      delay-model message, not later inside the partitioned engine. *)
@@ -334,7 +344,8 @@ let test_protocol_domains_knob () =
      delay model"
   in
   match
-    P.run ~domains:2 ~delay:(Delay.Uniform (Csap_graph.Rng.create 1)) entry g
+    P.execute entry
+      (P.Run.make ~domains:2 ~delay:(Delay.Uniform (Csap_graph.Rng.create 1)) g)
   with
   | exception Invalid_argument msg ->
     Alcotest.(check string) "order-dependent delay checked" expected
@@ -349,10 +360,17 @@ let test_net_partitioned_rejections () =
     match f () with exception Invalid_argument _ -> true | _ -> false
   in
   Alcotest.(check bool) "reliable shim rejected" true
-    (rejected (fun () -> ignore (Net.make ~domains:2 ~reliable:true g)));
+    (rejected (fun () ->
+         ignore
+           (Net.make ~domains:2
+              ~spec:{ Net.default with Net.reliable = true }
+              g)));
   Alcotest.(check bool) "fault plan rejected" true
     (rejected (fun () ->
-         ignore (Net.make ~domains:2 ~faults:Csap_dsim.Fault.none g)));
+         ignore
+           (Net.make ~domains:2
+              ~spec:{ Net.default with Net.faults = Some Csap_dsim.Fault.none }
+              g)));
   Alcotest.(check bool) "domains < 1 rejected" true
     (rejected (fun () -> ignore (Net.make ~domains:0 g)));
   let net = Net.make ~domains:2 g in

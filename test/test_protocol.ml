@@ -2,6 +2,7 @@ module P = Csap.Protocol
 module G = Csap_graph.Graph
 module Gen = Csap_graph.Generators
 module Tree = Csap_graph.Tree
+module Net = Csap_dsim.Net
 
 let expected_names =
   [
@@ -72,25 +73,26 @@ let test_smoke_random () =
 let test_bit_identical () =
   let g = Gen.grid 3 3 ~w:4 in
   let delay = Csap_dsim.Delay.seeded 42 in
+  let spec = { Net.default with Net.delay } in
   let tree_of o =
     match P.Outcome.tree o with
     | Some t -> Tree.edges t
     | None -> Alcotest.fail "no tree in outcome"
   in
-  let via_flood = P.run ~delay (P.find_exn "flood") g in
-  let direct_flood = Csap.Flood.run ~delay g ~source:0 in
+  let via_flood = P.execute (P.find_exn "flood") (P.Run.make ~delay g) in
+  let direct_flood = Csap.Flood.run ~spec g ~source:0 in
   Alcotest.(check bool) "flood measures identical" true
     (via_flood.P.Outcome.measures = direct_flood.Csap.Flood.measures);
   Alcotest.(check bool) "flood tree identical" true
     (tree_of via_flood = Tree.edges direct_flood.Csap.Flood.tree);
-  let via_ghs = P.run ~delay (P.find_exn "mst-ghs") g in
-  let direct_ghs = Csap.Mst_ghs.run ~delay g in
+  let via_ghs = P.execute (P.find_exn "mst-ghs") (P.Run.make ~delay g) in
+  let direct_ghs = Csap.Mst_ghs.run ~spec g in
   Alcotest.(check bool) "ghs measures identical" true
     (via_ghs.P.Outcome.measures = direct_ghs.Csap.Mst_ghs.measures);
   Alcotest.(check bool) "ghs tree identical" true
     (tree_of via_ghs = Tree.edges direct_ghs.Csap.Mst_ghs.mst);
-  let via_spt = P.run ~delay (P.find_exn "spt-synch") g in
-  let direct_spt = Csap.Spt_synch.run ~delay g ~source:0 in
+  let via_spt = P.execute (P.find_exn "spt-synch") (P.Run.make ~delay g) in
+  let direct_spt = Csap.Spt_synch.run ~spec g ~source:0 in
   Alcotest.(check bool) "spt-synch measures identical" true
     (via_spt.P.Outcome.measures = direct_spt.Csap.Spt_synch.measures);
   Alcotest.(check bool) "spt-synch tree identical" true
@@ -110,7 +112,7 @@ let test_validation () =
         Alcotest.check_raises
           (M.name ^ ": root validated")
           (Invalid_argument expected)
-          (fun () -> ignore (P.run ~root:99 entry g))
+          (fun () -> ignore (P.execute entry (P.Run.make ~root:99 g)))
       end;
       if M.caps.P.fixed_family then begin
         Alcotest.check_raises
@@ -118,11 +120,12 @@ let test_validation () =
           (Invalid_argument (M.name ^ ": fault plans not supported"))
           (fun () ->
             ignore
-              (P.run ~faults:(Csap_dsim.Fault.seeded ~loss:0.1 1) entry g));
+              (P.execute entry
+                 (P.Run.make ~faults:(Csap_dsim.Fault.seeded ~loss:0.1 1) g)));
         Alcotest.check_raises
           (M.name ^ ": reliable rejected")
           (Invalid_argument (M.name ^ ": reliable transport not supported"))
-          (fun () -> ignore (P.run ~reliable:true entry g))
+          (fun () -> ignore (P.execute entry (P.Run.make ~reliable:true g)))
       end;
       (* Adversary rejections name their knob uniformly, like domains. *)
       if not M.caps.P.supports_adaptive then
@@ -132,7 +135,8 @@ let test_validation () =
              (M.name ^ ": adversary: adaptive adversaries not supported"))
           (fun () ->
             ignore
-              (P.run ~delay:(Csap_dsim.Delay.greedy_commax ()) entry g)))
+              (P.execute entry
+                 (P.Run.make ~delay:(Csap_dsim.Delay.greedy_commax ()) g))))
     P.registry;
   (* Only the lower-bound family (which ignores its delay model) opts
      out of adaptivity. *)
@@ -188,7 +192,7 @@ let test_plain_restarts_counted () =
       1
   in
   let restarts name =
-    (P.run ~faults (P.find_exn name) g).P.Outcome.restarts
+    (P.execute (P.find_exn name) (P.Run.make ~faults g)).P.Outcome.restarts
   in
   List.iter
     (fun name ->
@@ -206,7 +210,9 @@ let test_sync_restarts_counted () =
   in
   List.iter
     (fun name ->
-      let o = P.run ~faults ~reliable:true (P.find_exn name) g in
+      let o =
+        P.execute (P.find_exn name) (P.Run.make ~faults ~reliable:true g)
+      in
       Alcotest.(check int) (name ^ " restarts") 1 o.P.Outcome.restarts)
     [ "spt-synch"; "sync-alpha"; "sync-beta"; "sync-gamma-w" ]
 
@@ -257,7 +263,7 @@ let test_trace_dump () =
   in
   Unix.mkdir dir 0o755;
   let prefix = Filename.concat dir "t" in
-  ignore (P.run ~trace:prefix (P.find_exn "flood") g);
+  ignore (P.execute (P.find_exn "flood") (P.Run.make ~trace:prefix g));
   let dumped = Sys.readdir dir in
   Alcotest.(check bool) "at least one trace dumped" true
     (Array.length dumped > 0);

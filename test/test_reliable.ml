@@ -148,8 +148,14 @@ let test_crash_mid_flood () =
       21
   in
   let r =
-    Csap.Flood.run ~delay:(Csap_dsim.Delay.seeded 4) ~faults ~reliable:true g
-      ~source:0
+    Csap.Flood.run
+      ~spec:
+        {
+          Net.delay = Csap_dsim.Delay.seeded 4;
+          faults = Some faults;
+          reliable = true;
+        }
+      g ~source:0
   in
   Alcotest.(check bool) "spanning tree despite the crash" true
     (Tree.is_spanning_tree_of g r.Csap.Flood.tree);
@@ -169,7 +175,14 @@ let test_crash_mid_ghs () =
       33
   in
   let r =
-    Csap.Mst_ghs.run ~delay:(Csap_dsim.Delay.seeded 6) ~faults ~reliable:true g
+    Csap.Mst_ghs.run
+      ~spec:
+        {
+          Net.delay = Csap_dsim.Delay.seeded 6;
+          faults = Some faults;
+          reliable = true;
+        }
+      g
   in
   Alcotest.(check bool) "MST despite crash + loss + dup" true
     (Mst.is_mst g r.Csap.Mst_ghs.mst);
@@ -187,8 +200,14 @@ let test_crash_during_outage_spt () =
       55
   in
   let r =
-    Csap.Spt_synch.run ~delay:(Csap_dsim.Delay.seeded 8) ~faults
-      ~reliable:true g ~source:0
+    Csap.Spt_synch.run
+      ~spec:
+        {
+          Net.delay = Csap_dsim.Delay.seeded 8;
+          faults = Some faults;
+          reliable = true;
+        }
+      g ~source:0
   in
   let sp = Csap_graph.Paths.dijkstra g ~src:0 in
   let dist_ok = ref true in
@@ -205,7 +224,7 @@ let test_crash_during_outage_spt () =
 let test_net_make_picks_transport () =
   let g = Gen.path 2 ~w:1 in
   let plain = Net.make g in
-  let rel = Net.make ~reliable:true g in
+  let rel = Net.make ~spec:{ Net.default with Net.reliable = true } g in
   Alcotest.(check bool) "plain reports no retransmissions" true
     (plain.Net.stats () = Net.no_stats);
   Alcotest.(check bool) "reliable starts at zero" true
@@ -233,8 +252,14 @@ let prop_ghs_reliable_under_loss =
     (fun (g, seed) ->
       let faults = F.seeded ~loss:0.15 ~dup:0.1 seed in
       let r =
-        Csap.Mst_ghs.run ~delay:(Csap_dsim.Delay.seeded seed) ~faults
-          ~reliable:true g
+        Csap.Mst_ghs.run
+          ~spec:
+            {
+              Net.delay = Csap_dsim.Delay.seeded seed;
+              faults = Some faults;
+              reliable = true;
+            }
+          g
       in
       Mst.is_mst g r.Csap.Mst_ghs.mst)
 

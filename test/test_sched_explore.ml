@@ -2,6 +2,7 @@ module S = Csap_sched.Sched_explore
 module G = Csap_graph.Graph
 module Gen = Csap_graph.Generators
 module Tree = Csap_graph.Tree
+module Net = Csap_dsim.Net
 
 let schedules g =
   S.seeded_schedules 8 @ S.adversarial_schedules g @ S.adaptive_schedules ()
@@ -61,14 +62,16 @@ let test_schedule_batteries () =
 let test_schedule_dependence_detected () =
   let g = Gen.grid 3 3 ~w:4 in
   let reference =
-    (Csap.Flood.run ~delay:Csap_dsim.Delay.Exact g ~source:0).Csap.Flood.tree
+    (Csap.Flood.run g ~source:0).Csap.Flood.tree
   in
   let bogus =
     {
       S.name = "flood-tree-fixed";
       execute =
         (fun g delay _plan ->
-          let r = Csap.Flood.run ~delay g ~source:0 in
+          let r =
+            Csap.Flood.run ~spec:{ Net.default with Net.delay } g ~source:0
+          in
           if Tree.edges r.Csap.Flood.tree = Tree.edges reference then
             Ok r.Csap.Flood.measures
           else Error "first-contact tree depends on the schedule");
@@ -99,7 +102,9 @@ let test_schedule_dependence_detected () =
         true
         (Csap_dsim.Trace.length tr > 0);
       let r =
-        Csap.Flood.run ~delay:(Csap_dsim.Trace.recorded tr) g ~source:0
+        Csap.Flood.run
+          ~spec:{ Net.default with Net.delay = Csap_dsim.Trace.recorded tr }
+          g ~source:0
       in
       Alcotest.(check bool)
         (Printf.sprintf "%s replays to a differing tree" f)
@@ -219,7 +224,9 @@ let test_fault_failure_traced () =
       S.name = "mst-unshimmed";
       execute =
         (fun g delay faults ->
-          let r = Csap.Mst_ghs.run ~delay ?faults g in
+          let r =
+            Csap.Mst_ghs.run ~spec:{ Net.default with Net.delay; faults } g
+          in
           if Csap_graph.Mst.is_mst g r.Csap.Mst_ghs.mst then
             Ok r.Csap.Mst_ghs.measures
           else Error "not an MST");

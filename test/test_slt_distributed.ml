@@ -2,9 +2,10 @@ module SD = Csap.Slt_distributed
 module G = Csap_graph.Graph
 module Gen = Csap_graph.Generators
 module Tree = Csap_graph.Tree
+module Net = Csap_dsim.Net
 
-let check ?delay ?q g root =
-  let r = SD.run ?delay ?q g ~root in
+let check ?(delay = Csap_dsim.Delay.Exact) ?q g root =
+  let r = SD.run ~spec:{ Net.default with Net.delay } ?q g ~root in
   let p = Csap_graph.Params.compute g in
   Alcotest.(check bool) "spans" true (Tree.is_spanning_tree_of g r.SD.tree);
   Alcotest.(check bool) "weight bound" true

@@ -3,6 +3,7 @@ module Gen = Csap_graph.Generators
 module Paths = Csap_graph.Paths
 module Delay = Csap_dsim.Delay
 module S = Csap.Spt_async
+module Net = Csap_dsim.Net
 
 let dijkstra_dist g ~source = (Paths.dijkstra g ~src:source).Paths.dist
 
@@ -10,7 +11,7 @@ let dijkstra_dist g ~source = (Paths.dijkstra g ~src:source).Paths.dist
    so the distances are exact under ANY delay model — the adversarial
    ones merely pay more messages for the same answer. *)
 let check_distances name g ~source delay =
-  let r = S.run ~delay g ~source in
+  let r = S.run ~spec:{ Net.default with Net.delay } g ~source in
   Alcotest.(check (array int))
     (name ^ " distances")
     (dijkstra_dist g ~source)
@@ -55,7 +56,9 @@ let test_tree_is_spt () =
   let g =
     Gen.random_connected (Csap_graph.Rng.create 5) 30 ~extra_edges:45 ~wmax:7
   in
-  let r = S.run ~delay:(Delay.seeded 13) g ~source:3 in
+  let r =
+    S.run ~spec:{ Net.default with Net.delay = Delay.seeded 13 } g ~source:3
+  in
   let dist = r.S.dist in
   for v = 0 to G.n g - 1 do
     match Csap_graph.Tree.parent r.S.tree v with
@@ -71,7 +74,9 @@ let prop_distances_match_dijkstra =
   QCheck.Test.make ~count:80 ~name:"spt-async = Dijkstra on random graphs"
     (QCheck.pair (Gen_qcheck.graph_and_vertex ()) QCheck.(int_bound 1000))
     (fun ((g, source), seed) ->
-      let r = S.run ~delay:(Delay.seeded seed) g ~source in
+      let r =
+        S.run ~spec:{ Net.default with Net.delay = Delay.seeded seed } g ~source
+      in
       r.S.dist = dijkstra_dist g ~source)
 
 let test_source_validated () =

@@ -1,9 +1,10 @@
 module SH = Csap.Spt_hybrid
 module G = Csap_graph.Graph
 module Gen = Csap_graph.Generators
+module Net = Csap_dsim.Net
 
-let check ?delay ?strip g source =
-  let r = SH.run ?delay ?strip g ~source in
+let check ?(delay = Csap_dsim.Delay.Exact) ?strip g source =
+  let r = SH.run ~spec:{ Net.default with Net.delay } ?strip g ~source in
   let { Csap_graph.Paths.dist; _ } = Csap_graph.Paths.dijkstra g ~src:source in
   for v = 0 to G.n g - 1 do
     Alcotest.(check int)

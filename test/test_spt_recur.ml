@@ -1,9 +1,10 @@
 module SR = Csap.Spt_recur
 module G = Csap_graph.Graph
 module Gen = Csap_graph.Generators
+module Net = Csap_dsim.Net
 
-let check_spt ?delay g source strip =
-  let r = SR.run ?delay g ~source ~strip in
+let check_spt ?(delay = Csap_dsim.Delay.Exact) g source strip =
+  let r = SR.run ~spec:{ Net.default with Net.delay } g ~source ~strip in
   let { Csap_graph.Paths.dist; _ } = Csap_graph.Paths.dijkstra g ~src:source in
   for v = 0 to G.n g - 1 do
     Alcotest.(check int)

@@ -1,6 +1,7 @@
 module SS = Csap.Spt_synch
 module G = Csap_graph.Graph
 module Gen = Csap_graph.Generators
+module Net = Csap_dsim.Net
 
 let states_match_dijkstra g source (states : SS.state array) =
   let { Csap_graph.Paths.dist; _ } = Csap_graph.Paths.dijkstra g ~src:source in
@@ -35,7 +36,7 @@ let test_async_pipeline_delays () =
   let g = Gen.bkj_star_cycle 7 ~heavy:9 in
   List.iter
     (fun delay ->
-      let r = SS.run ~delay g ~source:0 in
+      let r = SS.run ~spec:{ Net.default with Net.delay } g ~source:0 in
       let { Csap_graph.Paths.dist; _ } = Csap_graph.Paths.dijkstra g ~src:0 in
       for v = 0 to G.n g - 1 do
         Alcotest.(check int)

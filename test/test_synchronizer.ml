@@ -3,6 +3,7 @@ module SP = Csap_dsim.Sync_protocol
 module SR = Csap_dsim.Sync_runner
 module G = Csap_graph.Graph
 module Gen = Csap_graph.Generators
+module Net = Csap_dsim.Net
 
 (* An in-synch protocol: on every pulse divisible by w(e), send the pulse
    number; fold everything received. Deterministic, message-heavy, and its
@@ -49,7 +50,10 @@ let test_alpha_exact_simulation () =
   let g = G.create ~n:4 [ (0, 1, 2); (1, 2, 4); (2, 3, 1); (0, 3, 8) ] in
   List.iter
     (fun delay ->
-      let o = Sync.run_alpha ~delay g tick_protocol ~pulses:12 in
+      let o =
+        Sync.run_alpha ~spec:{ Net.default with Net.delay } g tick_protocol
+          ~pulses:12
+      in
       Alcotest.(check bool) "alpha simulates exactly" true
         (equivalent_to_reference g o ~pulses:12))
     (delay_models 31)
@@ -58,7 +62,10 @@ let test_beta_exact_simulation () =
   let g = Gen.lollipop 4 3 ~w:2 in
   List.iter
     (fun delay ->
-      let o = Sync.run_beta ~delay g tick_protocol ~pulses:10 in
+      let o =
+        Sync.run_beta ~spec:{ Net.default with Net.delay } g tick_protocol
+          ~pulses:10
+      in
       Alcotest.(check bool) "beta simulates exactly" true
         (equivalent_to_reference g o ~pulses:10))
     (delay_models 41)
@@ -67,7 +74,10 @@ let test_gamma_exact_simulation () =
   let g = G.create ~n:5 [ (0, 1, 1); (1, 2, 2); (2, 3, 4); (3, 4, 1); (0, 4, 8) ] in
   List.iter
     (fun delay ->
-      let o = Sync.run_gamma_w ~delay g tick_protocol ~pulses:16 in
+      let o =
+        Sync.run_gamma_w ~spec:{ Net.default with Net.delay } g tick_protocol
+          ~pulses:16
+      in
       Alcotest.(check bool) "gamma_w simulates exactly" true
         (equivalent_to_reference g o ~pulses:16))
     (delay_models 51)
@@ -182,7 +192,11 @@ let prop_divisible_exact_random =
       let pulses = 10 in
       let o =
         Sync.run_gamma_w ~levels:`Divisible
-          ~delay:(Csap_dsim.Delay.Uniform (Csap_graph.Rng.create seed))
+          ~spec:
+            {
+              Net.default with
+              Net.delay = Csap_dsim.Delay.Uniform (Csap_graph.Rng.create seed);
+            }
           g tick_protocol ~pulses
       in
       equivalent_to_reference g o ~pulses)
@@ -195,7 +209,11 @@ let prop_gamma_exact_random =
       let pulses = 12 in
       let o =
         Sync.run_gamma_w
-          ~delay:(Csap_dsim.Delay.Uniform (Csap_graph.Rng.create seed))
+          ~spec:
+            {
+              Net.default with
+              Net.delay = Csap_dsim.Delay.Uniform (Csap_graph.Rng.create seed);
+            }
           g tick_protocol ~pulses
       in
       equivalent_to_reference g o ~pulses)
@@ -218,8 +236,13 @@ let prop_gamma_reliable_faults =
       let pulses = w + (seed mod (w + 1)) in
       let levels = if divisible then `Divisible else `Partition in
       let o =
-        Sync.run_gamma_w ~reliable:true
-          ~faults:(Csap_dsim.Fault.seeded ~loss:0.2 ~dup:0.05 seed)
+        Sync.run_gamma_w
+          ~spec:
+            {
+              Net.default with
+              Net.reliable = true;
+              faults = Some (Csap_dsim.Fault.seeded ~loss:0.2 ~dup:0.05 seed);
+            }
           ~k ~levels g tick_protocol ~pulses
       in
       equivalent_to_reference g o ~pulses)
@@ -236,7 +259,9 @@ let test_spt_synch_pinned () =
   let pulses = Csap_graph.Paths.diameter g + 1 in
   let measures ?faults () =
     let _, o =
-      Sync.run_transformed ~reliable:true ?faults g
+      Sync.run_transformed
+        ~spec:{ Net.default with Net.faults; reliable = true }
+        g
         (Csap.Spt_synch.protocol ~source:0)
         ~pulses
     in
@@ -260,7 +285,11 @@ let prop_alpha_exact_random =
       let pulses = 10 in
       let o =
         Sync.run_alpha
-          ~delay:(Csap_dsim.Delay.Uniform (Csap_graph.Rng.create seed))
+          ~spec:
+            {
+              Net.default with
+              Net.delay = Csap_dsim.Delay.Uniform (Csap_graph.Rng.create seed);
+            }
           g tick_protocol ~pulses
       in
       equivalent_to_reference g o ~pulses)

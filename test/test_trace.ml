@@ -2,6 +2,7 @@ module T = Csap_dsim.Trace
 module E = Csap_dsim.Engine
 module G = Csap_graph.Graph
 module Gen = Csap_graph.Generators
+module Net = Csap_dsim.Net
 
 let ev ?(kind = T.Send) ?(time = 0.0) ?(seq = 0) ?(edge = 0) ?(dir = 0)
     ?(nth = 0) ?(src = 0) ?(dst = 1) ?(delay = 1.0) () =
@@ -227,12 +228,15 @@ let test_collector_scopes () =
    must reproduce the execution event for event and metric for metric. *)
 let record_and_replay g ~source ~delay =
   let r, traces =
-    T.with_collector (fun () -> Csap.Flood.run ~delay g ~source)
+    T.with_collector (fun () ->
+        Csap.Flood.run ~spec:{ Net.default with Net.delay } g ~source)
   in
   let tr = match traces with [ tr ] -> tr | _ -> Alcotest.fail "one engine" in
   let r', traces' =
     T.with_collector (fun () ->
-        Csap.Flood.run ~delay:(T.recorded tr) g ~source)
+        Csap.Flood.run
+          ~spec:{ Net.default with Net.delay = T.recorded tr }
+          g ~source)
   in
   let tr' = match traces' with [ t ] -> t | _ -> Alcotest.fail "one engine" in
   (r, tr, r', tr')
@@ -256,13 +260,16 @@ let test_replay_through_jsonl () =
   let rng = Csap_graph.Rng.create 7 in
   let delay = Csap_dsim.Delay.Uniform rng in
   let r, traces =
-    T.with_collector (fun () -> Csap.Flood.run ~delay g ~source:2)
+    T.with_collector (fun () ->
+        Csap.Flood.run ~spec:{ Net.default with Net.delay } g ~source:2)
   in
   let tr = List.hd traces in
   let tr = T.of_jsonl (T.to_jsonl tr) in
   let r', traces' =
     T.with_collector (fun () ->
-        Csap.Flood.run ~delay:(T.recorded tr) g ~source:2)
+        Csap.Flood.run
+          ~spec:{ Net.default with Net.delay = T.recorded tr }
+          g ~source:2)
   in
   Alcotest.(check bool) "event order survives JSONL" true
     (T.equal tr (List.hd traces'));
@@ -278,7 +285,10 @@ let test_diverged_replay_detected () =
   in
   let oracle = T.recorded (List.hd traces) in
   let bigger = Gen.grid 3 3 ~w:3 in
-  match Csap.Flood.run ~delay:oracle bigger ~source:0 with
+  match
+    Csap.Flood.run ~spec:{ Net.default with Net.delay = oracle } bigger
+      ~source:0
+  with
   | _ -> Alcotest.fail "diverged replay must raise"
   | exception Invalid_argument _ -> ()
 
@@ -378,7 +388,9 @@ let test_faulty_trace_records_fault_kinds () =
   let faults = Csap_dsim.Fault.seeded ~loss:0.4 ~dup:0.4 99 in
   let _, traces =
     T.with_collector (fun () ->
-        Csap.Flood.run ~faults ~reliable:true g ~source:0)
+        Csap.Flood.run
+          ~spec:{ Net.default with Net.faults = Some faults; reliable = true }
+          g ~source:0)
   in
   let tr = List.hd traces in
   let count k =
